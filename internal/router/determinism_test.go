@@ -2,6 +2,7 @@ package router_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -16,6 +17,7 @@ import (
 	"cpr/internal/render"
 	"cpr/internal/router"
 	"cpr/internal/tech"
+	"cpr/internal/telemetry"
 )
 
 // determinismDesign builds a design dense enough to force negotiation.
@@ -135,6 +137,60 @@ func TestNegotiationRouterByteIdentical(t *testing.T) {
 			t.Fatalf("trial %d: routing outcome not byte-identical (len %d vs %d): %s",
 				trial, len(got), len(base), firstDiff(base, got))
 		}
+	}
+}
+
+// TestSearchWorkDeterministicAcrossWorkers: the path search work
+// counters depend only on the routing problem. They are identical for
+// Workers 1, 2 and 8 and with telemetry on, the registry publishes the
+// run's totals, and the route:negotiate spans carry their share.
+func TestSearchWorkDeterministicAcrossWorkers(t *testing.T) {
+	d := clusteredDesign(t, "search-work", 3, 12, 1717, true)
+	var base router.SearchStats
+	for i, workers := range []int{1, 2, 8} {
+		res := router.New(d, grid.New(d), router.Config{Workers: workers}).Run()
+		if res.Regions < 3 {
+			t.Fatalf("workers=%d: %d regions, want 3", workers, res.Regions)
+		}
+		if i == 0 {
+			base = res.Search
+			continue
+		}
+		if res.Search != base {
+			t.Errorf("workers=%d: search work %+v, workers=1 did %+v", workers, res.Search, base)
+		}
+	}
+	if base.Searches == 0 || base.Pops == 0 || base.Pops > base.Pushes || base.StalePops > base.Pops {
+		t.Fatalf("implausible search work %+v", base)
+	}
+
+	reg := telemetry.NewRegistry()
+	tr := telemetry.New()
+	ctx := telemetry.WithTracer(telemetry.WithRegistry(context.Background(), reg), tr)
+	res := router.New(d, grid.New(d), router.Config{Workers: 2}).RunCtx(ctx)
+	if res.Search != base {
+		t.Errorf("traced search work %+v, untraced %+v", res.Search, base)
+	}
+	for name, want := range map[string]int64{
+		"cpr_router_search_searches_total":   base.Searches,
+		"cpr_router_search_pushes_total":     base.Pushes,
+		"cpr_router_search_pops_total":       base.Pops,
+		"cpr_router_search_stale_pops_total": base.StalePops,
+	} {
+		if got := reg.Counter(name, "").Value(); got != float64(want) {
+			t.Errorf("%s = %v, want %d", name, got, want)
+		}
+	}
+	var negPops int64
+	for _, sp := range tr.FindAll("route:negotiate") {
+		for _, a := range sp.Attrs() {
+			if a.Key == "pops" {
+				negPops += a.Value.(int64)
+			}
+		}
+	}
+	if negPops == 0 || negPops > base.Pops {
+		t.Errorf("route:negotiate spans carry %d pops, want within (0, %d]", negPops, base.Pops)
 	}
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"sort"
 
 	"cpr/internal/geom"
@@ -20,65 +21,55 @@ type metalSegment struct {
 }
 
 // segmentsOf decomposes a route into per-track metal strips on the routing
-// layers, including via-only landings (single-cell strips).
+// layers, including via-only landings (single-cell strips). Segments come
+// M2 before M3, tracks ascending, then coordinates ascending: seg order
+// flows into nr.Virtual and from there into the result, so it depends on
+// the node set only, never on node order.
 func (r *Router) segmentsOf(nr *NetRoute) []metalSegment {
-	m2 := make(map[int][]int) // y -> xs
-	m3 := make(map[int][]int) // x -> ys
+	// One sort key per metal cell: layer (M3 in the top bit), track in
+	// the high word, coordinate along the track in the low word.
+	keys := make([]uint64, 0, len(nr.Nodes))
 	for _, id := range nr.Nodes {
 		x, y, z := r.g.Coords(id)
 		switch z {
 		case tech.M2:
-			m2[y] = append(m2[y], x)
+			keys = append(keys, uint64(y)<<32|uint64(x))
 		case tech.M3:
-			m3[x] = append(m3[x], y)
+			keys = append(keys, 1<<63|uint64(x)<<32|uint64(y))
 		}
 	}
-	// Iterate tracks in sorted order: seg order flows into nr.Virtual and
-	// from there into the result, so map order must not leak.
-	var segs []metalSegment
-	for _, track := range sortedTracks(m2) {
-		for _, span := range runs(m2[track]) {
-			segs = append(segs, metalSegment{netID: nr.NetID, layer: tech.M2, track: track, span: span})
+	slices.Sort(keys)
+
+	// A cell starts a new strip unless it continues the previous cell's
+	// strip on the same track (equal or next coordinate).
+	continues := func(i int) bool {
+		return i > 0 && keys[i]>>32 == keys[i-1]>>32 && uint32(keys[i]) <= uint32(keys[i-1])+1
+	}
+	n := 0
+	for i := range keys {
+		if !continues(i) {
+			n++
 		}
 	}
-	for _, track := range sortedTracks(m3) {
-		for _, span := range runs(m3[track]) {
-			segs = append(segs, metalSegment{netID: nr.NetID, layer: tech.M3, track: track, span: span})
+	segs := make([]metalSegment, 0, n)
+	for i, k := range keys {
+		c := int(uint32(k))
+		if continues(i) {
+			segs[len(segs)-1].span.Hi = c
+			continue
 		}
+		layer := tech.M2
+		if k>>63 == 1 {
+			layer = tech.M3
+		}
+		segs = append(segs, metalSegment{
+			netID: nr.NetID,
+			layer: layer,
+			track: int(k >> 32 & (1<<31 - 1)),
+			span:  geom.Interval{Lo: c, Hi: c},
+		})
 	}
 	return segs
-}
-
-// sortedTracks returns a track map's keys in ascending order.
-func sortedTracks(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
-}
-
-// runs converts a cell coordinate multiset into maximal consecutive runs.
-func runs(cells []int) []geom.Interval {
-	if len(cells) == 0 {
-		return nil
-	}
-	sort.Ints(cells)
-	var out []geom.Interval
-	cur := geom.Interval{Lo: cells[0], Hi: cells[0]}
-	for _, c := range cells[1:] {
-		switch {
-		case c == cur.Hi || c == cur.Hi+1:
-			if c > cur.Hi {
-				cur.Hi = c
-			}
-		default:
-			out = append(out, cur)
-			cur = geom.Interval{Lo: c, Hi: c}
-		}
-	}
-	return append(out, cur)
 }
 
 // extend applies the SADP line-end extension and the minimum line length

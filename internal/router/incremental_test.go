@@ -414,6 +414,9 @@ func TestSplicedRunContributesNoPriorTime(t *testing.T) {
 	if res.NegotiationIters != cold.NegotiationIters {
 		t.Errorf("spliced NegotiationIters = %d, want cold's %d", res.NegotiationIters, cold.NegotiationIters)
 	}
+	if res.Search != (router.SearchStats{}) {
+		t.Errorf("all-spliced run counts search work %+v, want none", res.Search)
+	}
 	if len(res.RegionSummaries) != len(cold.RegionSummaries) {
 		t.Fatalf("region summaries: %d vs cold %d", len(res.RegionSummaries), len(cold.RegionSummaries))
 	}

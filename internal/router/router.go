@@ -242,6 +242,11 @@ type Result struct {
 	CongestionUnrouted int
 	// DRCUnrouted counts nets dropped by the line-end rule check.
 	DRCUnrouted int
+	// Search sums the path search work of the regions this run computed,
+	// in plan order (spliced regions contribute zero). It is a work
+	// counter, not routing content: it stays out of RegionSummary, route
+	// artifacts, codecs and content keys.
+	Search SearchStats
 
 	// Regions is the number of independent routing regions of the plan.
 	Regions int
@@ -372,6 +377,7 @@ type shardOutcome struct {
 	summary RegionSummary
 	stage   [4]time.Duration
 	warm    int
+	search  SearchStats
 }
 
 // RunPlan executes the negotiation routing flow over an explicit region
@@ -452,6 +458,7 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 			res.StageElapsed[i] += oc.stage[i]
 		}
 		res.WarmNets += oc.warm
+		res.Search.add(oc.search)
 	}
 
 	// Merge region counters in region-ID order (spliced and computed
@@ -478,6 +485,14 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 	if reg := telemetry.RegistryFrom(ctx); reg != nil {
 		reg.Histogram("cpr_router_negotiation_rounds", "Rip-up-and-reroute rounds per routing run.",
 			telemetry.DefCountBuckets).Observe(float64(res.NegotiationIters))
+		reg.Counter("cpr_router_search_searches_total", "Path searches run by the router.").
+			Add(float64(res.Search.Searches))
+		reg.Counter("cpr_router_search_pushes_total", "Path search frontier pushes.").
+			Add(float64(res.Search.Pushes))
+		reg.Counter("cpr_router_search_pops_total", "Path search frontier pops, stale ones included.").
+			Add(float64(res.Search.Pops))
+		reg.Counter("cpr_router_search_stale_pops_total", "Path search frontier pops discarded as stale.").
+			Add(float64(res.Search.StalePops))
 	}
 	res.Elapsed = since(start)
 	return res
@@ -503,6 +518,12 @@ type shard struct {
 	// seedOcc replays warm routes' occupancy (false only under the
 	// RunOpts.SkipSpliceSeeding fault injection).
 	seedOcc bool
+	// scratch is the shard's reusable path search state and work
+	// counters.
+	scratch searchScratch
+	// overusedSeen is overusedCount's node set, reused across
+	// negotiation rounds.
+	overusedSeen map[grid.NodeID]struct{}
 }
 
 // wholeShard wraps the router in a single shard spanning every net
@@ -575,6 +596,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	em := telemetry.EmitterFrom(ctx)
 	negCtx, negSpan := telemetry.StartSpan(ctx, "route:negotiate")
 	negSpan.SetAttr("region", s.region.ID)
+	searchBefore := s.scratch.work
 	presFac := s.cfg.PresentCostBase
 	bestOveruse := 1 << 30
 	stall := 0
@@ -637,6 +659,11 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 		presFac *= s.cfg.PresentCostGrowth
 	}
 	negSpan.SetAttr("rounds", oc.summary.NegotiationIters)
+	negWork := s.scratch.work
+	negSpan.SetAttr("searches", negWork.Searches-searchBefore.Searches)
+	negSpan.SetAttr("pushes", negWork.Pushes-searchBefore.Pushes)
+	negSpan.SetAttr("pops", negWork.Pops-searchBefore.Pops)
+	negSpan.SetAttr("stale_pops", negWork.StalePops-searchBefore.StalePops)
 	negSpan.End()
 	oc.stage[1] = since(t0)
 	t0 = now()
@@ -659,6 +686,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	drcSpan.SetAttr("unrouted", oc.summary.DRCUnrouted)
 	drcSpan.End()
 	oc.stage[3] = since(t0)
+	oc.search = s.scratch.work
 	return oc
 }
 
@@ -712,7 +740,11 @@ func (s *shard) congestedCounts() (int, [tech.NumLayers]int) {
 // global grid scan when the region covers all routed nets.
 func (s *shard) overusedCount() int {
 	n := 0
-	seen := make(map[grid.NodeID]struct{})
+	if s.overusedSeen == nil {
+		s.overusedSeen = make(map[grid.NodeID]struct{})
+	}
+	seen := s.overusedSeen
+	clear(seen)
 	count := func(id grid.NodeID) {
 		if _, ok := seen[id]; ok {
 			return
@@ -812,14 +844,13 @@ func (s *shard) routeNet(netID int, presFac float64, margin int) *NetRoute {
 	}
 
 	for _, pid := range ordered[1:] {
-		targets := make(map[grid.NodeID]bool)
+		targets := s.pinCells(pid)
 		already := false
-		for _, cell := range s.pinCells(pid) {
+		for _, cell := range targets {
 			if treeSet[cell] {
 				already = true
 				break
 			}
-			targets[cell] = true
 		}
 		if already {
 			continue

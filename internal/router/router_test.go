@@ -257,19 +257,28 @@ func TestSkipDRCSkipsOnlyFinalCheck(t *testing.T) {
 	}
 }
 
-func TestRunsHelper(t *testing.T) {
-	got := runs([]int{5, 1, 2, 3, 7, 8})
+// TestSegmentsOfRuns checks how segmentsOf cuts one track's cells into
+// strips: consecutive and repeated coordinates merge, gaps split.
+func TestSegmentsOfRuns(t *testing.T) {
+	d := twoPinDesign(t)
+	g := grid.New(d)
+	r := New(d, g, Config{})
+	var nodes []grid.NodeID
+	for _, x := range []int{5, 1, 2, 3, 7, 8, 2} {
+		nodes = append(nodes, g.ID(x, 6, tech.M2))
+	}
+	got := r.segmentsOf(&NetRoute{NetID: 0, Nodes: nodes})
 	want := []geom.Interval{{Lo: 1, Hi: 3}, {Lo: 5, Hi: 5}, {Lo: 7, Hi: 8}}
 	if len(got) != len(want) {
-		t.Fatalf("runs = %v, want %v", got, want)
+		t.Fatalf("segments = %+v, want spans %v", got, want)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("runs[%d] = %v, want %v", i, got[i], want[i])
+		if got[i].span != want[i] || got[i].layer != tech.M2 || got[i].track != 6 {
+			t.Errorf("segment %d = %+v, want M2 track 6 span %v", i, got[i], want[i])
 		}
 	}
-	if runs(nil) != nil {
-		t.Error("runs(nil) should be nil")
+	if segs := r.segmentsOf(&NetRoute{Nodes: []grid.NodeID{g.ID(3, 4, tech.M1)}}); len(segs) != 0 {
+		t.Errorf("M1-only route has segments %+v", segs)
 	}
 }
 

@@ -271,6 +271,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 			res.Wirelength += nr.Wirelength(r.g)
 		}
 	}
+	res.Search = s.scratch.work
 	res.Elapsed = since(start)
 	return res
 }

@@ -254,11 +254,11 @@ func escapeLabel(v string) string {
 }
 
 // getOrCreate returns the instrument for (name, labels), creating the
-// family and instrument as needed. Registering one name with two
+// family and instrument as needed. The caller holds r.mu, and fills the
+// instrument's lazily created fields before releasing it: concurrent
+// first uses of one name race otherwise. Registering one name with two
 // different kinds is a programming error and panics.
 func (r *Registry) getOrCreate(name, help string, kind metricKind, labels []Label) *instrument {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f, ok := r.families[name]
 	if !ok {
 		f = &family{name: name, help: help, kind: kind, instruments: make(map[string]*instrument)}
@@ -283,6 +283,8 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.getOrCreate(name, help, kindCounter, labels)
 	if inst.ctr == nil && inst.fn == nil {
 		inst.ctr = &Counter{}
@@ -295,6 +297,8 @@ func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.getOrCreate(name, help, kindGauge, labels)
 	if inst.gauge == nil && inst.fn == nil {
 		inst.gauge = &Gauge{}
@@ -308,6 +312,8 @@ func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Labe
 	if r == nil {
 		return nil
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.getOrCreate(name, help, kindHistogram, labels)
 	if inst.hist == nil {
 		bs := append([]float64(nil), bounds...)
@@ -324,6 +330,8 @@ func (r *Registry) CounterFunc(name, help string, fn func() float64, labels ...L
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.getOrCreate(name, help, kindCounter, labels)
 	inst.fn = fn
 	inst.ctr = nil
@@ -335,6 +343,8 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	if r == nil {
 		return
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	inst := r.getOrCreate(name, help, kindGauge, labels)
 	inst.fn = fn
 	inst.gauge = nil

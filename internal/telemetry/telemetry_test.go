@@ -304,12 +304,19 @@ func TestConcurrentUse(t *testing.T) {
 				sp.End()
 				c.Inc()
 				h.Observe(float64(j))
+				// First uses of a name race with each other: every
+				// goroutine must get the same instrument.
+				reg.Counter("lazy_total", "lazy").Inc()
+				reg.Histogram("lazy_hist", "lazy", DefCountBuckets).Observe(float64(j))
 			}
 		}(i)
 	}
 	wg.Wait()
 	if c.Value() != 1600 {
 		t.Errorf("counter = %g, want 1600", c.Value())
+	}
+	if got := reg.Counter("lazy_total", "lazy").Value(); got != 1600 {
+		t.Errorf("lazily created counter = %g, want 1600", got)
 	}
 	if got := len(tr.FindAll("panel")); got != 1600 {
 		t.Errorf("spans = %d, want 1600", got)

@@ -56,6 +56,31 @@ func TestFacadeAssignmentSolvers(t *testing.T) {
 	}
 }
 
+// TestFacadeLRLegalOnPinSubset solves a model over a pin subset whose
+// intervals also cover pins outside it: a's intervals reach same-net pin
+// b and c's reach c2. Every requested pin must still get exactly one
+// interval.
+func TestFacadeLRLegalOnPinSubset(t *testing.T) {
+	d := NewDesign("subset", 60, 10, DefaultTechnology())
+	n := d.AddNet("n")
+	a := d.AddPin("a", n, Rect{X0: 10, Y0: 2, X1: 10, Y1: 2})
+	d.AddPin("b", n, Rect{X0: 14, Y0: 2, X1: 14, Y1: 2})
+	m := d.AddNet("m")
+	c := d.AddPin("c", m, Rect{X0: 40, Y0: 5, X1: 40, Y1: 5})
+	d.AddPin("c2", m, Rect{X0: 50, Y0: 5, X1: 50, Y1: 5})
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	model, err := BuildAssignmentModel(d, []int{a, c})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := SolveLR(model, LRConfig{})
+	if err := model.CheckLegal(res.Solution); err != nil {
+		t.Fatalf("LR solution illegal: %v", err)
+	}
+}
+
 func TestFacadeCircuitRegistry(t *testing.T) {
 	if len(TableCircuits()) != 6 {
 		t.Error("want 6 Table 2 circuits")

@@ -543,7 +543,7 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 
 	var panels []int
 	for panel := 0; panel < d.NumPanels(); panel++ {
-		if len(d.PinsInPanel(panel)) > 0 {
+		if len(idx.PinsInPanel(panel)) > 0 {
 			panels = append(panels, panel)
 		}
 	}
@@ -607,7 +607,7 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 				return
 			}
 		}
-		art, err := pipeline.SolvePanel(pctx, d, idx, panel, d.PinsInPanel(panel), cfg, inner)
+		art, err := pipeline.SolvePanel(pctx, d, idx, panel, key, cfg, inner)
 		if err != nil {
 			results[slot].err = fmt.Errorf("core: panel %d: %w", panel, err)
 			return

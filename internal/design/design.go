@@ -211,11 +211,15 @@ func (d *Design) checkPinDisjointness() error {
 	return nil
 }
 
-// TrackIndex accelerates per-track queries: which pins and which M2
-// blockage spans touch each track. Build it once per design with
-// BuildTrackIndex after the design is complete.
+// TrackIndex accelerates per-track and per-panel queries: which pins and
+// which M2 blockage spans touch each track, and which pins lie in each
+// panel. Build it once per design with BuildTrackIndex after the design is
+// complete.
 type TrackIndex struct {
 	design *Design
+
+	// pinsInPanel[p] lists the IDs of pins in panel p, ascending.
+	pinsInPanel [][]int
 
 	// pinsOnTrack[y] lists pin IDs whose shape overlaps track y, sorted
 	// by the pin's X0.
@@ -230,10 +234,14 @@ type TrackIndex struct {
 func (d *Design) BuildTrackIndex() *TrackIndex {
 	idx := &TrackIndex{
 		design:         d,
+		pinsInPanel:    make([][]int, d.NumPanels()),
 		pinsOnTrack:    make([][]int, d.Height),
 		blockedOnTrack: make([][]geom.Interval, d.Height),
 	}
 	for i := range d.Pins {
+		if p := d.Pins[i].Panel(d.Tech); p >= 0 && p < len(idx.pinsInPanel) {
+			idx.pinsInPanel[p] = append(idx.pinsInPanel[p], i)
+		}
 		sh := d.Pins[i].Shape
 		for y := sh.Y0; y <= sh.Y1 && y < d.Height; y++ {
 			if y < 0 {
@@ -263,6 +271,16 @@ func (d *Design) BuildTrackIndex() *TrackIndex {
 		idx.blockedOnTrack[y] = MergeIntervals(idx.blockedOnTrack[y])
 	}
 	return idx
+}
+
+// PinsInPanel returns the IDs of pins in panel p in ascending order, the
+// same list as Design.PinsInPanel without scanning every pin. The
+// returned slice must not be modified.
+func (ti *TrackIndex) PinsInPanel(p int) []int {
+	if p < 0 || p >= len(ti.pinsInPanel) {
+		return nil
+	}
+	return ti.pinsInPanel[p]
 }
 
 // PinsOnTrack returns the pin IDs overlapping track y, sorted by X0.

@@ -67,6 +67,26 @@ func TestPinsInPanel(t *testing.T) {
 	}
 }
 
+// TestTrackIndexPinsInPanel checks the index's panel lists against
+// Design.PinsInPanel on random designs whose pins span several tracks.
+func TestTrackIndexPinsInPanel(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for trial := 0; trial < 20; trial++ {
+		d := New("idx", 30, 5+rng.Intn(40), tech.Default())
+		n := d.AddNet("n")
+		for i := 0; i < 40; i++ {
+			x, y := rng.Intn(d.Width), rng.Intn(d.Height)
+			d.AddPin("p", n, geom.MakeRect(x, y, x, min(y+rng.Intn(3), d.Height-1)))
+		}
+		idx := d.BuildTrackIndex()
+		for p := -1; p <= d.NumPanels(); p++ {
+			if got, want := idx.PinsInPanel(p), d.PinsInPanel(p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d panel %d: index lists %v, design %v", trial, p, got, want)
+			}
+		}
+	}
+}
+
 func TestNumPanelsPartialRow(t *testing.T) {
 	d := New("partial", 10, 15, tech.Default())
 	if d.NumPanels() != 2 {

@@ -37,9 +37,8 @@ func TestMaxGainsPicksHighestGain(t *testing.T) {
 		{NetID: 0, Track: 0, Span: geom.Interval{Lo: 4, Hi: 5}, PinIDs: []int{0}, MinForPin: 0},
 	})
 	gains := append([]float64(nil), m.Profits...)
-	order := make([]int, 2)
 	selected := make([]bool, 2)
-	maxGains(m, gains, order, selected, Config{}.withDefaults())
+	newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
 	if !selected[0] || selected[1] {
 		t.Errorf("selected = %v, want the long interval only", selected)
 	}
@@ -54,9 +53,8 @@ func TestMaxGainsSameNetTieBreak(t *testing.T) {
 	})
 	// Force equal gains manually.
 	gains := []float64{1, 1, 0.5}
-	order := make([]int, 3)
 	selected := make([]bool, 3)
-	maxGains(m, gains, order, selected, Config{}.withDefaults())
+	newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
 	if !selected[1] {
 		t.Errorf("selected = %v, want the shared interval via tie-break", selected)
 	}
@@ -73,9 +71,8 @@ func TestMaxGainsSkipsAssignedPins(t *testing.T) {
 		{NetID: 0, Track: 1, Span: geom.Interval{Lo: 0, Hi: 8}, PinIDs: []int{1}, MinForPin: -1},
 	})
 	gains := append([]float64(nil), m.Profits...)
-	order := make([]int, 2)
 	selected := make([]bool, 2)
-	maxGains(m, gains, order, selected, Config{}.withDefaults())
+	newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
 	if !selected[0] || selected[1] {
 		t.Errorf("selected = %v", selected)
 	}

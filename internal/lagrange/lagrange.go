@@ -20,6 +20,7 @@ package lagrange
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"cpr/internal/assign"
@@ -135,9 +136,9 @@ func Solve(m *assign.Model, cfg Config) Result {
 	penalties := make([]float64, n)
 	lambda := make([]float64, len(m.Conflicts.Sets))
 
-	// Pre-sorted interval order is recomputed per iteration (gains
-	// change); scratch buffers are reused.
-	order := make([]int, n)
+	// The pin groups are fixed by the model; the gains change per
+	// iteration. Scratch buffers are reused.
+	sub := newSubproblem(m, cfg)
 	gains := make([]float64, n)
 	selected := make([]bool, n)
 
@@ -165,7 +166,7 @@ func Solve(m *assign.Model, cfg Config) Result {
 				gains[i] = m.Profits[i] - penalties[i]
 			}
 		})
-		maxGains(m, gains, order, selected, cfg)
+		sub.maxGains(gains, selected)
 		// The observer's dual value wants the multipliers the selection
 		// was made under, so the sums are taken before penalize mutates
 		// lambda. Reads only — the trajectory is untouched.
@@ -287,52 +288,191 @@ func postImprove(m *assign.Model, sol *assign.Solution) int {
 	return improved
 }
 
-// maxGains implements Algorithm 1's greedy LR subproblem: select intervals
-// in non-increasing gain order, skipping any interval with an
-// already-assigned pin, until all pins are covered. Ties are broken by the
-// number of same-net pins covered (intra-panel connections preferred).
-func maxGains(m *assign.Model, gains []float64, order []int, selected []bool, cfg Config) {
-	for i := range order {
-		order[i] = i
-	}
+// subproblem is Algorithm 1's greedy LR subproblem, indexed once per
+// Solve. The greedy takes intervals in one total order — gain descending,
+// then covered pins descending (intra-panel connections preferred, unless
+// DisableSameNetTieBreak), then ID ascending — and skips any interval
+// with an already-assigned pin. Whether it takes an interval depends only
+// on the earlier intervals that share one of its pins, so the pins are
+// joined into groups that share an interval, and each group's intervals
+// are solved on their own: the union of the per-group selections is
+// exactly the selection of one global pass (DESIGN.md §4b). Pins an
+// interval covers outside Set.PinIDs join the groups like any other pin.
+type subproblem struct {
+	tieBreak bool
+	// ivPins[ivPinStart[i]:ivPinStart[i+1]] are interval i's pins as
+	// dense indices, numbered in order of first appearance.
+	ivPinStart []int32
+	ivPins     []int32
+	// groupIvs[groupStart[g]:groupStart[g+1]] are group g's intervals,
+	// ascending by ID. Intervals covering no pin belong to no group and
+	// are never selected.
+	groupStart []int32
+	groupIvs   []int32
+	// single[g] reports that every interval of group g covers exactly
+	// one pin (the same one), so the group takes its first interval in
+	// the order.
+	single []bool
+	// Scratch reused by every call: a pin is assigned in the current call
+	// when its stamp equals gen; order holds a multi-pin group's
+	// intervals while they are sorted.
+	stamp []uint32
+	gen   uint32
+	order []int32
+}
+
+// newSubproblem joins the model's pins into groups with a union-find
+// over every interval's pins and lists each group's intervals.
+func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 	ivs := m.Set.Intervals
-	sort.Slice(order, func(a, b int) bool {
-		ia, ib := order[a], order[b]
-		if gains[ia] != gains[ib] {
-			return gains[ia] > gains[ib]
-		}
-		if !cfg.DisableSameNetTieBreak {
-			if la, lb := len(ivs[ia].PinIDs), len(ivs[ib].PinIDs); la != lb {
-				return la > lb
-			}
-		}
-		return ia < ib
-	})
-	for i := range selected {
-		selected[i] = false
-	}
-	assigned := make(map[int]bool, m.NumPins())
-	remaining := m.NumPins()
-	for _, i := range order {
-		if remaining == 0 {
-			break
-		}
-		skip := false
+	n := len(ivs)
+	s := &subproblem{tieBreak: !cfg.DisableSameNetTieBreak, ivPinStart: make([]int32, n+1)}
+	dense := make(map[int]int32, m.NumPins())
+	for i := range ivs {
 		for _, pid := range ivs[i].PinIDs {
-			if assigned[pid] {
-				skip = true
-				break
+			d, ok := dense[pid]
+			if !ok {
+				d = int32(len(dense))
+				dense[pid] = d
+			}
+			s.ivPins = append(s.ivPins, d)
+		}
+		s.ivPinStart[i+1] = int32(len(s.ivPins))
+	}
+
+	parent := make([]int32, len(dense))
+	for p := range parent {
+		parent[p] = int32(p)
+	}
+	find := func(p int32) int32 {
+		for parent[p] != p {
+			parent[p] = parent[parent[p]]
+			p = parent[p]
+		}
+		return p
+	}
+	for i := 0; i < n; i++ {
+		pins := s.pins(int32(i))
+		for _, p := range pins {
+			if a, b := find(pins[0]), find(p); a != b {
+				parent[b] = a
 			}
 		}
-		if skip {
+	}
+
+	// Number the groups by their lowest interval and count their
+	// intervals; then lay the intervals out group by group.
+	groupOf := make([]int32, len(dense)) // root pin -> group + 1
+	ivGroup := make([]int32, n)          // interval -> group, -1 if pinless
+	var counts []int32
+	for i := 0; i < n; i++ {
+		pins := s.pins(int32(i))
+		if len(pins) == 0 {
+			ivGroup[i] = -1
 			continue
 		}
-		selected[i] = true
-		for _, pid := range ivs[i].PinIDs {
-			assigned[pid] = true
-			remaining--
+		r := find(pins[0])
+		if groupOf[r] == 0 {
+			counts = append(counts, 0)
+			s.single = append(s.single, true)
+			groupOf[r] = int32(len(counts))
+		}
+		g := groupOf[r] - 1
+		ivGroup[i] = g
+		counts[g]++
+		if len(pins) != 1 {
+			s.single[g] = false
 		}
 	}
+	s.groupStart = make([]int32, len(counts)+1)
+	for g, c := range counts {
+		s.groupStart[g+1] = s.groupStart[g] + c
+	}
+	next := counts // reused as each group's fill cursor
+	copy(next, s.groupStart)
+	s.groupIvs = make([]int32, s.groupStart[len(counts)])
+	for i, g := range ivGroup {
+		if g >= 0 {
+			s.groupIvs[next[g]] = int32(i)
+			next[g]++
+		}
+	}
+	s.stamp = make([]uint32, len(dense))
+	return s
+}
+
+// pins returns interval i's pins as dense indices.
+func (s *subproblem) pins(i int32) []int32 {
+	return s.ivPins[s.ivPinStart[i]:s.ivPinStart[i+1]]
+}
+
+// compare orders intervals a and b as Algorithm 1 takes them: gain
+// descending, then covered pins descending, then ID ascending. The ID
+// makes the order total.
+func (s *subproblem) compare(gains []float64, a, b int32) int {
+	if gains[a] != gains[b] {
+		if gains[a] > gains[b] {
+			return -1
+		}
+		return 1
+	}
+	if s.tieBreak {
+		if la, lb := s.ivPinStart[a+1]-s.ivPinStart[a], s.ivPinStart[b+1]-s.ivPinStart[b]; la != lb {
+			return int(lb - la)
+		}
+	}
+	return int(a - b)
+}
+
+// maxGains implements Algorithm 1's greedy LR subproblem: select intervals
+// in non-increasing gain order, skipping any interval with an
+// already-assigned pin, one pin group at a time. A one-pin group takes
+// its first interval in the order; a larger group sorts its intervals and
+// runs the greedy. A call after the first allocates nothing.
+func (s *subproblem) maxGains(gains []float64, selected []bool) {
+	clear(selected)
+	s.gen++
+	if s.gen == 0 { // wrapped: no stamp may look current
+		clear(s.stamp)
+		s.gen = 1
+	}
+	for g, single := range s.single {
+		ivs := s.groupIvs[s.groupStart[g]:s.groupStart[g+1]]
+		if single {
+			// Ascending IDs and a strict comparison keep the lowest ID
+			// among equal gains.
+			best := ivs[0]
+			for _, i := range ivs[1:] {
+				if gains[i] > gains[best] {
+					best = i
+				}
+			}
+			selected[best] = true
+			continue
+		}
+		s.order = append(s.order[:0], ivs...)
+		slices.SortFunc(s.order, func(a, b int32) int { return s.compare(gains, a, b) })
+		for _, i := range s.order {
+			pins := s.pins(i)
+			if s.anyAssigned(pins) {
+				continue
+			}
+			selected[i] = true
+			for _, p := range pins {
+				s.stamp[p] = s.gen
+			}
+		}
+	}
+}
+
+// anyAssigned reports whether one of the pins is assigned in this call.
+func (s *subproblem) anyAssigned(pins []int32) bool {
+	for _, p := range pins {
+		if s.stamp[p] == s.gen {
+			return true
+		}
+	}
+	return false
 }
 
 // penalize implements Algorithm 1's multiplier update: for every violated

@@ -28,6 +28,7 @@ package pinaccess
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"cpr/internal/design"
@@ -134,11 +135,11 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	}
 	sort.Ints(s.PinIDs)
 
-	// Deduplicate on (net, track, span).
+	// Deduplicate on (net, track, span). Phase 2 sizes the map.
 	type key struct {
 		net, track, lo, hi int
 	}
-	seen := make(map[key]int)
+	var seen map[key]int
 
 	addInterval := func(netID, track int, span geom.Interval, coveredPins []int, minFor int) {
 		k := key{netID, track, span.Lo, span.Hi}
@@ -193,14 +194,20 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 
 	// Phase 2 — deterministic ordered merge: replay candidates in the
 	// canonical (ascending pin, ascending track) order, which assigns the
-	// same interval IDs as a fully sequential enumeration would.
+	// same interval IDs as a fully sequential enumeration would. The
+	// candidate count bounds the deduplicated interval count, so it sizes
+	// the interval slice and the dedup map.
 	type pinTrack struct{ pid, track int }
 	byPinTrack := make(map[pinTrack][]candidate)
+	numCands := 0
 	for ti := range tracks {
 		for _, pc := range shards[ti] {
 			byPinTrack[pinTrack{pc.pid, tracks[ti]}] = pc.cands
+			numCands += len(pc.cands)
 		}
 	}
+	s.Intervals = slices.Grow(s.Intervals, numCands)
+	seen = make(map[key]int, numCands)
 	for _, pid := range s.PinIDs {
 		pin := &d.Pins[pid]
 		for t := pin.Shape.Y0; t <= pin.Shape.Y1; t++ {

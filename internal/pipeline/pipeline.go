@@ -244,7 +244,7 @@ func WritePanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, pan
 		return err
 	}
 
-	pins := d.PinsInPanel(panel)
+	pins := idx.PinsInPanel(panel)
 	nets := make(map[int]bool)
 	for _, pid := range pins {
 		p := &d.Pins[pid]

@@ -206,7 +206,7 @@ func TestSolvePanelArtifactsDeterministic(t *testing.T) {
 	ctx := context.Background()
 	var first *PanelArtifact
 	for _, workers := range []int{1, 1, 4} {
-		art, err := SolvePanel(ctx, d, idx, 0, d.PinsInPanel(0), cfg, workers)
+		art, err := SolvePanel(ctx, d, idx, 0, PanelKeyFor(d, idx, 0, cfg), cfg, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -212,14 +212,16 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, worker
 	return &Assignment{Solution: res.Solution, Converged: res.Converged}, nil
 }
 
-// SolvePanel runs the three stages for one panel end to end and bundles
-// the result as a keyed PanelArtifact. When the context carries a
-// telemetry tracer/registry each stage gets a child span and a
-// cpr_stage_seconds observation; with neither present the overhead is a
-// few nil checks.
+// SolvePanel runs the three stages over panel p's pins end to end and
+// bundles the result as a PanelArtifact under key, which must be
+// PanelKeyFor(d, idx, panel, cfg): callers compute it first for their
+// cache lookups. When the context carries a telemetry tracer/registry
+// each stage gets a child span and a cpr_stage_seconds observation; with
+// neither present the overhead is a few nil checks.
 //
 //keypurity:entry stage
-func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, panel int, pinIDs []int, cfg SolverConfig, workers int) (*PanelArtifact, error) {
+func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, panel int, key string, cfg SolverConfig, workers int) (*PanelArtifact, error) {
+	pinIDs := idx.PinsInPanel(panel)
 	reg := telemetry.RegistryFrom(ctx)
 	observe := func(stage string, start time.Time) {
 		elapsed := time.Since(start) //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
@@ -258,7 +260,7 @@ func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, p
 
 	return &PanelArtifact{
 		Panel:        panel,
-		Key:          PanelKeyFor(d, idx, panel, cfg),
+		Key:          key,
 		Intervals:    set,
 		Assignment:   sol,
 		NumConflicts: len(model.Model.Conflicts.Sets),

@@ -381,28 +381,46 @@ func sampleName(name, labels, extra string) string {
 // format (version 0.0.4): families sorted by name, series sorted by label
 // string, histograms expanded into cumulative _bucket/_sum/_count
 // series. A nil registry writes nothing.
+//
+// Each family's series list and instrument fields are copied under the
+// registry lock, since registration appends to the one and rewrites the
+// other; formatting then runs unlocked on the copies. A family's name,
+// help and kind never change after creation.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
+	type series struct {
+		key  string
+		inst instrument
+	}
+	type familySnapshot struct {
+		f      *family
+		series []series
+	}
 	r.mu.Lock()
 	names := append([]string(nil), r.names...)
 	sort.Strings(names)
-	fams := make([]*family, 0, len(names))
-	for _, n := range names {
-		fams = append(fams, r.families[n])
+	fams := make([]familySnapshot, len(names))
+	for i, n := range names {
+		f := r.families[n]
+		keys := append([]string(nil), f.order...)
+		sort.Strings(keys)
+		ss := make([]series, len(keys))
+		for j, key := range keys {
+			ss[j] = series{key: key, inst: *f.instruments[key]}
+		}
+		fams[i] = familySnapshot{f: f, series: ss}
 	}
 	r.mu.Unlock()
 
-	for _, f := range fams {
+	for _, fs := range fams {
+		f := fs.f
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
-		keys := append([]string(nil), f.order...)
-		sort.Strings(keys)
-		for _, key := range keys {
-			inst := f.instruments[key]
-			if err := writeInstrument(w, f, key, inst); err != nil {
+		for i := range fs.series {
+			if err := writeInstrument(w, f, fs.series[i].key, &fs.series[i].inst); err != nil {
 				return err
 			}
 		}

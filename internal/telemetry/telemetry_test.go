@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"strconv"
 	"strings"
 	"sync"
@@ -320,5 +321,33 @@ func TestConcurrentUse(t *testing.T) {
 	}
 	if got := len(tr.FindAll("panel")); got != 1600 {
 		t.Errorf("spans = %d, want 1600", got)
+	}
+}
+
+// TestScrapeDuringRegistration scrapes while another goroutine registers
+// new series of the scraped family; under -race this catches an export
+// that reads a family's series after releasing the registry lock.
+func TestScrapeDuringRegistration(t *testing.T) {
+	reg := NewRegistry()
+	const labels = 2000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < labels; i++ {
+			reg.Counter("c_total", "c", L("k", strconv.Itoa(i))).Inc()
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if err := reg.WritePrometheus(io.Discard); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(buf.String(), "c_total{"); got != labels {
+		t.Errorf("scrape lists %d c_total series, want %d", got, labels)
 	}
 }

@@ -83,6 +83,8 @@ func benchmarkTable2(b *testing.B, mode core.Mode) {
 		b.ReportMetric(res.Metrics.RoutPct, "rout%")
 		b.ReportMetric(float64(res.Metrics.Vias), "vias")
 		b.ReportMetric(float64(res.Metrics.WL), "WL")
+		b.ReportMetric(float64(res.Router.Search.Pushes), "pushes/op")
+		b.ReportMetric(float64(res.Router.Search.Pops), "pops/op")
 	}
 }
 

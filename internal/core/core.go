@@ -397,6 +397,9 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if err := opts.Router.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"math"
 	"testing"
 
 	"cpr/internal/design"
+	"cpr/internal/router"
 	"cpr/internal/synth"
+	"cpr/internal/telemetry"
 )
 
 func miniCircuit(t testing.TB) *design.Design {
@@ -127,6 +131,42 @@ func TestRunRejectsInvalidDesign(t *testing.T) {
 	d := design.New("bad", 0, 0, nil)
 	if _, err := Run(d, Options{}); err == nil {
 		t.Error("want error for invalid design")
+	}
+}
+
+// TestRunRejectsInvalidRouterConfig: a NaN or infinite router cost, or a
+// negative history increment, leaves the path search with offers that
+// keep getting shorter, and the search once ran out of memory on them.
+// Each bad setting must be refused before anything is built or routed.
+func TestRunRejectsInvalidRouterConfig(t *testing.T) {
+	d := mustGenerate(t, goldenSpecs[0])
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, cfg := range []router.Config{
+		{HistoryIncrement: -1},
+		{HistoryIncrement: nan},
+		{HistoryIncrement: inf},
+		{PresentCostBase: nan},
+		{PresentCostBase: -inf},
+		{PresentCostGrowth: nan},
+		{PresentCostGrowth: inf},
+	} {
+		for _, mode := range []Mode{ModeCPR, ModeNoPinOpt, ModeSequential} {
+			reg := telemetry.NewRegistry()
+			ctx := telemetry.WithRegistry(context.Background(), reg)
+			_, err := RunContext(ctx, d, Options{Mode: mode, Router: cfg, Workers: 1})
+			if err == nil {
+				t.Errorf("%s %+v: want error", mode, cfg)
+				continue
+			}
+			if runs := reg.Counter("cpr_runs_total", "", telemetry.L("mode", mode.String())).Value(); runs != 0 {
+				t.Errorf("%s %+v: run started before the config was refused", mode, cfg)
+			}
+		}
+	}
+	// Negative present-cost settings stay legal: a round whose factor is
+	// not positive prices history alone.
+	if _, err := Run(d, Options{Router: router.Config{PresentCostBase: -1, PresentCostGrowth: -2}, Workers: 1}); err != nil {
+		t.Errorf("negative present-cost settings: %v", err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"cpr/internal/design"
 	"cpr/internal/designio"
+	"cpr/internal/router"
 	"cpr/internal/synth"
 	"cpr/internal/tech"
 )
@@ -48,6 +49,33 @@ var goldenRouteHashes = map[string]string{
 	"golden-b/tpl/sequential":  "2aa432c99b83275dcd896f1dbf55ae3acbf5467db13da2bfbff26ad2ac30c2d2",
 }
 
+// goldenSearchWork pins router.Result.Search for every golden case.
+// Routed bytes cannot tell a search that pops a different sequence but
+// lands on the same path from the recorded one; equal counters show that
+// a search optimization dropped only offers the frontier would have
+// rejected anyway. The values were recorded before the router skipped
+// settled and blocked neighbours; they change only with the routes.
+var goldenSearchWork = map[string]router.SearchStats{
+	"golden-a/sadp/cpr":        {Searches: 256, Pushes: 275828, Pops: 249207, StalePops: 0},
+	"golden-a/sadp/no-pinopt":  {Searches: 274, Pushes: 273493, Pops: 236682, StalePops: 0},
+	"golden-a/sadp/sequential": {Searches: 309, Pushes: 463008, Pops: 446584, StalePops: 0},
+	"golden-a/lele/cpr":        {Searches: 444, Pushes: 617022, Pops: 520972, StalePops: 0},
+	"golden-a/lele/no-pinopt":  {Searches: 419, Pushes: 583704, Pops: 472971, StalePops: 0},
+	"golden-a/lele/sequential": {Searches: 325, Pushes: 430552, Pops: 414483, StalePops: 0},
+	"golden-a/tpl/cpr":         {Searches: 280, Pushes: 335317, Pops: 301758, StalePops: 0},
+	"golden-a/tpl/no-pinopt":   {Searches: 345, Pushes: 397101, Pops: 341304, StalePops: 0},
+	"golden-a/tpl/sequential":  {Searches: 309, Pushes: 463008, Pops: 446584, StalePops: 0},
+	"golden-b/sadp/cpr":        {Searches: 340, Pushes: 486371, Pops: 408636, StalePops: 0},
+	"golden-b/sadp/no-pinopt":  {Searches: 331, Pushes: 542719, Pops: 441615, StalePops: 0},
+	"golden-b/sadp/sequential": {Searches: 282, Pushes: 431680, Pops: 416765, StalePops: 0},
+	"golden-b/lele/cpr":        {Searches: 400, Pushes: 616968, Pops: 501050, StalePops: 0},
+	"golden-b/lele/no-pinopt":  {Searches: 549, Pushes: 1104033, Pops: 830842, StalePops: 0},
+	"golden-b/lele/sequential": {Searches: 295, Pushes: 325114, Pops: 312595, StalePops: 0},
+	"golden-b/tpl/cpr":         {Searches: 373, Pushes: 499982, Pops: 427266, StalePops: 0},
+	"golden-b/tpl/no-pinopt":   {Searches: 459, Pushes: 706070, Pops: 589974, StalePops: 0},
+	"golden-b/tpl/sequential":  {Searches: 282, Pushes: 431680, Pops: 416765, StalePops: 0},
+}
+
 // routeDigest hashes the design bytes and, per net, the route identity:
 // NetID, Routed, FailReason, Nodes, Edges and Virtual.
 func routeDigest(t *testing.T, d *design.Design, res *RunResult) string {
@@ -67,8 +95,8 @@ func routeDigest(t *testing.T, d *design.Design, res *RunResult) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestRoutedBytesGolden pins the routed bytes of every (engine, flow)
-// pair across commits.
+// TestRoutedBytesGolden pins the routed bytes and the path search work
+// of every (engine, flow) pair across commits.
 func TestRoutedBytesGolden(t *testing.T) {
 	for _, spec := range goldenSpecs {
 		for _, engine := range []string{tech.EngineSADP, tech.EngineLELE, tech.EngineTPL} {
@@ -83,6 +111,9 @@ func TestRoutedBytesGolden(t *testing.T) {
 					if got, want := routeDigest(t, d, res), goldenRouteHashes[name]; got != want {
 						t.Errorf("routed bytes moved: got %s, want %s (%d/%d nets routed, %d rounds)",
 							got, want, res.Router.RoutedNets, len(res.Router.Routes), res.Router.NegotiationIters)
+					}
+					if got, want := res.Router.Search, goldenSearchWork[name]; got != want {
+						t.Errorf("search work moved: got %+v, want %+v", got, want)
 					}
 				})
 			}

@@ -24,8 +24,7 @@ type Graph struct {
 	W, H int
 	Tech *tech.Technology
 
-	// rules is the technology's rule engine, resolved once at New so
-	// per-edge cost lookups never re-dispatch on the engine name.
+	// rules is the technology's rule engine, resolved once at New.
 	rules tech.RuleEngine
 
 	planeSize int
@@ -252,12 +251,6 @@ func (g *Graph) ResetCongestion() {
 	for i := range g.hist {
 		g.hist[i] = 0
 	}
-}
-
-// ViaCost returns the rule engine's cost of the via edge between layers
-// z and z+1 at (x, y), applying the forbidden grid cost where flagged.
-func (g *Graph) ViaCost(x, y, zLow int) int {
-	return g.rules.ViaCost(g.forbiddenVia[zLow][y*g.W+x])
 }
 
 // Rules returns the technology rule engine the grid was built with.

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"cpr/internal/geom"
-	"cpr/internal/grid"
 	"cpr/internal/tech"
 )
 
@@ -116,17 +115,38 @@ func (s *shard) enforceLineEndRules() int {
 		return r.d.Height
 	}
 
-	// Collect extended segments per (layer, track).
+	// netStrips holds each member net's extended strips, parallel to
+	// s.region.Nets. A net's entry is computed here and recomputed only
+	// when a reroute replaces its route; a net that is not routed is
+	// skipped wherever strips are read, so its entry may be stale.
+	extended := func(nr *NetRoute) []metalSegment {
+		segs := r.segmentsOf(nr)
+		for i := range segs {
+			seg := &segs[i]
+			seg.span.Lo, seg.span.Hi = rules.ExtendSpan(seg.span.Lo, seg.span.Hi, limitFor(seg.layer))
+		}
+		return segs
+	}
+	netStrips := make([][]metalSegment, len(s.region.Nets))
+	routed := func(netID int) bool {
+		nr := s.routes[netID]
+		return nr != nil && nr.Routed
+	}
+	for i, netID := range s.region.Nets {
+		if routed(netID) {
+			netStrips[i] = extended(s.routes[netID])
+		}
+	}
+
+	// Collect extended segments per (layer, track), in member net order.
 	type trackKey struct{ layer, track int }
 	build := func() map[trackKey][]metalSegment {
 		byTrack := make(map[trackKey][]metalSegment)
-		for _, netID := range s.region.Nets {
-			nr := s.routes[netID]
-			if nr == nil || !nr.Routed {
+		for i, netID := range s.region.Nets {
+			if !routed(netID) {
 				continue
 			}
-			for _, seg := range r.segmentsOf(nr) {
-				seg.span.Lo, seg.span.Hi = rules.ExtendSpan(seg.span.Lo, seg.span.Hi, limitFor(seg.layer))
+			for _, seg := range netStrips[i] {
 				k := trackKey{seg.layer, seg.track}
 				byTrack[k] = append(byTrack[k], seg)
 			}
@@ -170,34 +190,30 @@ func (s *shard) enforceLineEndRules() int {
 		return vio
 	}
 
-	// buildAvoid converts the current extended strips into a forbidden
-	// node set with the extra clearance a rerouted net's own extension
-	// will need (the engine's avoid margin: other strips are already
-	// extended, so the margin keeps the final gap legal for a rerouted
-	// net whose mask assignment is not yet known).
-	buildAvoid := func(byTrack map[trackKey][]metalSegment) map[grid.NodeID]bool {
+	// markAvoid fills the avoid set with the routed nets' extended strips
+	// plus the extra clearance a rerouted net's own extension will need
+	// (the engine's avoid margin: other strips are already extended, so
+	// the margin keeps the final gap legal for a rerouted net whose mask
+	// assignment is not yet known).
+	box := rectWindow(s.region.Bounds())
+	markAvoid := func() {
 		margin := rules.AvoidMargin()
-		avoid := make(map[grid.NodeID]bool)
-		for k, segs := range byTrack {
-			limit := limitFor(k.layer)
-			for _, seg := range segs {
-				lo, hi := seg.span.Lo-margin, seg.span.Hi+margin
-				if lo < 0 {
-					lo = 0
-				}
-				if hi > limit-1 {
-					hi = limit - 1
-				}
+		s.avoid.reset(box)
+		for i, netID := range s.region.Nets {
+			if !routed(netID) {
+				continue
+			}
+			for _, seg := range netStrips[i] {
+				lo, hi := max(seg.span.Lo-margin, 0), min(seg.span.Hi+margin, limitFor(seg.layer)-1)
 				for c := lo; c <= hi; c++ {
-					if k.layer == tech.M2 {
-						avoid[r.g.ID(c, k.track, tech.M2)] = true
+					if seg.layer == tech.M2 {
+						s.avoid.add(c, seg.track, tech.M2)
 					} else {
-						avoid[r.g.ID(k.track, c, tech.M3)] = true
+						s.avoid.add(seg.track, c, tech.M3)
 					}
 				}
 			}
 		}
-		return avoid
 	}
 
 	// Phase 1: rip up and reroute violating nets away from other nets'
@@ -233,16 +249,17 @@ func (s *shard) enforceLineEndRules() int {
 		old := *s.routes[pick]
 		r.release(s.routes[pick])
 		s.routes[pick].Routed = false
-		s.avoid = buildAvoid(build())
+		markAvoid()
 		rerouted := s.routeNet(pick, r.cfg.PresentCostBase, margin)
-		s.avoid = nil
+		s.avoid.clear()
 		if rerouted.Routed {
 			*s.routes[pick] = *rerouted
-			r.occupy(s.routes[pick])
+			i, _ := slices.BinarySearch(s.region.Nets, pick)
+			netStrips[i] = extended(s.routes[pick])
 		} else {
 			*s.routes[pick] = old
-			r.occupy(s.routes[pick])
 		}
+		r.occupy(s.routes[pick])
 	}
 
 	// Phase 2: drop nets that still violate, most-violating first.

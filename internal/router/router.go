@@ -25,11 +25,13 @@ package router
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"time"
 
 	"cpr/internal/assign"
 	"cpr/internal/design"
+	"cpr/internal/geom"
 	"cpr/internal/grid"
 	"cpr/internal/parallel"
 	"cpr/internal/pinaccess"
@@ -75,19 +77,26 @@ type Config struct {
 	// MaxNegotiationIters bounds rip-up-and-reroute rounds (default 12).
 	MaxNegotiationIters int
 	// PresentCostBase is the congestion penalty factor in the first
-	// negotiation round (default 2).
+	// negotiation round (default 2). It must be finite; a round whose
+	// factor is not positive prices history alone.
 	PresentCostBase float64
 	// PresentCostGrowth multiplies the penalty each round (default 1.6).
+	// It must be finite.
 	PresentCostGrowth float64
 	// HistoryIncrement is added to every overused node per round
-	// (default 1).
+	// (default 1). It must be finite and non-negative: a negative
+	// history cost keeps producing shorter offers, and the path search
+	// never drains.
 	HistoryIncrement float64
 	// WindowMargin is the base search window expansion around the net
 	// bounding box (default 8).
 	WindowMargin int
 	// WindowGrowth widens the window per negotiation round (default 4).
 	WindowGrowth int
-	// MaxWindowMargin caps window growth (default 32).
+	// MaxWindowMargin caps the window growth of negotiation rounds
+	// (default 32). The DRC stage's reroutes are not capped: they search
+	// with WindowMargin + WindowGrowth*(MaxNegotiationIters+1), 60 cells
+	// with the defaults.
 	MaxWindowMargin int
 	// StallRounds stops negotiation after this many rounds without
 	// overuse improvement; the residue is resolved by unrouting
@@ -134,6 +143,31 @@ func (c Config) withDefaults() Config {
 		c.StallRounds = 3
 	}
 	return c
+}
+
+// Validate reports a configuration the router cannot run: a NaN or
+// infinite cost setting, or a negative HistoryIncrement. It keeps every
+// node cost non-negative and comparable; with tech.Validate's positive
+// wire and via costs no search offer is then shorter than the distance
+// it extends, which the path search needs to terminate and its skip of
+// offers that cannot win needs to be exact (DESIGN §4f).
+func (c Config) Validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"PresentCostBase", c.PresentCostBase},
+		{"PresentCostGrowth", c.PresentCostGrowth},
+		{"HistoryIncrement", c.HistoryIncrement},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("router: Config.%s must be finite, got %v", f.name, f.v)
+		}
+	}
+	if c.HistoryIncrement < 0 {
+		return fmt.Errorf("router: Config.HistoryIncrement must be non-negative, got %v", c.HistoryIncrement)
+	}
+	return nil
 }
 
 // Normalized returns the configuration with defaults applied — the form
@@ -291,8 +325,12 @@ type Router struct {
 	seededNodes map[int][]grid.NodeID
 }
 
-// New creates a router over a validated design and its grid.
+// New creates a router over a validated design and its grid. The
+// configuration must pass Validate; an invalid one panics.
 func New(d *design.Design, g *grid.Graph, cfg Config) *Router {
+	if err := cfg.Validate(); err != nil {
+		panic(err)
+	}
 	return &Router{d: d, g: g, cfg: cfg.withDefaults(), seededNodes: make(map[int][]grid.NodeID)}
 }
 
@@ -509,9 +547,11 @@ type shard struct {
 	// only its member indices.
 	routes []*NetRoute
 	// avoid holds temporarily forbidden nodes during DRC-aware reroutes
-	// (other nets' extended line-end clearance zones); nil outside the
-	// DRC stage. Also carries the sequential baseline's clearance zones.
-	avoid map[grid.NodeID]bool
+	// (other nets' extended line-end clearance zones); empty outside
+	// them. Also carries the sequential baseline's clearance zones. It
+	// is sized to the region's bounds, which contain every search
+	// window of the region.
+	avoid nodeSet
 	// warm maps member net IDs to deep-copied previous routes to
 	// warm-start from.
 	warm map[int]*NetRoute
@@ -527,13 +567,16 @@ type shard struct {
 }
 
 // wholeShard wraps the router in a single shard spanning every net
-// (sequential-baseline and test helper; no region decomposition).
+// (sequential-baseline and test helper; no region decomposition). Every
+// net's influence rectangle is the whole grid.
 func (r *Router) wholeShard(routes []*NetRoute) *shard {
-	allNets := make([]int, len(r.d.Nets))
-	for i := range allNets {
-		allNets[i] = i
+	rg := &Region{Nets: make([]int, len(r.d.Nets)), Rects: make([]geom.Rect, len(r.d.Nets))}
+	all := geom.Rect{X1: r.d.Width - 1, Y1: r.d.Height - 1}
+	for i := range rg.Nets {
+		rg.Nets[i] = i
+		rg.Rects[i] = all
 	}
-	return &shard{Router: r, region: &Region{Nets: allNets}, routes: routes, seedOcc: true}
+	return &shard{Router: r, region: rg, routes: routes, seedOcc: true}
 }
 
 // run executes the four routing stages region-locally. Its output is
@@ -890,7 +933,11 @@ func (r *Router) pinCells(pid int) []grid.NodeID {
 
 // window computes the clamped search window for a net.
 func (r *Router) window(netID, margin int) searchWindow {
-	box := r.clampRect(r.d.NetBBox(netID).Expand(margin))
+	return rectWindow(r.clampRect(r.d.NetBBox(netID).Expand(margin)))
+}
+
+// rectWindow is the window covering a rectangle on all three layers.
+func rectWindow(box geom.Rect) searchWindow {
 	return searchWindow{x0: box.X0, y0: box.Y0, w: box.Width(), h: box.Height()}
 }
 

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"math"
 	"testing"
 
 	"cpr/internal/assign"
@@ -359,5 +360,33 @@ func TestNetOrderStrings(t *testing.T) {
 	if OrderHPWLAsc.String() != "hpwl-asc" || OrderHPWLDesc.String() != "hpwl-desc" ||
 		OrderByID.String() != "id" || OrderByPins.String() != "pins" {
 		t.Error("NetOrder strings wrong")
+	}
+}
+
+// TestNewRejectsInvalidConfig: New panics on a configuration Validate
+// refuses, and accepts the zero configuration.
+func TestNewRejectsInvalidConfig(t *testing.T) {
+	d := design.New("cfg", 8, 8, tech.Default())
+	n := d.AddNet("n")
+	d.AddPin("p", n, geom.MakeRect(1, 1, 1, 1))
+	g := grid.New(d)
+	New(d, g, Config{})
+	for _, cfg := range []Config{
+		{HistoryIncrement: -0.5},
+		{HistoryIncrement: math.NaN()},
+		{PresentCostBase: math.Inf(1)},
+		{PresentCostGrowth: math.NaN()},
+	} {
+		if cfg.Validate() == nil {
+			t.Errorf("%+v: Validate accepted it", cfg)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%+v: New did not panic", cfg)
+				}
+			}()
+			New(d, g, cfg)
+		}()
 	}
 }

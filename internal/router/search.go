@@ -31,45 +31,66 @@ type heapItem struct {
 }
 
 // searchHeap is a binary min-heap of frontier entries ordered by dist.
-// push and pop repeat container/heap's up and down sifts comparison for
-// comparison and swap for swap, so entries of equal distance leave in
-// exactly the order container/heap gives them. Routes depend on that tie
-// order byte for byte (TestRoutedBytesGolden in internal/core pins it).
+// push and pop make container/heap's up and down sifts comparison for
+// comparison, so entries of equal distance leave in exactly the order
+// container/heap gives them and the array after every operation equals
+// container/heap's. Routes depend on that tie order byte for byte
+// (TestRoutedBytesGolden in internal/core pins it).
+//
+// Both sifts move a hole instead of swapping: the moving entry is held
+// aside and written once, at its final index.
 type searchHeap []heapItem
 
 func (h *searchHeap) push(it heapItem) {
 	q := append(*h, it)
-	for j := len(q) - 1; j > 0; {
+	j := len(q) - 1
+	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !(q[j].dist < q[i].dist) {
+		if !(it.dist < q[i].dist) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[j] = q[i]
 		j = i
 	}
+	q[j] = it
 	*h = q
 }
 
 func (h *searchHeap) pop() heapItem {
 	q := *h
+	top := q[0]
 	n := len(q) - 1
-	q[0], q[n] = q[n], q[0]
-	for i := 0; ; {
+	last := q[n]
+	i := 0
+	for {
 		j := 2*i + 1 // left child
 		if j >= n {
 			break
 		}
-		if r := j + 1; r < n && q[r].dist < q[j].dist {
-			j = r // right child
+		// Take the right child when it is smaller. Which child wins
+		// depends on the data, so the choice is a flag added to the
+		// index, not a branch mispredicted about half the time.
+		if r := j + 1; r < n {
+			j += b2i(q[r].dist < q[j].dist)
 		}
-		if !(q[j].dist < q[i].dist) {
+		if !(q[j].dist < last.dist) {
 			break
 		}
-		q[i], q[j] = q[j], q[i]
+		q[i] = q[j]
 		i = j
 	}
+	q[i] = last
 	*h = q[:n]
-	return q[n]
+	return top
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits a flag set, not
+// a branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // SearchStats counts the path search's deterministic work: searches run,
@@ -90,48 +111,72 @@ func (a *SearchStats) add(b SearchStats) {
 	a.StalePops += b.StalePops
 }
 
+// xyz packs a node's grid coordinates into one word: x in bits 0–30,
+// y in bits 31–61 and z in the top two bits (grid extents stay far below
+// 2^31). The search stores it per slot, so expanding a popped slot needs
+// no division.
+type xyz uint64
+
+func packXYZ(x, y, z int) xyz { return xyz(uint64(x) | uint64(y)<<31 | uint64(z)<<62) }
+
+func (p xyz) unpack() (x, y, z int) {
+	return int(p & (1<<31 - 1)), int(p >> 31 & (1<<31 - 1)), int(p >> 62)
+}
+
+// blockedDist is the distance a slot is stamped with once its node is
+// found unenterable or avoided: below every offer, so the search turns
+// away later offers to it at the first check.
+const blockedDist = -1
+
+// searchSlot is one window node's search state. Its fields sit together
+// because a relaxation reads seen and dist, and a push writes all four.
+type searchSlot struct {
+	dist float64
+	seen uint32
+	prev int32 // predecessor slot, -2 for a source
+	at   xyz   // the node's grid coordinates
+}
+
 // searchScratch is one shard's reusable search state: scratch reserved
 // once and reused by every search, as VPR's Incremental_reroute_resources
-// does. Slots are window-local node indices. A slot's dist, prev and
-// toGlobal hold data only while seen[slot] equals gen, and a slot is a
-// target only while target[slot] equals gen, so starting a search clears
-// nothing: it bumps gen. The arrays grow geometrically to the largest
-// window searched, never past the grid's node count, and never shrink.
+// does. Slots are window-local node indices. A slot's dist, prev and at
+// hold data only while its seen stamp equals gen, and a slot is a target
+// only while target[slot] equals gen, so starting a search clears
+// nothing: it bumps gen. The arrays grow geometrically to the largest window
+// searched, never past the grid's node count, and never shrink.
 //
 // Scratch belongs to one shard, never to the Router: regions search
 // concurrently on one Router.
 type searchScratch struct {
-	dist     []float64
-	prev     []int32 // predecessor slot, -2 for a source
-	toGlobal []grid.NodeID
-	seen     []uint32
-	target   []uint32
-	gen      uint32
-	heap     searchHeap
-	work     SearchStats
-	// costs and wire hold the rule engine's search parameters, resolved
-	// by the shard's first search: resolving the engine allocates.
-	costs nodeCoster
-	wire  int
+	slots  []searchSlot
+	target []uint32
+	gen    uint32
+	heap   searchHeap
+	work   SearchStats
+	// costs, wire, via and forbiddenVia hold the rule engine's search
+	// parameters, resolved by the shard's first search: resolving the
+	// engine allocates, and a via cost looked up through it is an
+	// interface call per relaxation.
+	costs        nodeCoster
+	wire         int
+	via          int
+	forbiddenVia int
 }
 
 // begin readies the scratch for a search over size slots. limit is the
 // grid's node count, which no window exceeds.
 func (sc *searchScratch) begin(size, limit int) {
-	if size > len(sc.seen) {
-		n := min(2*len(sc.seen), limit)
+	if size > len(sc.slots) {
+		n := min(2*len(sc.slots), limit)
 		if n < size {
 			n = size
 		}
-		sc.dist = make([]float64, n)
-		sc.prev = make([]int32, n)
-		sc.toGlobal = make([]grid.NodeID, n)
-		sc.seen = make([]uint32, n)
+		sc.slots = make([]searchSlot, n)
 		sc.target = make([]uint32, n)
 	}
 	sc.gen++
 	if sc.gen == 0 { // wrapped: old stamps could alias the new generation
-		clear(sc.seen)
+		clear(sc.slots)
 		clear(sc.target)
 		sc.gen = 1
 	}
@@ -141,16 +186,70 @@ func (sc *searchScratch) begin(size, limit int) {
 
 // push records d as slot li's tentative distance, reached from slot
 // from, unless the slot already holds a distance no greater.
-func (sc *searchScratch) push(id grid.NodeID, li int32, d float64, from int32) {
-	if sc.seen[li] == sc.gen && d >= sc.dist[li] {
+func (sc *searchScratch) push(li int32, at xyz, d float64, from int32) {
+	sl := &sc.slots[li]
+	if sl.seen == sc.gen && d >= sl.dist {
 		return
 	}
-	sc.seen[li] = sc.gen
-	sc.dist[li] = d
-	sc.prev[li] = from
-	sc.toGlobal[li] = id
+	*sl = searchSlot{dist: d, seen: sc.gen, prev: from, at: at}
 	sc.heap.push(heapItem{dist: d, node: li})
 	sc.work.Pushes++
+}
+
+// viaCost is the cost of the via at (x, y) between zLow and zLow+1.
+func (sc *searchScratch) viaCost(g *grid.Graph, x, y, zLow int) int {
+	if g.ForbiddenVia(x, y, zLow) {
+		return sc.forbiddenVia
+	}
+	return sc.via
+}
+
+// nodeSet is a generation-stamped set of grid nodes inside a box: a node
+// is a member while its stamp equals gen, so adding one is a store and
+// clearing the set is a generation bump. Nodes outside the box are never
+// members, and a set that was never reset is empty.
+type nodeSet struct {
+	box   searchWindow
+	stamp []uint32
+	gen   uint32
+}
+
+// reset empties the set and sizes it to box, reusing the stamps when
+// they are large enough.
+func (ns *nodeSet) reset(box searchWindow) {
+	ns.box = box
+	if n := box.size(); n > len(ns.stamp) {
+		ns.stamp = make([]uint32, n)
+	}
+	ns.clear()
+}
+
+// clear empties the set.
+func (ns *nodeSet) clear() {
+	ns.gen++
+	if ns.gen == 0 { // wrapped: old stamps could alias the new generation
+		clear(ns.stamp)
+		ns.gen = 1
+	}
+}
+
+// add makes (x, y, z) a member; a node outside the box is dropped.
+func (ns *nodeSet) add(x, y, z int) {
+	if ns.box.contains(x, y) {
+		ns.stamp[ns.box.local(x, y, z)] = ns.gen
+	}
+}
+
+// remove takes (x, y, z) out of the set. Stamp 0 is never a generation.
+func (ns *nodeSet) remove(x, y, z int) {
+	if ns.box.contains(x, y) {
+		ns.stamp[ns.box.local(x, y, z)] = 0
+	}
+}
+
+// has reports whether (x, y, z) is a member.
+func (ns *nodeSet) has(x, y, z int) bool {
+	return ns.box.contains(x, y) && ns.stamp[ns.box.local(x, y, z)] == ns.gen
 }
 
 // nodeCoster prices entering a node: the congestion-aware cost of the
@@ -252,44 +351,51 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	if len(targets) == 0 {
 		return nil, false
 	}
-	r := s.Router
+	g := s.g
 	sc := &s.scratch
-	sc.begin(win.size(), r.g.NumNodes())
+	sc.begin(win.size(), g.NumNodes())
 	for _, t := range targets {
-		if x, y, z := r.g.Coords(t); win.contains(x, y) {
+		if x, y, z := g.Coords(t); win.contains(x, y) {
 			sc.target[win.local(x, y, z)] = sc.gen
 		}
 	}
 	for _, src := range sources {
-		x, y, z := r.g.Coords(src)
+		x, y, z := g.Coords(src)
 		if !win.contains(x, y) {
 			continue
 		}
-		if !r.g.Enterable(src, netID) {
+		if !g.Enterable(src, netID) {
 			continue
 		}
-		sc.push(src, int32(win.local(x, y, z)), 0, -2)
+		sc.push(int32(win.local(x, y, z)), packXYZ(x, y, z), 0, -2)
 	}
 
 	if sc.costs.g == nil {
-		rules := r.rules()
+		rules := s.rules()
 		sc.costs = nodeCoster{
-			g:       r.g,
+			g:       g,
 			margin:  rules.ClearanceMargin(),
 			cRadius: rules.ConflictRadius(),
 			cWeight: rules.ConflictWeight(),
 		}
 		sc.wire = rules.WireCost()
+		sc.via = rules.ViaCost(false)
+		sc.forbiddenVia = rules.ViaCost(true)
 	}
 	nc := sc.costs
 	nc.presFac = presFac
 	base := sc.wire
+	// Neighbour slots are offsets from the popped slot: ±1 along x, ±row
+	// along y and ±plane across layers. A via neighbour shares the popped
+	// node's (x, y), so only wire steps can leave the window.
+	row, plane := int32(win.w), int32(win.w*win.h)
+	xLast, yLast := win.x0+win.w-1, win.y0+win.h-1
 	goal := int32(-1)
 	for len(sc.heap) > 0 {
 		item := sc.heap.pop()
 		sc.work.Pops++
 		li := item.node
-		if item.dist > sc.dist[li] {
+		if item.dist > sc.slots[li].dist {
 			sc.work.StalePops++
 			continue
 		}
@@ -297,19 +403,27 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 			goal = li
 			break
 		}
-		x, y, z := r.g.Coords(sc.toGlobal[li])
+		x, y, z := sc.slots[li].at.unpack()
 		switch z {
 		case tech.M1:
-			s.relax(&nc, win, netID, item, x, y, tech.M2, r.g.ViaCost(x, y, 0))
+			s.relax(&nc, netID, item, li+plane, x, y, tech.M2, sc.viaCost(g, x, y, 0))
 		case tech.M2:
-			s.relax(&nc, win, netID, item, x-1, y, tech.M2, base)
-			s.relax(&nc, win, netID, item, x+1, y, tech.M2, base)
-			s.relax(&nc, win, netID, item, x, y, tech.M1, r.g.ViaCost(x, y, 0))
-			s.relax(&nc, win, netID, item, x, y, tech.M3, r.g.ViaCost(x, y, 1))
+			if x > win.x0 {
+				s.relax(&nc, netID, item, li-1, x-1, y, tech.M2, base)
+			}
+			if x < xLast {
+				s.relax(&nc, netID, item, li+1, x+1, y, tech.M2, base)
+			}
+			s.relax(&nc, netID, item, li-plane, x, y, tech.M1, sc.viaCost(g, x, y, 0))
+			s.relax(&nc, netID, item, li+plane, x, y, tech.M3, sc.viaCost(g, x, y, 1))
 		case tech.M3:
-			s.relax(&nc, win, netID, item, x, y-1, tech.M3, base)
-			s.relax(&nc, win, netID, item, x, y+1, tech.M3, base)
-			s.relax(&nc, win, netID, item, x, y, tech.M2, r.g.ViaCost(x, y, 1))
+			if y > win.y0 {
+				s.relax(&nc, netID, item, li-row, x, y-1, tech.M3, base)
+			}
+			if y < yLast {
+				s.relax(&nc, netID, item, li+row, x, y+1, tech.M3, base)
+			}
+			s.relax(&nc, netID, item, li-plane, x, y, tech.M2, sc.viaCost(g, x, y, 1))
 		}
 	}
 	if goal < 0 {
@@ -319,31 +433,41 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	// Walk back to the source twice: once to size the path, once to fill
 	// it in source->target order.
 	n := 0
-	for cur := goal; cur >= 0; cur = sc.prev[cur] {
+	for cur := goal; cur >= 0; cur = sc.slots[cur].prev {
 		n++
 	}
 	path := make([]grid.NodeID, n)
-	for cur := goal; cur >= 0; cur = sc.prev[cur] {
+	for cur := goal; cur >= 0; cur = sc.slots[cur].prev {
 		n--
-		path[n] = sc.toGlobal[cur]
+		path[n] = g.ID(sc.slots[cur].at.unpack())
 	}
 	return path, true
 }
 
-// relax offers the neighbour (nx, ny, nz) of the popped entry from, at
-// the given edge cost.
-func (s *shard) relax(nc *nodeCoster, win searchWindow, netID int, from heapItem, nx, ny, nz, edgeCost int) {
-	if !win.contains(nx, ny) {
+// relax offers the neighbour (nx, ny, nz) in window slot li of the
+// popped entry from, at the given edge cost.
+//
+// An offer that cannot win stops at the neighbour's slot, before the
+// enterability test and the cost. Every edge cost is at least 1
+// (tech.Validate) and every node cost at least 0 (Config.Validate), and
+// adding a non-negative term never rounds below the other operand, so
+// the offer is at least from.dist. A slot already holding a distance no
+// greater would make push reject it. A node that cannot be entered is
+// stamped with blockedDist once per search: ownership, blockages and the
+// avoid set do not change while a search runs, so the first check turns
+// away every later offer to it.
+func (s *shard) relax(nc *nodeCoster, netID int, from heapItem, li int32, nx, ny, nz, edgeCost int) {
+	sc := &s.scratch
+	sl := &sc.slots[li]
+	if sl.seen == sc.gen && sl.dist <= from.dist {
 		return
 	}
 	g := nc.g
 	nid := g.ID(nx, ny, nz)
-	if !g.Enterable(nid, netID) {
-		return
-	}
-	if s.avoid != nil && s.avoid[nid] {
+	if !g.Enterable(nid, netID) || s.avoid.has(nx, ny, nz) {
+		sl.seen, sl.dist = sc.gen, blockedDist
 		return
 	}
 	nd := from.dist + float64(edgeCost) + nc.cost(nid, nx, ny, nz)
-	s.scratch.push(nid, int32(win.local(nx, ny, nz)), nd, from.node)
+	sc.push(li, packXYZ(nx, ny, nz), nd, from.node)
 }

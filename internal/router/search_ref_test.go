@@ -1,0 +1,511 @@
+package router
+
+// The reference path search: the search as it stood before it skipped
+// offers that cannot win, sifted through a hole, stored packed
+// coordinates and tested a stamped avoid set. Its heap, scratch, cost and
+// relaxation are kept verbatim (renamed, with the deleted Graph.ViaCost
+// inlined as refViaCost), and the differential tests below hold the live
+// search to it: the same path, the same found flag and the same search
+// work counts on every search.
+
+import (
+	"math/rand"
+	"slices"
+	"testing"
+
+	"cpr/internal/design"
+	"cpr/internal/geom"
+	"cpr/internal/grid"
+	"cpr/internal/tech"
+)
+
+// refShard is what the reference search reads of a shard: the router, a
+// map-based avoid set (nil when no cell is avoided) and its own scratch.
+type refShard struct {
+	*Router
+	avoid   map[grid.NodeID]bool
+	scratch refScratch
+}
+
+// refViaCost is the deleted Graph.ViaCost.
+func refViaCost(g *grid.Graph, x, y, zLow int) int {
+	return g.Rules().ViaCost(g.ForbiddenVia(x, y, zLow))
+}
+
+// refSearchHeap is a binary min-heap of frontier entries ordered by dist.
+// push and pop repeat container/heap's up and down sifts comparison for
+// comparison and swap for swap, so entries of equal distance leave in
+// exactly the order container/heap gives them. Routes depend on that tie
+// order byte for byte (TestRoutedBytesGolden in internal/core pins it).
+type refSearchHeap []heapItem
+
+func (h *refSearchHeap) push(it heapItem) {
+	q := append(*h, it)
+	for j := len(q) - 1; j > 0; {
+		i := (j - 1) / 2 // parent
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		j = i
+	}
+	*h = q
+}
+
+func (h *refSearchHeap) pop() heapItem {
+	q := *h
+	n := len(q) - 1
+	q[0], q[n] = q[n], q[0]
+	for i := 0; ; {
+		j := 2*i + 1 // left child
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && q[r].dist < q[j].dist {
+			j = r // right child
+		}
+		if !(q[j].dist < q[i].dist) {
+			break
+		}
+		q[i], q[j] = q[j], q[i]
+		i = j
+	}
+	*h = q[:n]
+	return q[n]
+}
+
+// refScratch is one shard's reusable search state: scratch reserved
+// once and reused by every search, as VPR's Incremental_reroute_resources
+// does. Slots are window-local node indices. A slot's dist, prev and
+// toGlobal hold data only while seen[slot] equals gen, and a slot is a
+// target only while target[slot] equals gen, so starting a search clears
+// nothing: it bumps gen. The arrays grow geometrically to the largest
+// window searched, never past the grid's node count, and never shrink.
+//
+// Scratch belongs to one shard, never to the Router: regions search
+// concurrently on one Router.
+type refScratch struct {
+	dist     []float64
+	prev     []int32 // predecessor slot, -2 for a source
+	toGlobal []grid.NodeID
+	seen     []uint32
+	target   []uint32
+	gen      uint32
+	heap     refSearchHeap
+	work     SearchStats
+	// costs and wire hold the rule engine's search parameters, resolved
+	// by the shard's first search: resolving the engine allocates.
+	costs refCoster
+	wire  int
+}
+
+// begin readies the scratch for a search over size slots. limit is the
+// grid's node count, which no window exceeds.
+func (sc *refScratch) begin(size, limit int) {
+	if size > len(sc.seen) {
+		n := min(2*len(sc.seen), limit)
+		if n < size {
+			n = size
+		}
+		sc.dist = make([]float64, n)
+		sc.prev = make([]int32, n)
+		sc.toGlobal = make([]grid.NodeID, n)
+		sc.seen = make([]uint32, n)
+		sc.target = make([]uint32, n)
+	}
+	sc.gen++
+	if sc.gen == 0 { // wrapped: old stamps could alias the new generation
+		clear(sc.seen)
+		clear(sc.target)
+		sc.gen = 1
+	}
+	sc.heap = sc.heap[:0]
+	sc.work.Searches++
+}
+
+// push records d as slot li's tentative distance, reached from slot
+// from, unless the slot already holds a distance no greater.
+func (sc *refScratch) push(id grid.NodeID, li int32, d float64, from int32) {
+	if sc.seen[li] == sc.gen && d >= sc.dist[li] {
+		return
+	}
+	sc.seen[li] = sc.gen
+	sc.dist[li] = d
+	sc.prev[li] = from
+	sc.toGlobal[li] = id
+	sc.heap.push(heapItem{dist: d, node: li})
+	sc.work.Pushes++
+}
+
+// refCoster prices entering a node: the congestion-aware cost of the
+// negotiation (PathFinder history plus present congestion).
+type refCoster struct {
+	g       *grid.Graph
+	presFac float64
+	margin  int
+	cRadius int
+	cWeight float64
+}
+
+// cost is the congestion-aware cost of entering a node. For wire cells it
+// also prices the occupancy of cells within the line-end clearance margin
+// along the track direction: a path that stops near another net's strip
+// will overlap it with its own clearance cells, and pricing the
+// neighbourhood is what lets negotiation discover that before the overlap
+// materializes.
+//
+// Engines with a cross-track conflict radius (TPL color spacing)
+// additionally price occupancy on neighbouring tracks — the stitch cost
+// term — so dense conflict neighbourhoods are avoided before they
+// materialize in the conflict graph. The term is skipped entirely at
+// radius zero, keeping the float arithmetic of the radius-free engines
+// untouched.
+func (nc *refCoster) cost(id grid.NodeID, x, y, z int) float64 {
+	g, presFac := nc.g, nc.presFac
+	c := g.History(id)
+	if presFac <= 0 {
+		return c
+	}
+	if occ := g.Occupancy(id); occ > 0 {
+		c += presFac * float64(occ)
+	}
+	switch z {
+	case tech.M2:
+		for m := 1; m <= nc.margin; m++ {
+			if x-m >= 0 {
+				if occ := g.Occupancy(g.ID(x-m, y, tech.M2)); occ > 0 {
+					c += 0.5 * presFac * float64(occ)
+				}
+			}
+			if x+m < g.W {
+				if occ := g.Occupancy(g.ID(x+m, y, tech.M2)); occ > 0 {
+					c += 0.5 * presFac * float64(occ)
+				}
+			}
+		}
+		for m := 1; m <= nc.cRadius; m++ {
+			if y-m >= 0 {
+				if occ := g.Occupancy(g.ID(x, y-m, tech.M2)); occ > 0 {
+					c += nc.cWeight * presFac * float64(occ)
+				}
+			}
+			if y+m < g.H {
+				if occ := g.Occupancy(g.ID(x, y+m, tech.M2)); occ > 0 {
+					c += nc.cWeight * presFac * float64(occ)
+				}
+			}
+		}
+	case tech.M3:
+		for m := 1; m <= nc.margin; m++ {
+			if y-m >= 0 {
+				if occ := g.Occupancy(g.ID(x, y-m, tech.M3)); occ > 0 {
+					c += 0.5 * presFac * float64(occ)
+				}
+			}
+			if y+m < g.H {
+				if occ := g.Occupancy(g.ID(x, y+m, tech.M3)); occ > 0 {
+					c += 0.5 * presFac * float64(occ)
+				}
+			}
+		}
+		for m := 1; m <= nc.cRadius; m++ {
+			if x-m >= 0 {
+				if occ := g.Occupancy(g.ID(x-m, y, tech.M3)); occ > 0 {
+					c += nc.cWeight * presFac * float64(occ)
+				}
+			}
+			if x+m < g.W {
+				if occ := g.Occupancy(g.ID(x+m, y, tech.M3)); occ > 0 {
+					c += nc.cWeight * presFac * float64(occ)
+				}
+			}
+		}
+	}
+	return c
+}
+
+// search runs multi-source Dijkstra from the tree nodes to any target
+// node, restricted to the window and to nodes enterable by netID. The
+// node cost combines the technology edge cost with PathFinder history and
+// present congestion penalties. It returns the path from a source to the
+// reached target (inclusive). On the shard's warmed scratch the returned
+// path is the search's only allocation.
+func (s *refShard) search(netID int, sources, targets []grid.NodeID,
+	win searchWindow, presFac float64) ([]grid.NodeID, bool) {
+
+	if len(targets) == 0 {
+		return nil, false
+	}
+	r := s.Router
+	sc := &s.scratch
+	sc.begin(win.size(), r.g.NumNodes())
+	for _, t := range targets {
+		if x, y, z := r.g.Coords(t); win.contains(x, y) {
+			sc.target[win.local(x, y, z)] = sc.gen
+		}
+	}
+	for _, src := range sources {
+		x, y, z := r.g.Coords(src)
+		if !win.contains(x, y) {
+			continue
+		}
+		if !r.g.Enterable(src, netID) {
+			continue
+		}
+		sc.push(src, int32(win.local(x, y, z)), 0, -2)
+	}
+
+	if sc.costs.g == nil {
+		rules := r.rules()
+		sc.costs = refCoster{
+			g:       r.g,
+			margin:  rules.ClearanceMargin(),
+			cRadius: rules.ConflictRadius(),
+			cWeight: rules.ConflictWeight(),
+		}
+		sc.wire = rules.WireCost()
+	}
+	nc := sc.costs
+	nc.presFac = presFac
+	base := sc.wire
+	goal := int32(-1)
+	for len(sc.heap) > 0 {
+		item := sc.heap.pop()
+		sc.work.Pops++
+		li := item.node
+		if item.dist > sc.dist[li] {
+			sc.work.StalePops++
+			continue
+		}
+		if sc.target[li] == sc.gen {
+			goal = li
+			break
+		}
+		x, y, z := r.g.Coords(sc.toGlobal[li])
+		switch z {
+		case tech.M1:
+			s.relax(&nc, win, netID, item, x, y, tech.M2, refViaCost(r.g, x, y, 0))
+		case tech.M2:
+			s.relax(&nc, win, netID, item, x-1, y, tech.M2, base)
+			s.relax(&nc, win, netID, item, x+1, y, tech.M2, base)
+			s.relax(&nc, win, netID, item, x, y, tech.M1, refViaCost(r.g, x, y, 0))
+			s.relax(&nc, win, netID, item, x, y, tech.M3, refViaCost(r.g, x, y, 1))
+		case tech.M3:
+			s.relax(&nc, win, netID, item, x, y-1, tech.M3, base)
+			s.relax(&nc, win, netID, item, x, y+1, tech.M3, base)
+			s.relax(&nc, win, netID, item, x, y, tech.M2, refViaCost(r.g, x, y, 1))
+		}
+	}
+	if goal < 0 {
+		return nil, false
+	}
+
+	// Walk back to the source twice: once to size the path, once to fill
+	// it in source->target order.
+	n := 0
+	for cur := goal; cur >= 0; cur = sc.prev[cur] {
+		n++
+	}
+	path := make([]grid.NodeID, n)
+	for cur := goal; cur >= 0; cur = sc.prev[cur] {
+		n--
+		path[n] = sc.toGlobal[cur]
+	}
+	return path, true
+}
+
+// relax offers the neighbour (nx, ny, nz) of the popped entry from, at
+// the given edge cost.
+func (s *refShard) relax(nc *refCoster, win searchWindow, netID int, from heapItem, nx, ny, nz, edgeCost int) {
+	if !win.contains(nx, ny) {
+		return
+	}
+	g := nc.g
+	nid := g.ID(nx, ny, nz)
+	if !g.Enterable(nid, netID) {
+		return
+	}
+	if s.avoid != nil && s.avoid[nid] {
+		return
+	}
+	nd := from.dist + float64(edgeCost) + nc.cost(nid, nx, ny, nz)
+	s.scratch.push(nid, int32(win.local(nx, ny, nz)), nd, from.node)
+}
+
+// searchCase is one random routing state for the differential tests: a
+// small design under one rule engine, with random blockages, foreign
+// pins, seeded owners, history and occupancy. A coarse case draws every
+// cost term from multiples of 1/4, so equal distances and heap ties are
+// common; a fine case draws them from the reals, so a change in the order
+// of float additions shows as a different path.
+type searchCase struct {
+	d      *design.Design
+	g      *grid.Graph
+	r      *Router
+	rng    *rand.Rand
+	coarse bool
+}
+
+// cost draws a cost term in [0, max).
+func (c *searchCase) cost(max float64) float64 {
+	if c.coarse {
+		return float64(c.rng.Intn(int(4*max))) / 4
+	}
+	return c.rng.Float64() * max
+}
+
+func newSearchCase(seed int64) (*searchCase, bool) {
+	rng := rand.New(rand.NewSource(seed))
+	tc := *tech.Default()
+	tc.Patterning.Engine = []string{tech.EngineSADP, tech.EngineLELE, tech.EngineTPL}[rng.Intn(3)]
+	w, h := 6+rng.Intn(25), 4+rng.Intn(17)
+	d := design.New("ref", w, h, &tc)
+	used := make(map[[2]int]bool)
+	for n := 2 + rng.Intn(5); n > 0; n-- {
+		netID := d.AddNet("n")
+		for p := 2 + rng.Intn(3); p > 0; p-- {
+			x, y := rng.Intn(w), rng.Intn(h)
+			x1 := min(x+rng.Intn(2), w-1)
+			if used[[2]int{x, y}] || used[[2]int{x1, y}] {
+				continue
+			}
+			used[[2]int{x, y}], used[[2]int{x1, y}] = true, true
+			d.AddPin("p", netID, geom.MakeRect(x, y, x1, y))
+		}
+	}
+	for b := rng.Intn(1 + w*h/25); b > 0; b-- {
+		x, y := rng.Intn(w), rng.Intn(h)
+		rect := geom.MakeRect(x, y, min(x+rng.Intn(3), w-1), min(y+rng.Intn(3), h-1))
+		layer := rng.Intn(tech.NumLayers)
+		if layer == tech.M2 && slices.ContainsFunc(d.Pins, func(p design.Pin) bool { return p.Shape.Overlaps(rect) }) {
+			continue
+		}
+		d.AddBlockage(layer, rect)
+	}
+	if d.Validate() != nil {
+		return nil, false
+	}
+	g := grid.New(d)
+	c := &searchCase{d: d, g: g, r: New(d, g, Config{}), rng: rng, coarse: rng.Intn(2) == 0}
+	// Seeded owners: M2 cells reserved for random nets.
+	for i := rng.Intn(1 + w*h/8); i > 0; i-- {
+		id := g.ID(rng.Intn(w), rng.Intn(h), tech.M2)
+		if g.Owner(id) < 0 && !g.Blocked(id) {
+			g.SetOwner(id, rng.Intn(len(d.Nets)))
+		}
+	}
+	c.congest()
+	return c, true
+}
+
+// congest adds random history and metal or clearance occupancy.
+func (c *searchCase) congest() {
+	n := c.g.NumNodes()
+	for i := c.rng.Intn(1 + n/4); i > 0; i-- {
+		c.g.AddHistory(grid.NodeID(c.rng.Intn(n)), c.cost(2))
+	}
+	for i := c.rng.Intn(1 + n/4); i > 0; i-- {
+		if id := grid.NodeID(c.rng.Intn(n)); c.rng.Intn(2) == 0 {
+			c.g.Occupy(id)
+		} else {
+			c.g.OccupyVirtual(id)
+		}
+	}
+}
+
+// randomCells returns up to k random nodes of the window on any layer.
+func (c *searchCase) randomCells(win searchWindow, k int) []grid.NodeID {
+	var cells []grid.NodeID
+	for i := c.rng.Intn(k + 1); i > 0; i-- {
+		cells = append(cells, c.g.ID(win.x0+c.rng.Intn(win.w), win.y0+c.rng.Intn(win.h), c.rng.Intn(tech.NumLayers)))
+	}
+	return cells
+}
+
+// diffSearches runs searches on the live shard and the reference side by
+// side on one routing state, changing the avoid set, the congestion and
+// the present-cost factor between them, and fails on the first search
+// whose path, found flag or work counts differ.
+func diffSearches(t *testing.T, seed int64) {
+	t.Helper()
+	c, ok := newSearchCase(seed)
+	if !ok {
+		return
+	}
+	d, g, r, rng := c.d, c.g, c.r, c.rng
+	s := r.wholeShard(make([]*NetRoute, len(d.Nets)))
+	ref := &refShard{Router: r}
+	for i := 0; i < 12; i++ {
+		netID := rng.Intn(len(d.Nets))
+		pins := d.Nets[netID].PinIDs
+		if len(pins) == 0 {
+			continue
+		}
+		win := r.window(netID, rng.Intn(6))
+		sources := append(r.pinCells(pins[rng.Intn(len(pins))]), c.randomCells(win, 4)...)
+		targets := r.pinCells(pins[rng.Intn(len(pins))])
+		if rng.Intn(4) == 0 {
+			targets = append(targets, c.randomCells(win, 3)...)
+		}
+		presFac := 0.0
+		if rng.Intn(2) == 0 {
+			presFac = 0.25 + c.cost(3)
+		}
+
+		// The avoid set: on for half the searches, as the DRC stage and
+		// the sequential baseline use it. The live set is sized to a box
+		// around the window, as a region's bounds are.
+		ref.avoid = nil
+		s.avoid.clear()
+		if rng.Intn(2) == 0 {
+			box := rectWindow(r.clampRect(geom.Rect{
+				X0: win.x0, Y0: win.y0, X1: win.x0 + win.w - 1, Y1: win.y0 + win.h - 1,
+			}.Expand(rng.Intn(3))))
+			s.avoid.reset(box)
+			ref.avoid = make(map[grid.NodeID]bool)
+			for k := rng.Intn(1 + win.size()/3); k > 0; k-- {
+				x, y, z := rng.Intn(d.Width), rng.Intn(d.Height), tech.M2+rng.Intn(2)
+				s.avoid.add(x, y, z)
+				ref.avoid[g.ID(x, y, z)] = true
+			}
+		}
+
+		before, refBefore := s.scratch.work, ref.scratch.work
+		path, ok := s.search(netID, sources, targets, win, presFac)
+		refPath, refOK := ref.search(netID, sources, targets, win, presFac)
+		if ok != refOK || !slices.Equal(path, refPath) {
+			t.Fatalf("seed %d search %d (net %d, presFac %v, avoid %v): path %v ok %v, reference %v ok %v",
+				seed, i, netID, presFac, ref.avoid != nil, path, ok, refPath, refOK)
+		}
+		work, refWork := s.scratch.work, ref.scratch.work
+		delta := SearchStats{work.Searches - before.Searches, work.Pushes - before.Pushes,
+			work.Pops - before.Pops, work.StalePops - before.StalePops}
+		refDelta := SearchStats{refWork.Searches - refBefore.Searches, refWork.Pushes - refBefore.Pushes,
+			refWork.Pops - refBefore.Pops, refWork.StalePops - refBefore.StalePops}
+		if delta != refDelta {
+			t.Fatalf("seed %d search %d: work %+v, reference %+v", seed, i, delta, refDelta)
+		}
+		if rng.Intn(3) == 0 {
+			c.congest()
+		}
+	}
+}
+
+// TestSearchMatchesReference holds the search to the reference on random
+// small routing states under all three rule engines.
+func TestSearchMatchesReference(t *testing.T) {
+	n := int64(400)
+	if testing.Short() {
+		n = 60
+	}
+	for seed := int64(1); seed <= n; seed++ {
+		diffSearches(t, seed)
+	}
+}
+
+func FuzzSearchMatchesReference(f *testing.F) {
+	for _, seed := range []int64{1, 7, 42, 1001, -3} {
+		f.Add(seed)
+	}
+	f.Fuzz(diffSearches)
+}

@@ -79,7 +79,8 @@ func FuzzSearchHeap(f *testing.F) {
 
 // TestSearchAllocatesOnlyPath is the allocation contract of the search:
 // once a shard's scratch has grown to a window, a search over it
-// allocates the returned path and nothing else.
+// allocates the returned path and nothing else, with or without an
+// avoid set (the DRC stage's reroutes search with one).
 func TestSearchAllocatesOnlyPath(t *testing.T) {
 	d := design.New("alloc", 40, 20, tech.Default())
 	n := d.AddNet("n")
@@ -94,16 +95,34 @@ func TestSearchAllocatesOnlyPath(t *testing.T) {
 	s := r.wholeShard(make([]*NetRoute, len(d.Nets)))
 	sources, targets := r.pinCells(0), r.pinCells(1)
 	win := r.window(n, r.cfg.WindowMargin)
-	for _, presFac := range []float64{0, 2} {
+	check := func(name string, presFac float64) []grid.NodeID {
+		t.Helper()
 		path, ok := s.search(n, sources, targets, win, presFac)
 		if !ok || len(path) < 2 {
-			t.Fatalf("presFac %v: no path (ok=%v, %d nodes)", presFac, ok, len(path))
+			t.Fatalf("%s presFac %v: no path (ok=%v, %d nodes)", name, presFac, ok, len(path))
 		}
 		allocs := testing.AllocsPerRun(20, func() {
 			path, ok = s.search(n, sources, targets, win, presFac)
 		})
 		if allocs != 1 {
-			t.Errorf("presFac %v: warmed search allocates %v times, want 1 (the path)", presFac, allocs)
+			t.Errorf("%s presFac %v: warmed search allocates %v times, want 1 (the path)", name, presFac, allocs)
+		}
+		return path
+	}
+	for _, presFac := range []float64{0, 2} {
+		check("no avoid set", presFac)
+	}
+	// Avoid M2 at x = 20 except the top rows, as a DRC reroute avoids
+	// other nets' extended strips: the path must cross there.
+	s.avoid.reset(rectWindow(s.region.Bounds()))
+	for y := 0; y < d.Height-3; y++ {
+		s.avoid.add(20, y, tech.M2)
+	}
+	for _, presFac := range []float64{0, 2} {
+		for _, id := range check("avoid set", presFac) {
+			if x, y, z := g.Coords(id); s.avoid.has(x, y, z) {
+				t.Fatalf("presFac %v: path enters avoided node (%d,%d,L%d)", presFac, x, y, z)
+			}
 		}
 	}
 }

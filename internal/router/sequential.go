@@ -62,7 +62,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	// region decomposition): the shard carries the avoid set and the
 	// route table its search needs.
 	s := r.wholeShard(res.Routes)
-	s.avoid = make(map[grid.NodeID]bool)
+	s.avoid.reset(rectWindow(s.region.Bounds()))
 
 	// One-sided clearance: committed strips block later metal within the
 	// rule engine's full sequential distance (later nets' own extensions
@@ -70,9 +70,9 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	// zone).
 	clearance := r.rules().SequentialClearance()
 
-	// avoid accumulates committed nets' line-end clearance zones with
-	// reference counts, so a rip-up removes exactly its own contribution
-	// (sequential design rule legalization).
+	// The avoid set accumulates committed nets' line-end clearance zones;
+	// avoidCount holds each cell's reference count, so a rip-up removes
+	// exactly its own contribution (sequential design rule legalization).
 	avoidCount := make(map[grid.NodeID]int)
 
 	// Upfront pin access planning (the "planning" half of [12]): every
@@ -91,9 +91,9 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 		}
 	}
 
-	// clearanceCells enumerates a route's line-end clearance zone.
-	clearanceCells := func(nr *NetRoute) []grid.NodeID {
-		var cells []grid.NodeID
+	// clearanceCells calls cell for every cell of a route's line-end
+	// clearance zone.
+	clearanceCells := func(nr *NetRoute, cell func(x, y, z int)) {
 		for _, seg := range r.segmentsOf(nr) {
 			limit := r.d.Width
 			if seg.layer == tech.M3 {
@@ -108,30 +108,30 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 			}
 			for c := lo; c <= hi; c++ {
 				if seg.layer == tech.M2 {
-					cells = append(cells, r.g.ID(c, seg.track, tech.M2))
+					cell(c, seg.track, tech.M2)
 				} else {
-					cells = append(cells, r.g.ID(seg.track, c, tech.M3))
+					cell(seg.track, c, tech.M3)
 				}
 			}
 		}
-		return cells
 	}
 
 	// addClearance/removeClearance maintain the counted avoid set.
 	addClearance := func(nr *NetRoute) {
-		for _, id := range clearanceCells(nr) {
-			avoidCount[id]++
-			s.avoid[id] = true
-		}
+		clearanceCells(nr, func(x, y, z int) {
+			avoidCount[r.g.ID(x, y, z)]++
+			s.avoid.add(x, y, z)
+		})
 	}
 	removeClearance := func(nr *NetRoute) {
-		for _, id := range clearanceCells(nr) {
+		clearanceCells(nr, func(x, y, z int) {
+			id := r.g.ID(x, y, z)
 			avoidCount[id]--
 			if avoidCount[id] <= 0 {
 				delete(avoidCount, id)
-				delete(s.avoid, id)
+				s.avoid.remove(x, y, z)
 			}
-		}
+		})
 	}
 
 	commit := func(nr *NetRoute) {
@@ -338,14 +338,7 @@ func (s *shard) freeSpanOnGrid(netID, t int, seed, bbox geom.Interval) geom.Inte
 		if x < 0 || x >= r.d.Width {
 			return false
 		}
-		id := r.g.ID(x, t, tech.M2)
-		if !r.g.Enterable(id, netID) {
-			return false
-		}
-		if s.avoid != nil && s.avoid[id] {
-			return false
-		}
-		return true
+		return r.g.Enterable(r.g.ID(x, t, tech.M2), netID) && !s.avoid.has(x, t, tech.M2)
 	}
 	for x := seed.Lo; x <= seed.Hi; x++ {
 		if !usable(x) {

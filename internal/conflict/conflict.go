@@ -9,7 +9,8 @@
 package conflict
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"cpr/internal/geom"
 	"cpr/internal/parallel"
@@ -34,94 +35,148 @@ func Detect(intervals []pinaccess.Interval) []Set {
 }
 
 // DetectWorkers is Detect with the per-track sweeps sharded across up to
-// workers goroutines (<= 1 is sequential). Tracks are independent, each
-// sweep writes to its own slot, and slots are concatenated in ascending
-// track order, so the result is byte-identical for every worker count.
+// workers goroutines (<= 1 is sequential). One sort orders the intervals
+// by (track, lo, hi, index), so each track's sweep input is a contiguous
+// run of that order. Runs are independent, each shard sweeps its runs
+// into its own sets and member arena, and shards are concatenated in
+// ascending track order, so the result is byte-identical for every
+// worker count.
 func DetectWorkers(intervals []pinaccess.Interval, workers int) []Set {
-	byTrack := make(map[int][]int)
+	order := make([]sweepEntry, len(intervals))
 	for i := range intervals {
-		byTrack[intervals[i].Track] = append(byTrack[intervals[i].Track], i)
+		iv := &intervals[i]
+		order[i] = sweepEntry{track: iv.Track, lo: iv.Span.Lo, hi: iv.Span.Hi, id: i}
 	}
-	tracks := make([]int, 0, len(byTrack))
-	for t := range byTrack {
-		tracks = append(tracks, t)
-	}
-	sort.Ints(tracks)
-
-	if workers > 1 && len(tracks) >= parallel.Threshold {
-		shards := make([][]Set, len(tracks))
-		parallel.ForEach(workers, len(tracks), func(ti int) {
-			shards[ti] = detectTrack(intervals, byTrack[tracks[ti]], tracks[ti])
-		})
-		var out []Set
-		for _, shard := range shards {
-			out = append(out, shard...)
+	slices.SortFunc(order, func(a, b sweepEntry) int {
+		if c := cmp.Compare(a.track, b.track); c != 0 {
+			return c
 		}
-		return out
+		if c := cmp.Compare(a.lo, b.lo); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.hi, b.hi); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.id, b.id)
+	})
+	// runs[r]:runs[r+1] is the r-th track's range of order.
+	runs := []int{0}
+	for i := 1; i < len(order); i++ {
+		if order[i].track != order[i-1].track {
+			runs = append(runs, i)
+		}
 	}
-	var out []Set
-	for _, t := range tracks {
-		out = append(out, detectTrack(intervals, byTrack[t], t)...)
+	runs = append(runs, len(order))
+	numRuns := len(runs) - 1
+
+	// A few tracks stay on one goroutine. A chunk of runs writes its sets
+	// to the slot of its first run.
+	if numRuns < parallel.Threshold {
+		workers = 1
 	}
-	return out
+	shards := make([][]Set, numRuns)
+	parallel.ForEachChunk(workers, numRuns, func(lo, hi int) {
+		sw := newSweeper(runs[hi] - runs[lo])
+		for r := lo; r < hi; r++ {
+			sw.sweep(order[runs[r]:runs[r+1]])
+		}
+		shards[lo] = sw.finish()
+	})
+	if workers <= 1 {
+		return shards[0] // one chunk covered every run
+	}
+	return slices.Concat(shards...)
 }
 
-// detectTrack runs the left-to-right sweep on one track's intervals.
-func detectTrack(intervals []pinaccess.Interval, ids []int, track int) []Set {
-	sorted := append([]int(nil), ids...)
-	sort.Slice(sorted, func(a, b int) bool {
-		sa, sb := intervals[sorted[a]].Span, intervals[sorted[b]].Span
-		if sa.Lo != sb.Lo {
-			return sa.Lo < sb.Lo
-		}
-		if sa.Hi != sb.Hi {
-			return sa.Hi < sb.Hi
-		}
-		return sorted[a] < sorted[b]
-	})
+// sweepEntry is one interval in sweep order.
+type sweepEntry struct {
+	track, lo, hi, id int
+}
 
-	var out []Set
-	var active []int
-	added := false
+// sweeper runs left-to-right sweeps over track runs, collecting sets whose
+// members live in one arena.
+type sweeper struct {
+	sets  []Set
+	arena []int
+	// active holds the intervals open at the sweep line, ascending by ID.
+	active []sweepEntry
+}
 
-	emit := func() {
-		if !added || len(active) < 2 {
-			return
-		}
-		members := append([]int(nil), active...)
-		sort.Ints(members)
-		common := intervals[members[0]].Span
-		for _, id := range members[1:] {
-			common = common.Intersect(intervals[id].Span)
-		}
-		out = append(out, Set{Track: track, IDs: members, Common: common})
+// newSweeper sizes a sweeper for n intervals. A sweep emits at most n
+// sets; on the Table 2 circuits they hold about 2.7 members per interval,
+// so the arena rarely grows.
+func newSweeper(n int) *sweeper {
+	return &sweeper{sets: make([]Set, 0, n), arena: make([]int, 0, 3*n)}
+}
+
+// sweep runs the sweep on one track's entries, sorted by (lo, hi, id).
+func (sw *sweeper) sweep(run []sweepEntry) {
+	if len(run) == 0 {
+		return
 	}
-
-	for _, id := range sorted {
-		lo := intervals[id].Span.Lo
+	track := run[0].track
+	sw.active = sw.active[:0]
+	added := false
+	for _, e := range run {
 		needRemoval := false
-		for _, a := range active {
-			if intervals[a].Span.Hi < lo {
+		for _, a := range sw.active {
+			if a.hi < e.lo {
 				needRemoval = true
 				break
 			}
 		}
 		if needRemoval {
-			emit()
+			if added {
+				sw.emit(track)
+			}
 			added = false
-			keep := active[:0]
-			for _, a := range active {
-				if intervals[a].Span.Hi >= lo {
+			keep := sw.active[:0]
+			for _, a := range sw.active {
+				if a.hi >= e.lo {
 					keep = append(keep, a)
 				}
 			}
-			active = keep
+			sw.active = keep
 		}
-		active = append(active, id)
+		i, _ := slices.BinarySearchFunc(sw.active, e.id, func(a sweepEntry, id int) int { return cmp.Compare(a.id, id) })
+		sw.active = slices.Insert(sw.active, i, e)
 		added = true
 	}
-	emit()
-	return out
+	if added {
+		sw.emit(track)
+	}
+}
+
+// emit records the active intervals as a set. Their IDs go to the arena
+// in ascending order; finish points the set at them. Every active
+// interval contains the left edge of the last one added, so the common
+// span is never empty.
+func (sw *sweeper) emit(track int) {
+	if len(sw.active) < 2 {
+		return
+	}
+	lo := len(sw.arena)
+	common := geom.Interval{Lo: sw.active[0].lo, Hi: sw.active[0].hi}
+	for _, a := range sw.active {
+		sw.arena = append(sw.arena, a.id)
+		common = common.Intersect(geom.Interval{Lo: a.lo, Hi: a.hi})
+	}
+	sw.sets = append(sw.sets, Set{Track: track, IDs: sw.arena[lo:], Common: common})
+}
+
+// finish points every set at its members in the final arena: a set
+// emitted before the arena last grew still points into an old copy.
+func (sw *sweeper) finish() []Set {
+	lo := 0
+	for i := range sw.sets {
+		hi := lo + len(sw.sets[i].IDs)
+		sw.sets[i].IDs = sw.arena[lo:hi:hi]
+		lo = hi
+	}
+	if len(sw.sets) == 0 {
+		return nil
+	}
+	return sw.sets
 }
 
 // Matrix is the conflict structure in the form consumed by the assignment
@@ -144,6 +199,25 @@ func BuildMatrix(intervals []pinaccess.Interval) *Matrix {
 func BuildMatrixWorkers(intervals []pinaccess.Interval, workers int) *Matrix {
 	sets := DetectWorkers(intervals, workers)
 	m := &Matrix{Sets: sets, MemberOf: make([][]int, len(intervals))}
+	// Count each interval's memberships, then give every member interval
+	// an empty, capacity-clipped window of one arena and append the set
+	// indices in ascending order.
+	counts := make([]int, len(intervals))
+	total := 0
+	for si := range sets {
+		for _, id := range sets[si].IDs {
+			counts[id]++
+		}
+		total += len(sets[si].IDs)
+	}
+	arena := make([]int, total)
+	lo := 0
+	for id, n := range counts {
+		if n > 0 {
+			m.MemberOf[id] = arena[lo : lo : lo+n]
+			lo += n
+		}
+	}
 	for si := range sets {
 		for _, id := range sets[si].IDs {
 			m.MemberOf[id] = append(m.MemberOf[id], si)

@@ -418,3 +418,23 @@ func TestEmptyInput(t *testing.T) {
 		t.Error("BuildMatrix(nil) should be empty")
 	}
 }
+
+// TestArenaWindowsAreClipped checks that set members and membership
+// lists, windows of shared arenas, have no spare capacity, so a
+// consumer's append copies rather than overwriting the next list.
+func TestArenaWindowsAreClipped(t *testing.T) {
+	ivs := randomIntervals(rand.New(rand.NewSource(9)), 300, 70, 50, 8)
+	for _, workers := range []int{1, 4} {
+		m := BuildMatrixWorkers(ivs, workers)
+		for si, s := range m.Sets {
+			if cap(s.IDs) != len(s.IDs) {
+				t.Fatalf("workers=%d set %d: IDs has len %d, cap %d", workers, si, len(s.IDs), cap(s.IDs))
+			}
+		}
+		for id, sets := range m.MemberOf {
+			if cap(sets) != len(sets) {
+				t.Fatalf("workers=%d interval %d: MemberOf has len %d, cap %d", workers, id, len(sets), cap(sets))
+			}
+		}
+	}
+}

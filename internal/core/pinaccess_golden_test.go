@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash"
 	"math"
+	"sort"
 	"testing"
 
 	"cpr/internal/assign"
@@ -94,6 +95,64 @@ func TestPinAccessGolden(t *testing.T) {
 					writeAssignment(h, seeds[i].Set, res.Solution)
 				}
 				check(t, circuit+"/"+v.name, h)
+			}
+		})
+	}
+}
+
+// goldenPinAccessArtifacts pins, across commits, the stage-1 and stage-2
+// artifacts of every panel of ecc and efc: the canonical interval-set
+// and conflict-model encodings (interval numbering, covered pins,
+// minimum-interval marks, conflict sets and their member order, profits)
+// plus the per-pin lists S_j and the per-interval conflict memberships,
+// which the encodings leave out. A rewrite of interval generation or of
+// the conflict sweep must keep every byte; regenerate this only for a
+// change meant to move artifacts, and say so in the change description.
+var goldenPinAccessArtifacts = map[string]string{
+	"ecc": "c6526c32bb8a5c89bb70495c476a33c8534a63b966e4165d8dbbbf139e9518f0",
+	"efc": "e383354cd4b3ce9db502dfddbb54c523f8cd0043eb313771e2976a924470b349",
+}
+
+// TestPinAccessArtifactsGolden hashes every panel's interval set, S_j
+// lists, conflict model and membership lists at one and two workers.
+func TestPinAccessArtifactsGolden(t *testing.T) {
+	for _, circuit := range []string{"ecc", "efc"} {
+		t.Run(circuit, func(t *testing.T) {
+			spec, err := synth.SpecByName(circuit)
+			if err != nil {
+				t.Fatal(err)
+			}
+			d := mustGenerate(t, spec)
+			idx := d.BuildTrackIndex()
+			for _, workers := range []int{1, 2} {
+				h := sha256.New()
+				for p := 0; p < d.NumPanels(); p++ {
+					pins := idx.PinsInPanel(p)
+					if len(pins) == 0 {
+						continue
+					}
+					ivs, err := pipeline.GenerateStage(d, idx, pins, workers)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cm := pipeline.ConflictStage(ivs, pipeline.SolverConfig{}, workers)
+					fmt.Fprintf(h, "panel %d intervals %s conflicts %s\n", p,
+						pipeline.HashIntervalSet(ivs), pipeline.HashConflictModel(cm))
+					byPin := make([]int, 0, len(ivs.Set.ByPin))
+					for pid := range ivs.Set.ByPin {
+						byPin = append(byPin, pid)
+					}
+					sort.Ints(byPin)
+					for _, pid := range byPin {
+						fmt.Fprintf(h, "bypin %d %v\n", pid, ivs.Set.ByPin[pid])
+					}
+					for i, sets := range cm.Model.Conflicts.MemberOf {
+						fmt.Fprintf(h, "memberof %d %v\n", i, sets)
+					}
+				}
+				if got, want := hex.EncodeToString(h.Sum(nil)), goldenPinAccessArtifacts[circuit]; got != want {
+					t.Errorf("workers=%d: pin access artifacts moved: got %s, want %s", workers, got, want)
+				}
 			}
 		})
 	}

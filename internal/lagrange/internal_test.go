@@ -88,8 +88,10 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 	}
 	lambda := make([]float64, 1)
 	penalties := make([]float64, 2)
+	gains := append([]float64(nil), m.Profits...)
+	sub := newSubproblem(m, Config{}.withDefaults())
 	selected := []bool{true, true}
-	vio := penalize(m, selected, lambda, penalties, 1, Config{}.withDefaults())
+	vio := penalize(m, sub, selected, gains, lambda, penalties, 1, Config{}.withDefaults())
 	if vio != 1 {
 		t.Errorf("vio = %d, want 1", vio)
 	}
@@ -100,8 +102,13 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 	if penalties[0] != lambda[0] || penalties[1] != lambda[0] {
 		t.Errorf("penalties = %v, want both equal to lambda", penalties)
 	}
+	for i := range gains {
+		if want := m.Profits[i] - penalties[i]; gains[i] != want {
+			t.Errorf("gains[%d] = %g, want profit minus penalty %g", i, gains[i], want)
+		}
+	}
 	// Second iteration: step shrinks by k^alpha.
-	vio = penalize(m, selected, lambda, penalties, 2, Config{}.withDefaults())
+	vio = penalize(m, sub, selected, gains, lambda, penalties, 2, Config{}.withDefaults())
 	if vio != 1 {
 		t.Errorf("vio = %d, want 1", vio)
 	}
@@ -118,8 +125,10 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	})
 	lambda := []float64{5}
 	penalties := []float64{5, 5}
+	gains := []float64{m.Profits[0] - 5, m.Profits[1] - 5}
+	sub := newSubproblem(m, Config{}.withDefaults())
 	selected := []bool{true, false} // satisfied
-	if vio := penalize(m, selected, lambda, penalties, 3, Config{}.withDefaults()); vio != 0 {
+	if vio := penalize(m, sub, selected, gains, lambda, penalties, 3, Config{}.withDefaults()); vio != 0 {
 		t.Errorf("vio = %d, want 0", vio)
 	}
 	if lambda[0] != 5 {
@@ -129,7 +138,7 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	// one selected: 1-1=0 -> unchanged; deselect both for -1).
 	selected = []bool{false, false}
 	cfg := Config{FullSubgradient: true}.withDefaults()
-	penalize(m, selected, lambda, penalties, 3, cfg)
+	penalize(m, sub, selected, gains, lambda, penalties, 3, cfg)
 	if lambda[0] >= 5 {
 		t.Errorf("full subgradient should decrease lambda, got %g", lambda[0])
 	}

@@ -52,17 +52,19 @@ type Config struct {
 	// conflict-free interval. Disable to measure the bare algorithm.
 	SkipPostImprove bool
 	// Workers bounds the goroutines used inside each subgradient
-	// iteration: the gain refresh is sharded per interval chunk and the
-	// multiplier update per conflict set, with penalty deltas folded back
-	// in conflict-set index order so every floating point accumulation
-	// happens in the sequential order. <= 1 runs fully sequentially; the
-	// result is byte-identical for every value.
+	// iteration: the multiplier update is sharded per conflict set, with
+	// penalty deltas folded back in conflict-set index order so every
+	// floating point accumulation happens in the sequential order. <= 1
+	// runs fully sequentially; the result is byte-identical for every
+	// value.
 	//
 	//keypurity:exempt execution parallelism; the internal/parallel determinism contract makes results byte-identical for every worker count
 	Workers int
 	// Stop is polled between subgradient iterations; when it reports
 	// true the loop exits early with the best selection seen so far
 	// (refinement still runs so the returned solution stays legal).
+	// Before the first iteration there is no selection yet, so the
+	// solve starts from Theorem 1's minimum solution instead.
 	// A nil Stop — or one that never fires — leaves the iteration
 	// trajectory untouched, so results remain byte-identical to a run
 	// without it.
@@ -131,21 +133,20 @@ func Solve(m *assign.Model, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	n := m.NumIntervals()
 
-	// Gains start at the profits; penalties accumulate per interval as
-	// the sum of its conflict sets' multipliers.
+	// Penalties accumulate per interval as the sum of its conflict sets'
+	// multipliers. Gains start at the profits; penalize keeps each
+	// interval's gain at its profit minus its penalty and marks the pin
+	// groups whose gains moved, so maxGains re-solves only those.
 	penalties := make([]float64, n)
 	lambda := make([]float64, len(m.Conflicts.Sets))
-
-	// The pin groups are fixed by the model; the gains change per
-	// iteration. Scratch buffers are reused.
 	sub := newSubproblem(m, cfg)
-	gains := make([]float64, n)
+	gains := append([]float64(nil), m.Profits...)
 	selected := make([]bool, n)
 
-	// Per-iteration parallelism (cfg.Workers > 1): the gain refresh and
-	// the per-conflict-set multiplier updates are independent subproblems;
-	// scratch slots carry their results into an ordered merge.
-	gainWorkers, setWorkers := iterationWorkers(cfg, n, len(lambda))
+	// Per-iteration parallelism (cfg.Workers > 1): the per-conflict-set
+	// multiplier updates are independent subproblems; scratch slots carry
+	// their results into an ordered merge.
+	setWorkers := iterationWorkers(cfg, len(lambda))
 	var setDeltas []float64
 	var setCounts []int
 	if setWorkers > 1 {
@@ -161,11 +162,6 @@ func Solve(m *assign.Model, cfg Config) Result {
 			break
 		}
 		iters = k
-		parallel.ForEachChunk(gainWorkers, n, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				gains[i] = m.Profits[i] - penalties[i]
-			}
-		})
 		sub.maxGains(gains, selected)
 		// The observer's dual value wants the multipliers the selection
 		// was made under, so the sums are taken before penalize mutates
@@ -184,9 +180,9 @@ func Solve(m *assign.Model, cfg Config) Result {
 		}
 		var vio int
 		if setWorkers > 1 {
-			vio = penalizeParallel(m, selected, lambda, penalties, k, cfg, setWorkers, setDeltas, setCounts)
+			vio = penalizeParallel(m, sub, selected, gains, lambda, penalties, k, cfg, setWorkers, setDeltas, setCounts)
 		} else {
-			vio = penalize(m, selected, lambda, penalties, k, cfg)
+			vio = penalize(m, sub, selected, gains, lambda, penalties, k, cfg)
 		}
 		if vio < minVio {
 			minVio = vio
@@ -202,16 +198,20 @@ func Solve(m *assign.Model, cfg Config) Result {
 			})
 		}
 	}
-	if best == nil {
-		best = selected
+	var sol *assign.Solution
+	if iters == 0 {
+		// No iteration ran (Stop fired at once): start from Theorem 1's
+		// minimum solution, which is conflict free.
+		sol = m.MinimumSolution()
+		minVio = sol.Violations
+	} else {
+		sol = m.Evaluate(best)
 	}
-
 	res := Result{
 		Iterations:     iters,
 		BestViolations: minVio,
-		Converged:      minVio == 0,
+		Converged:      iters > 0 && minVio == 0,
 	}
-	sol := m.Evaluate(best)
 	if !cfg.SkipRefinement && sol.Violations > 0 {
 		res.ShrunkPins = refine(m, sol)
 		sol = m.FromAssignment(sol.ByPin)
@@ -313,6 +313,11 @@ type subproblem struct {
 	// one pin (the same one), so the group takes its first interval in
 	// the order.
 	single []bool
+	// ivGroup[i] is interval i's group, -1 if it covers no pin.
+	ivGroup []int32
+	// dirty[g] reports that group g was marked since the last maxGains
+	// call.
+	dirty []bool
 	// Scratch reused by every call: a pin is assigned in the current call
 	// when its stamp equals gen; order holds a multi-pin group's
 	// intervals while they are sorted.
@@ -398,7 +403,21 @@ func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 		}
 	}
 	s.stamp = make([]uint32, len(dense))
+	s.ivGroup = ivGroup
+	// The first call solves every group.
+	s.dirty = make([]bool, len(counts))
+	for g := range s.dirty {
+		s.dirty[g] = true
+	}
 	return s
+}
+
+// mark records that interval i's gain changed: the next maxGains call
+// re-solves its group.
+func (s *subproblem) mark(i int) {
+	if g := s.ivGroup[i]; g >= 0 {
+		s.dirty[g] = true
+	}
 }
 
 // pins returns interval i's pins as dense indices.
@@ -428,17 +447,30 @@ func (s *subproblem) compare(gains []float64, a, b int32) int {
 // in non-increasing gain order, skipping any interval with an
 // already-assigned pin, one pin group at a time. A one-pin group takes
 // its first interval in the order; a larger group sorts its intervals and
-// runs the greedy. A call after the first allocates nothing.
+// runs the greedy.
+//
+// A group's selection depends only on its own intervals' gains, so a call
+// re-solves only the groups marked since the previous call (every group
+// on the first) and leaves the rest of selected as that call left it.
+// The contract: selected is the slice the previous call filled (all false
+// before the first), and a caller that changes gains[i] calls mark(i)
+// before the next call. A call after the first allocates nothing.
 func (s *subproblem) maxGains(gains []float64, selected []bool) {
-	clear(selected)
 	s.gen++
 	if s.gen == 0 { // wrapped: no stamp may look current
 		clear(s.stamp)
 		s.gen = 1
 	}
-	for g, single := range s.single {
+	for g, dirty := range s.dirty {
+		if !dirty {
+			continue
+		}
+		s.dirty[g] = false
 		ivs := s.groupIvs[s.groupStart[g]:s.groupStart[g+1]]
-		if single {
+		for _, i := range ivs {
+			selected[i] = false
+		}
+		if s.single[g] {
 			// Ascending IDs and a strict comparison keep the lowest ID
 			// among equal gains.
 			best := ivs[0]
@@ -478,8 +510,10 @@ func (s *subproblem) anyAssigned(pins []int32) bool {
 // penalize implements Algorithm 1's multiplier update: for every violated
 // conflict set, move lambda_m along the subgradient with step
 // t_k = L_m / k^alpha, and propagate the change into per-interval
-// penalties. Returns the violation count.
-func penalize(m *assign.Model, selected []bool, lambda, penalties []float64, k int, cfg Config) int {
+// penalties. Every interval whose penalty moves gets its gain recomputed
+// as profit minus penalty and is marked in sub. Returns the violation
+// count.
+func penalize(m *assign.Model, sub *subproblem, selected []bool, gains, lambda, penalties []float64, k int, cfg Config) int {
 	vio := 0
 	kAlpha := math.Pow(float64(k), cfg.Alpha)
 	for si := range m.Conflicts.Sets {
@@ -507,39 +541,33 @@ func penalize(m *assign.Model, selected []bool, lambda, penalties []float64, k i
 			lambda[si] = next
 			for _, id := range cs.IDs {
 				penalties[id] += delta
+				gains[id] = m.Profits[id] - penalties[id]
+				sub.mark(id)
 			}
 		}
 	}
 	return vio
 }
 
-// iterationWorkers decides, per stage, whether the per-iteration work is
-// big enough to amortize a fork-join. The cutover depends only on problem
-// sizes, never on timing, so the choice — and with it the exact execution —
-// is reproducible.
-func iterationWorkers(cfg Config, numIntervals, numSets int) (gainWorkers, setWorkers int) {
-	gainWorkers, setWorkers = 1, 1
-	if cfg.Workers <= 1 {
-		return
+// iterationWorkers decides whether the per-iteration multiplier update is
+// big enough to amortize a fork-join. The cutover depends only on the
+// conflict-set count, never on timing, so the choice — and with it the
+// exact execution — is reproducible.
+func iterationWorkers(cfg Config, numSets int) int {
+	if cfg.Workers > 1 && numSets >= parallel.Threshold {
+		return cfg.Workers
 	}
-	// The gain refresh is one subtraction per interval: it takes a large
-	// model before goroutines pay for themselves.
-	if numIntervals >= 64*parallel.Threshold {
-		gainWorkers = cfg.Workers
-	}
-	if numSets >= parallel.Threshold {
-		setWorkers = cfg.Workers
-	}
-	return
+	return 1
 }
 
 // penalizeParallel is penalize with the per-conflict-set subproblems run
 // concurrently. Each set owns its lambda slot and writes its penalty delta
 // and selection count to scratch; the deltas are then folded into the
-// shared per-interval penalties serially in set index order — the same
-// floating point accumulation order as the sequential path, so the
-// multiplier trajectory is byte-identical for every worker count.
-func penalizeParallel(m *assign.Model, selected []bool, lambda, penalties []float64, k int, cfg Config, workers int, deltas []float64, counts []int) int {
+// shared per-interval penalties, gains and marks serially in set index
+// order — the same floating point accumulation order as the sequential
+// path, so the multiplier trajectory is byte-identical for every worker
+// count.
+func penalizeParallel(m *assign.Model, sub *subproblem, selected []bool, gains, lambda, penalties []float64, k int, cfg Config, workers int, deltas []float64, counts []int) int {
 	kAlpha := math.Pow(float64(k), cfg.Alpha)
 	sets := m.Conflicts.Sets
 	parallel.ForEachChunk(workers, len(sets), func(lo, hi int) {
@@ -576,6 +604,8 @@ func penalizeParallel(m *assign.Model, selected []bool, lambda, penalties []floa
 		if delta := deltas[si]; delta != 0 {
 			for _, id := range sets[si].IDs {
 				penalties[id] += delta
+				gains[id] = m.Profits[id] - penalties[id]
+				sub.mark(id)
 			}
 		}
 	}

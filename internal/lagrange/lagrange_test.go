@@ -242,3 +242,26 @@ func TestIterationBoundRespected(t *testing.T) {
 		t.Errorf("iterations = %d, want <= 3", res.Iterations)
 	}
 }
+
+// TestStopBeforeFirstIterationIsLegal checks that a Stop hook that fires
+// before the first iteration still yields a legal solution: the Theorem 1
+// minimum solution, not an empty selection.
+func TestStopBeforeFirstIterationIsLegal(t *testing.T) {
+	stop := func() bool { return true }
+	for p, m := range table2Models(t, "ecc")[:3] {
+		for _, skip := range []bool{false, true} {
+			res := Solve(m, Config{Stop: stop, SkipPostImprove: skip})
+			if err := m.CheckLegal(res.Solution); err != nil {
+				t.Fatalf("panel %d SkipPostImprove=%v: %v", p, skip, err)
+			}
+			if res.Iterations != 0 || res.Converged || res.BestViolations != 0 {
+				t.Errorf("panel %d SkipPostImprove=%v: iterations %d, converged %v, best violations %d; want 0, false, 0",
+					p, skip, res.Iterations, res.Converged, res.BestViolations)
+			}
+			if skip && res.Solution.Objective != m.MinimumSolution().Objective {
+				t.Errorf("panel %d: objective %g, want the minimum solution's %g",
+					p, res.Solution.Objective, m.MinimumSolution().Objective)
+			}
+		}
+	}
+}

@@ -2,6 +2,7 @@ package lagrange
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -96,9 +97,11 @@ func decodeGreedyCase(t *testing.T, data []byte) (*assign.Model, []float64) {
 
 // checkGreedyCase compares the subproblem with the reference on one
 // instance under both tie-break settings, reusing each subproblem for a
-// second call with the gains reversed.
+// second call with the gains reversed. Only the intervals whose gain the
+// reversal changed are marked, so the second call re-solves just their
+// groups and keeps the rest of the first call's selection.
 func checkGreedyCase(t *testing.T, data []byte) {
-	m, gains := decodeGreedyCase(t, data)
+	m, base := decodeGreedyCase(t, data)
 	if m == nil {
 		return
 	}
@@ -106,6 +109,8 @@ func checkGreedyCase(t *testing.T, data []byte) {
 	got, want, order := make([]bool, n), make([]bool, n), make([]int, n)
 	for _, cfg := range []Config{{}, {DisableSameNetTieBreak: true}} {
 		sub := newSubproblem(m, cfg)
+		gains := slices.Clone(base)
+		clear(got)
 		for pass := 0; pass < 2; pass++ {
 			sub.maxGains(gains, got)
 			refMaxGains(m, gains, order, want, cfg)
@@ -114,6 +119,11 @@ func checkGreedyCase(t *testing.T, data []byte) {
 					cfg.DisableSameNetTieBreak, pass, got, want, gains)
 			}
 			slices.Reverse(gains)
+			for i := range gains {
+				if gains[i] != base[i] {
+					sub.mark(i)
+				}
+			}
 		}
 	}
 }
@@ -145,9 +155,11 @@ func FuzzMaxGains(f *testing.F) {
 	f.Fuzz(checkGreedyCase)
 }
 
-// lrTrajectory replays Solve's subgradient loop with the reference greedy
-// run beside the subproblem on every iteration, failing on the first
-// selection that differs. It returns the iteration count.
+// lrTrajectory replays Solve's subgradient loop, with gains and group
+// marks kept by penalize as in Solve, and runs the reference greedy from
+// scratch beside it on every iteration: gains refreshed for every
+// interval, every interval sorted. It fails on the first gain or
+// selection that differs and returns the iteration count.
 func lrTrajectory(t *testing.T, m *assign.Model, cfg Config) int {
 	t.Helper()
 	cfg = cfg.withDefaults()
@@ -155,20 +167,24 @@ func lrTrajectory(t *testing.T, m *assign.Model, cfg Config) int {
 	sub := newSubproblem(m, cfg)
 	penalties := make([]float64, n)
 	lambda := make([]float64, len(m.Conflicts.Sets))
-	gains := make([]float64, n)
+	gains := slices.Clone(m.Profits)
+	refGains := make([]float64, n)
 	got, want, order := make([]bool, n), make([]bool, n), make([]int, n)
 	iters := 0
 	for k := 1; k <= cfg.MaxIterations; k++ {
 		iters = k
-		for i := range gains {
-			gains[i] = m.Profits[i] - penalties[i]
+		for i := range refGains {
+			refGains[i] = m.Profits[i] - penalties[i]
+		}
+		if !slices.Equal(gains, refGains) {
+			t.Fatalf("iteration %d: gains differ from a full refresh", k)
 		}
 		sub.maxGains(gains, got)
-		refMaxGains(m, gains, order, want, cfg)
+		refMaxGains(m, refGains, order, want, cfg)
 		if !slices.Equal(got, want) {
 			t.Fatalf("iteration %d: selection differs from the reference greedy", k)
 		}
-		if penalize(m, got, lambda, penalties, k, cfg) == 0 {
+		if penalize(m, sub, got, gains, lambda, penalties, k, cfg) == 0 {
 			break
 		}
 	}
@@ -194,26 +210,8 @@ func TestMaxGainsMatchesReferenceOnPanels(t *testing.T) {
 	}
 	for _, name := range circuits {
 		t.Run(name, func(t *testing.T) {
-			spec, err := synth.SpecByName(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d, err := synth.Generate(spec)
-			if err != nil {
-				t.Fatal(err)
-			}
-			idx := d.BuildTrackIndex()
 			iters := 0
-			for p := 0; p < d.NumPanels(); p++ {
-				pins := idx.PinsInPanel(p)
-				if len(pins) == 0 {
-					continue
-				}
-				set, err := pinaccess.GenerateWithOptions(d, idx, pins, pinaccess.Options{Workers: 2})
-				if err != nil {
-					t.Fatal(err)
-				}
-				m := assign.BuildWorkers(set, assign.SqrtProfit, 2)
+			for p, m := range table2Models(t, name) {
 				for _, c := range cfgs {
 					k := lrTrajectory(t, m, c.cfg)
 					if want := Solve(m, c.cfg).Iterations; k != want {
@@ -241,4 +239,58 @@ func TestMaxGainsAllocatesNothing(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, func() { sub.maxGains(gains, selected) }); allocs != 0 {
 		t.Errorf("warmed maxGains allocates %v times per call, want 0", allocs)
 	}
+}
+
+// table2Models builds the LR model of every non-empty panel of a Table 2
+// circuit.
+func table2Models(t *testing.T, name string) []*assign.Model {
+	t.Helper()
+	spec, err := synth.SpecByName(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := synth.Generate(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := d.BuildTrackIndex()
+	var models []*assign.Model
+	for p := 0; p < d.NumPanels(); p++ {
+		pins := idx.PinsInPanel(p)
+		if len(pins) == 0 {
+			continue
+		}
+		set, err := pinaccess.GenerateWithOptions(d, idx, pins, pinaccess.Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		models = append(models, assign.BuildWorkers(set, assign.SqrtProfit, 2))
+	}
+	return models
+}
+
+// TestSolveWorkersMatchSequential runs Solve at one and four workers on
+// the ecc panels large enough for the parallel multiplier update, whose
+// serial fold keeps the gains and group marks, and requires identical
+// results.
+func TestSolveWorkersMatchSequential(t *testing.T) {
+	cfgs := []Config{{}, {DisableSameNetTieBreak: true}, {FullSubgradient: true}}
+	parallelPanels := 0
+	for p, m := range table2Models(t, "ecc") {
+		if iterationWorkers(Config{Workers: 4}, len(m.Conflicts.Sets)) == 1 {
+			continue
+		}
+		parallelPanels++
+		for _, cfg := range cfgs {
+			seq := Solve(m, cfg)
+			cfg.Workers = 4
+			if par := Solve(m, cfg); !reflect.DeepEqual(par, seq) {
+				t.Fatalf("panel %d %+v: Workers 4 result differs from Workers 1:\n%+v\n%+v", p, cfg, par, seq)
+			}
+		}
+	}
+	if parallelPanels == 0 {
+		t.Fatal("no ecc panel has enough conflict sets for the parallel update")
+	}
+	t.Logf("%d panels compared", parallelPanels)
 }

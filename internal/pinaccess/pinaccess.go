@@ -20,16 +20,23 @@
 //
 // Generation is track-sharded: candidate enumeration — the O(m*n) cut-line
 // work plus covered-pin scans — is independent per routing track and runs
-// on Options.Workers goroutines, while interval IDs are assigned by a
-// serial merge that replays the candidates in canonical (pin, track) order.
-// The produced Set is therefore byte-identical for every worker count,
-// including the fully sequential Workers <= 1 path.
+// on Options.Workers goroutines. Each track's shard keeps its candidates
+// and their covered pins in flat buffers, and a candidate tests only the
+// same-net pins on its track, listed once per (pin, track). Interval IDs
+// are assigned by a serial merge that replays the candidates in canonical
+// (pin, track) order, one cursor per track, deduplicating on (net, track,
+// span): a candidate covers exactly the same-net pins inside its span, so
+// a duplicate can only contribute its minimum-interval mark. The produced
+// Set is therefore byte-identical for every worker count, including the
+// fully sequential Workers <= 1 path. Interval.PinIDs and the ByPin lists
+// are capacity-clipped windows of two set-wide arenas, so a caller's
+// append copies instead of overwriting a neighbouring list.
 package pinaccess
 
 import (
 	"fmt"
+	"math"
 	"slices"
-	"sort"
 
 	"cpr/internal/design"
 	"cpr/internal/geom"
@@ -129,48 +136,8 @@ func Generate(d *design.Design, idx *design.TrackIndex, pinIDs []int) (*Set, err
 
 // GenerateWithOptions enumerates pin access intervals for the given pins.
 func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int, opts Options) (*Set, error) {
-	s := &Set{
-		PinIDs: append([]int(nil), pinIDs...),
-		ByPin:  make(map[int][]int, len(pinIDs)),
-	}
-	sort.Ints(s.PinIDs)
-
-	// Deduplicate on (net, track, span). Phase 2 sizes the map.
-	type key struct {
-		net, track, lo, hi int
-	}
-	var seen map[key]int
-
-	addInterval := func(netID, track int, span geom.Interval, coveredPins []int, minFor int) {
-		k := key{netID, track, span.Lo, span.Hi}
-		if id, ok := seen[k]; ok {
-			// Merge pin coverage and min marking into the existing copy.
-			iv := &s.Intervals[id]
-			for _, p := range coveredPins {
-				if !iv.Covers(p) {
-					iv.PinIDs = append(iv.PinIDs, p)
-				}
-			}
-			sort.Ints(iv.PinIDs)
-			if minFor >= 0 && iv.MinForPin < 0 {
-				iv.MinForPin = minFor
-			}
-			return
-		}
-		id := len(s.Intervals)
-		pins := append([]int(nil), coveredPins...)
-		sort.Ints(pins)
-		s.Intervals = append(s.Intervals, Interval{
-			ID:        id,
-			NetID:     netID,
-			Track:     track,
-			Span:      span,
-			PinIDs:    pins,
-			MinForPin: minFor,
-		})
-		seen[k] = id
-	}
-
+	s := &Set{PinIDs: append([]int(nil), pinIDs...)}
+	slices.Sort(s.PinIDs)
 	for _, pid := range s.PinIDs {
 		if pid < 0 || pid >= len(d.Pins) {
 			return nil, fmt.Errorf("pinaccess: pin ID %d out of range", pid)
@@ -180,53 +147,69 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	// Phase 1 — per-track candidate enumeration, sharded across workers.
 	// Each track is an independent job: candidate spans depend only on the
 	// read-only design and track index, and every job writes to its own
-	// result slot.
-	tracks, trackPins := trackShards(d, s.PinIDs)
-	shards := make([][]pinCandidates, len(tracks))
-	parallel.ForEach(opts.Workers, len(tracks), func(ti int) {
-		t := tracks[ti]
-		for _, pid := range trackPins[ti] {
-			if cands := enumerateCandidates(d, idx, pid, t, opts); len(cands) > 0 {
-				shards[ti] = append(shards[ti], pinCandidates{pid: pid, cands: cands})
-			}
-		}
+	// shard.
+	shards, first := trackShards(d, s.PinIDs)
+	parallel.ForEach(opts.Workers, len(shards), func(ti int) {
+		shards[ti].enumerate(d, idx, opts)
 	})
 
 	// Phase 2 — deterministic ordered merge: replay candidates in the
 	// canonical (ascending pin, ascending track) order, which assigns the
-	// same interval IDs as a fully sequential enumeration would. The
-	// candidate count bounds the deduplicated interval count, so it sizes
-	// the interval slice and the dedup map.
-	type pinTrack struct{ pid, track int }
-	byPinTrack := make(map[pinTrack][]candidate)
-	numCands := 0
-	for ti := range tracks {
-		for _, pc := range shards[ti] {
-			byPinTrack[pinTrack{pc.pid, tracks[ti]}] = pc.cands
-			numCands += len(pc.cands)
-		}
+	// same interval IDs as a fully sequential enumeration would. Every
+	// shard lists its pins ascending, so one cursor per shard walks it in
+	// step with the merge. The candidate count bounds the deduplicated
+	// interval count, so it sizes the interval slice and the dedup map;
+	// the shards' covered-pin counts bound the set's pin arena the same
+	// way.
+	numCands, numCovered := 0, 0
+	for ti := range shards {
+		numCands += len(shards[ti].cands)
+		numCovered += len(shards[ti].covered)
 	}
-	s.Intervals = slices.Grow(s.Intervals, numCands)
-	seen = make(map[key]int, numCands)
+	s.Intervals = make([]Interval, 0, numCands)
+	pinArena := make([]int, 0, numCovered)
+	// Deduplicate on (net, track, span). A candidate covers exactly the
+	// same-net pins on its track inside its span, so equal keys cover
+	// equal pins and only the minimum-interval mark can merge.
+	type key struct {
+		net, track, lo, hi int
+	}
+	seen := make(map[key]int, numCands)
+	prev := -1
 	for _, pid := range s.PinIDs {
+		if pid == prev {
+			continue // a duplicate request replays only dedup hits
+		}
+		prev = pid
 		pin := &d.Pins[pid]
 		for t := pin.Shape.Y0; t <= pin.Shape.Y1; t++ {
-			for _, c := range byPinTrack[pinTrack{pid, t}] {
-				addInterval(pin.NetID, t, c.span, c.covered, c.minFor)
+			sh := &shards[t-first]
+			cands := sh.cands[sh.start[sh.cursor]:sh.start[sh.cursor+1]]
+			sh.cursor++
+			for _, c := range cands {
+				k := key{pin.NetID, t, c.span.Lo, c.span.Hi}
+				if id, ok := seen[k]; ok {
+					if iv := &s.Intervals[id]; c.minFor >= 0 && iv.MinForPin < 0 {
+						iv.MinForPin = c.minFor
+					}
+					continue
+				}
+				id := len(s.Intervals)
+				lo := len(pinArena)
+				pinArena = append(pinArena, sh.covered[c.lo:c.hi]...)
+				s.Intervals = append(s.Intervals, Interval{
+					ID:        id,
+					NetID:     pin.NetID,
+					Track:     t,
+					Span:      c.span,
+					PinIDs:    pinArena[lo:len(pinArena):len(pinArena)],
+					MinForPin: c.minFor,
+				})
+				seen[k] = id
 			}
 		}
 	}
-
-	// Build S_j.
-	for i := range s.Intervals {
-		for _, pid := range s.Intervals[i].PinIDs {
-			s.ByPin[pid] = append(s.ByPin[pid], i)
-		}
-	}
-	for pid, list := range s.ByPin {
-		sort.Ints(list)
-		s.ByPin[pid] = list
-	}
+	s.ByPin = indexByPin(s.Intervals, len(s.PinIDs))
 
 	// Every requested pin must have at least one interval (its minimum);
 	// otherwise the panel is unroutable and Theorem 1 is violated.
@@ -239,60 +222,132 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	return s, nil
 }
 
-// candidate is one enumerated pin access interval before ID assignment.
-type candidate struct {
-	span    geom.Interval
-	covered []int
-	minFor  int
+// indexByPin builds S_j: for every covered pin, the IDs of the intervals
+// covering it, ascending. The lists are capacity-clipped windows of one
+// arena, filled in ascending interval order.
+func indexByPin(ivs []Interval, numPins int) map[int][]int {
+	total := 0
+	for i := range ivs {
+		total += len(ivs[i].PinIDs)
+	}
+	dense := make(map[int]int32, numPins) // pin -> index into pins and ends
+	pins := make([]int, 0, numPins)
+	ends := make([]int, 0, numPins)
+	entries := make([]int32, 0, total) // each covering's dense pin index, in interval order
+	for i := range ivs {
+		for _, pid := range ivs[i].PinIDs {
+			k, ok := dense[pid]
+			if !ok {
+				k = int32(len(pins))
+				dense[pid] = k
+				pins = append(pins, pid)
+				ends = append(ends, 0)
+			}
+			ends[k]++
+			entries = append(entries, k)
+		}
+	}
+	// ends[k] becomes the start of pin k's window, then its fill cursor.
+	off := 0
+	for k, n := range ends {
+		ends[k] = off
+		off += n
+	}
+	arena := make([]int, total)
+	e := 0
+	for i := range ivs {
+		for range ivs[i].PinIDs {
+			k := entries[e]
+			arena[ends[k]] = i
+			ends[k]++
+			e++
+		}
+	}
+	byPin := make(map[int][]int, len(pins))
+	lo := 0
+	for k, pid := range pins {
+		byPin[pid] = arena[lo:ends[k]:ends[k]]
+		lo = ends[k]
+	}
+	return byPin
 }
 
-// pinCandidates couples one requested pin with its ordered candidate list
-// on a single track.
-type pinCandidates struct {
-	pid   int
-	cands []candidate
+// candidate is one enumerated pin access interval before ID assignment.
+// Its covered pins are covered[lo:hi] of the shard that enumerated it.
+type candidate struct {
+	span   geom.Interval
+	lo, hi int32
+	minFor int
+}
+
+// trackShard is one track's enumeration job. Its candidates and their
+// covered pins live in flat buffers owned by the shard: the candidates
+// of pins[i] are cands[start[i]:start[i+1]].
+type trackShard struct {
+	track   int
+	pins    []int // requested pins overlapping the track, ascending
+	start   []int32
+	cands   []candidate
+	covered []int // covered-pin arena
+	// Scratch reused across the shard's pins.
+	lefts, rights, same []int
+	// cursor is the merge's next index into pins.
+	cursor int
 }
 
 // trackShards groups the requested pins by the tracks their shapes overlap:
-// tracks ascending, each track's pins ascending and deduplicated. Every
-// (track, pins) pair is one independent enumeration job.
-func trackShards(d *design.Design, sortedPinIDs []int) (tracks []int, trackPins [][]int) {
-	pinsByTrack := make(map[int][]int)
+// one shard per track from the lowest to the highest one overlapped,
+// shard i holding track first+i, each shard's pins ascending and
+// deduplicated.
+func trackShards(d *design.Design, sortedPinIDs []int) (shards []trackShard, first int) {
+	first, last := math.MaxInt, math.MinInt
+	for _, pid := range sortedPinIDs {
+		sh := d.Pins[pid].Shape
+		first, last = min(first, sh.Y0), max(last, sh.Y1)
+	}
+	if last < first {
+		return nil, 0 // no pins, or only empty shapes: no track to enumerate
+	}
+	shards = make([]trackShard, last-first+1)
+	for i := range shards {
+		shards[i].track = first + i
+	}
 	prev := -1
 	for _, pid := range sortedPinIDs {
 		if pid == prev {
-			continue // duplicate request: enumerate once, merge replays it
+			continue // duplicate request: enumerate once
 		}
 		prev = pid
 		sh := d.Pins[pid].Shape
 		for t := sh.Y0; t <= sh.Y1; t++ {
-			pinsByTrack[t] = append(pinsByTrack[t], pid)
+			shards[t-first].pins = append(shards[t-first].pins, pid)
 		}
 	}
-	tracks = make([]int, 0, len(pinsByTrack))
-	for t := range pinsByTrack {
-		tracks = append(tracks, t)
-	}
-	sort.Ints(tracks)
-	trackPins = make([][]int, len(tracks))
-	for i, t := range tracks {
-		trackPins[i] = pinsByTrack[t]
-	}
-	return tracks, trackPins
+	return shards, first
 }
 
-// enumerateCandidates lists pin pid's candidate intervals on track t in the
-// canonical order: the minimum interval first (the Theorem 1 anchor), then
-// the cut-line combinations left-to-right. It only reads the design and
-// index, so calls are safe to run concurrently.
-func enumerateCandidates(d *design.Design, idx *design.TrackIndex, pid, t int, opts Options) []candidate {
+// enumerate lists the candidates of every pin of the shard. It only reads
+// the design and index, so shards are safe to enumerate concurrently.
+func (sh *trackShard) enumerate(d *design.Design, idx *design.TrackIndex, opts Options) {
+	sh.start = make([]int32, 1, len(sh.pins)+1)
+	for _, pid := range sh.pins {
+		sh.enumeratePin(d, idx, pid, opts)
+		sh.start = append(sh.start, int32(len(sh.cands)))
+	}
+}
+
+// enumeratePin appends pin pid's candidate intervals on the shard's track
+// in the canonical order: the minimum interval first (the Theorem 1
+// anchor), then the cut-line combinations left-to-right.
+func (sh *trackShard) enumeratePin(d *design.Design, idx *design.TrackIndex, pid int, opts Options) {
+	t := sh.track
 	pin := &d.Pins[pid]
 	seed := pin.Shape.XSpan()
 	free := idx.FreeSpanAround(t, seed)
 	if free.Empty() {
 		// The pin's own span is blocked on this track; no interval can
 		// cover the pin here.
-		return nil
+		return
 	}
 	bbox := d.NetBBox(pin.NetID).XSpan()
 	if opts.MaxSpanRadius > 0 {
@@ -307,81 +362,57 @@ func enumerateCandidates(d *design.Design, idx *design.TrackIndex, pid, t int, o
 		maxSpan = maxSpan.Union(seed)
 	}
 
-	// Minimum interval (Theorem 1 anchor).
-	out := []candidate{{span: seed, covered: []int{pid}, minFor: pid}}
-
-	// Cut-line candidates from diff-net pins on this track.
-	lefts := []int{maxSpan.Lo}
-	rights := []int{maxSpan.Hi}
+	// One pass over the track's pins: same-net pins (pid included) are
+	// the only pins a candidate can cover, and diff-net pins place the
+	// cut lines.
+	sh.same = sh.same[:0]
+	sh.lefts = append(sh.lefts[:0], maxSpan.Lo)
+	sh.rights = append(sh.rights[:0], maxSpan.Hi)
 	for _, qid := range idx.PinsOnTrack(t) {
-		if qid == pid {
-			continue
-		}
 		q := &d.Pins[qid]
 		if q.NetID == pin.NetID {
+			sh.same = append(sh.same, qid)
 			continue
 		}
 		qs := q.Shape.XSpan()
 		if qs.Hi < seed.Lo && qs.Hi+1 > maxSpan.Lo {
-			lefts = append(lefts, qs.Hi+1)
+			sh.lefts = append(sh.lefts, qs.Hi+1)
 		}
 		if qs.Lo > seed.Hi && qs.Lo-1 < maxSpan.Hi {
-			rights = append(rights, qs.Lo-1)
+			sh.rights = append(sh.rights, qs.Lo-1)
 		}
 	}
-	lefts = dedupInts(lefts)
-	rights = dedupInts(rights)
+	// Sorted once here, so every candidate's covered pins come out
+	// ascending.
+	slices.Sort(sh.same)
+	sh.lefts = dedupInts(sh.lefts)
+	sh.rights = dedupInts(sh.rights)
 
-	for _, lo := range lefts {
-		for _, hi := range rights {
-			span := geom.Interval{Lo: lo, Hi: hi}
-			if span == seed {
-				continue // already added as the minimum interval
+	// Minimum interval (Theorem 1 anchor). On a design with disjoint pins
+	// (design.Validate) it covers pid alone.
+	sh.add(d, seed, pid)
+	// Cut-line candidates. Every span contains seed, so each covers pid.
+	for _, lo := range sh.lefts {
+		for _, hi := range sh.rights {
+			if span := (geom.Interval{Lo: lo, Hi: hi}); span != seed {
+				sh.add(d, span, -1)
 			}
-			covered := coveredPins(d, idx, pin.NetID, t, span)
-			if !containsInt(covered, pid) {
-				// Cannot happen: span contains seed by construction.
-				// Guard anyway.
-				continue
-			}
-			out = append(out, candidate{span: span, covered: covered, minFor: -1})
 		}
 	}
-	return out
 }
 
-// coveredPins returns the same-net pins on the track whose spans lie fully
-// inside span.
-func coveredPins(d *design.Design, idx *design.TrackIndex, netID, track int, span geom.Interval) []int {
-	var out []int
-	for _, qid := range idx.PinsOnTrack(track) {
-		q := &d.Pins[qid]
-		if q.NetID != netID {
-			continue
-		}
-		if span.ContainsInterval(q.Shape.XSpan()) {
-			out = append(out, qid)
+// add appends a candidate covering the same-net pins inside span.
+func (sh *trackShard) add(d *design.Design, span geom.Interval, minFor int) {
+	lo := len(sh.covered)
+	for _, qid := range sh.same {
+		if span.ContainsInterval(d.Pins[qid].Shape.XSpan()) {
+			sh.covered = append(sh.covered, qid)
 		}
 	}
-	return out
+	sh.cands = append(sh.cands, candidate{span: span, lo: int32(lo), hi: int32(len(sh.covered)), minFor: minFor})
 }
 
 func dedupInts(xs []int) []int {
-	sort.Ints(xs)
-	out := xs[:0]
-	for i, x := range xs {
-		if i == 0 || x != xs[i-1] {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-func containsInt(xs []int, x int) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
+	slices.Sort(xs)
+	return slices.Compact(xs)
 }

@@ -326,3 +326,68 @@ func TestMaxSpanRadiusAlwaysCoversSeed(t *testing.T) {
 		}
 	}
 }
+
+// TestArenaWindowsAreClipped checks that Interval.PinIDs and the ByPin
+// lists, windows of shared arenas, have no spare capacity: a consumer's
+// append must copy rather than overwrite the next list.
+func TestArenaWindowsAreClipped(t *testing.T) {
+	d, a1 := figure3aDesign(t)
+	set, err := Generate(d, d.BuildTrackIndex(), []int{a1, 1, 2, 3, 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range set.Intervals {
+		if pins := set.Intervals[i].PinIDs; cap(pins) != len(pins) {
+			t.Errorf("interval %d: PinIDs has len %d, cap %d", i, len(pins), cap(pins))
+		}
+	}
+	for pid, ivs := range set.ByPin {
+		if cap(ivs) != len(ivs) {
+			t.Errorf("pin %d: ByPin list has len %d, cap %d", pid, len(ivs), cap(ivs))
+		}
+	}
+}
+
+// TestDuplicateSpanMergesMinimumMark covers the one merge a dedup hit can
+// make. Pin q's minimum interval repeats a cut-line span generated
+// earlier for pin p, which needs q to enclose p on the track: overlapping
+// pins, so the design is built without Validate. The kept interval must
+// cover both pins and carry q's minimum mark.
+func TestDuplicateSpanMergesMinimumMark(t *testing.T) {
+	d := design.New("overlap", 12, 2, tech.Default())
+	a, b := d.AddNet("a"), d.AddNet("b")
+	p := d.AddPin("p", a, geom.MakeRect(5, 0, 5, 0))
+	q := d.AddPin("q", a, geom.MakeRect(3, 0, 7, 0))
+	d.AddPin("s", b, geom.MakeRect(1, 0, 2, 0)) // cut line at x=3
+	d.AddPin("r", b, geom.MakeRect(8, 0, 9, 0)) // cut line at x=7
+	set, err := Generate(d, d.BuildTrackIndex(), []int{p, q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	merged := -1
+	for i := range set.Intervals {
+		if set.Intervals[i].Span == (geom.Interval{Lo: 3, Hi: 7}) {
+			merged = i
+		}
+	}
+	if merged < 0 {
+		t.Fatal("no interval spans [3,7]")
+	}
+	iv := set.Intervals[merged]
+	if iv.MinForPin != q || len(iv.PinIDs) != 2 || iv.PinIDs[0] != p || iv.PinIDs[1] != q {
+		t.Errorf("interval [3,7] = %+v, want pins [%d %d] and minimum mark %d", iv, p, q, q)
+	}
+	if got := set.MinInterval(q, 0); got != merged {
+		t.Errorf("MinInterval(q, 0) = %d, want %d", got, merged)
+	}
+}
+
+// TestEmptyShapeIsAnError checks that a pin whose shape covers no track,
+// possible in a design built without Validate, is reported as an error.
+func TestEmptyShapeIsAnError(t *testing.T) {
+	d := design.New("empty", 10, 4, tech.Default())
+	p := d.AddPin("p", d.AddNet("a"), geom.Rect{X0: 2, Y0: 3, X1: 2, Y1: 1})
+	if _, err := Generate(d, d.BuildTrackIndex(), []int{p}); err == nil {
+		t.Fatal("Generate accepted a pin with an empty shape")
+	}
+}

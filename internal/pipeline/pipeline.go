@@ -24,6 +24,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -224,56 +225,70 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 //
 //keypurity:encoder stage
 func WritePanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, panel int) error {
+	pins := idx.PinsInPanel(panel)
+	// The records are appended to one buffer, roughly sized for the pin
+	// and net-bbox lines, and written once.
+	b := make([]byte, 0, 256+80*len(pins))
 	t := d.Tech
-	if _, err := fmt.Fprintf(w, "panel-inputs v1\ngrid %d %d\ntech %d %d %d %d %d %d %d\n",
-		d.Width, d.Height,
-		t.TracksPerPanel, t.BaseCost, t.ViaCost, t.ForbiddenViaCost,
-		t.LineEndExtension, t.MinLineLen, t.LineEndSpacing); err != nil {
-		return err
-	}
+	b = append(b, "panel-inputs v1\ngrid"...)
+	b = appendInts(b, d.Width, d.Height)
+	b = append(b, "\ntech"...)
+	b = appendInts(b, t.TracksPerPanel, t.BaseCost, t.ViaCost, t.ForbiddenViaCost,
+		t.LineEndExtension, t.MinLineLen, t.LineEndSpacing)
+	b = append(b, '\n')
 	if t.Patterning != (tech.Patterning{}) {
-		if _, err := fmt.Fprintf(w, "rule-engine %s\n", t.Patterning.Spec()); err != nil {
-			return err
-		}
+		b = append(b, "rule-engine "...)
+		b = append(b, t.Patterning.Spec()...)
+		b = append(b, '\n')
 	}
 	lo, hi := t.PanelTracks(panel)
 	if hi >= d.Height {
 		hi = d.Height - 1
 	}
-	if _, err := fmt.Fprintf(w, "panel %d tracks %d %d\n", panel, lo, hi); err != nil {
-		return err
-	}
+	b = append(b, "panel"...)
+	b = appendInts(b, panel)
+	b = append(b, " tracks"...)
+	b = appendInts(b, lo, hi)
+	b = append(b, '\n')
 
-	pins := idx.PinsInPanel(panel)
-	nets := make(map[int]bool)
+	nets := make([]int, 0, len(pins))
 	for _, pid := range pins {
 		p := &d.Pins[pid]
-		nets[p.NetID] = true
-		if _, err := fmt.Fprintf(w, "pin %d net %d shape %d %d %d %d\n",
-			pid, p.NetID, p.Shape.X0, p.Shape.Y0, p.Shape.X1, p.Shape.Y1); err != nil {
-			return err
-		}
+		nets = append(nets, p.NetID)
+		b = append(b, "pin"...)
+		b = appendInts(b, pid)
+		b = append(b, " net"...)
+		b = appendInts(b, p.NetID)
+		b = append(b, " shape"...)
+		b = appendInts(b, p.Shape.X0, p.Shape.Y0, p.Shape.X1, p.Shape.Y1)
+		b = append(b, '\n')
 	}
-	netIDs := make([]int, 0, len(nets))
-	for id := range nets {
-		netIDs = append(netIDs, id)
-	}
-	sort.Ints(netIDs)
-	for _, id := range netIDs {
+	slices.Sort(nets)
+	for _, id := range slices.Compact(nets) {
 		box := d.NetBBox(id)
-		if _, err := fmt.Fprintf(w, "netbbox %d %d %d %d %d\n",
-			id, box.X0, box.Y0, box.X1, box.Y1); err != nil {
-			return err
-		}
+		b = append(b, "netbbox"...)
+		b = appendInts(b, id, box.X0, box.Y0, box.X1, box.Y1)
+		b = append(b, '\n')
 	}
 	for y := lo; y <= hi; y++ {
 		for _, span := range idx.BlockedSpans(y) {
-			if _, err := fmt.Fprintf(w, "blocked %d %d %d\n", y, span.Lo, span.Hi); err != nil {
-				return err
-			}
+			b = append(b, "blocked"...)
+			b = appendInts(b, y, span.Lo, span.Hi)
+			b = append(b, '\n')
 		}
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
+}
+
+// appendInts appends each value in decimal after a space, as the format
+// verb " %d" would.
+func appendInts(b []byte, xs ...int) []byte {
+	for _, x := range xs {
+		b = append(b, ' ')
+		b = strconv.AppendInt(b, int64(x), 10)
+	}
+	return b
 }
 
 // PanelHash returns the hex SHA-256 of the panel's canonical input

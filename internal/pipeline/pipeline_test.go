@@ -1,7 +1,11 @@
 package pipeline
 
 import (
+	"bytes"
 	"context"
+	"fmt"
+	"io"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -11,6 +15,7 @@ import (
 	"cpr/internal/geom"
 	"cpr/internal/ilp"
 	"cpr/internal/lagrange"
+	"cpr/internal/synth"
 	"cpr/internal/tech"
 )
 
@@ -248,5 +253,74 @@ func TestEncodeConflictModel(t *testing.T) {
 	}
 	if HashConflictModel(m) != HashConflictModel(m) {
 		t.Error("conflict model hash unstable")
+	}
+}
+
+// formatPanelInputs is the fmt-based panel-input encoder that
+// WritePanelInputs replaced, kept as its byte reference.
+func formatPanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, panel int) {
+	t := d.Tech
+	fmt.Fprintf(w, "panel-inputs v1\ngrid %d %d\ntech %d %d %d %d %d %d %d\n",
+		d.Width, d.Height,
+		t.TracksPerPanel, t.BaseCost, t.ViaCost, t.ForbiddenViaCost,
+		t.LineEndExtension, t.MinLineLen, t.LineEndSpacing)
+	if t.Patterning != (tech.Patterning{}) {
+		fmt.Fprintf(w, "rule-engine %s\n", t.Patterning.Spec())
+	}
+	lo, hi := t.PanelTracks(panel)
+	if hi >= d.Height {
+		hi = d.Height - 1
+	}
+	fmt.Fprintf(w, "panel %d tracks %d %d\n", panel, lo, hi)
+	nets := make(map[int]bool)
+	for _, pid := range idx.PinsInPanel(panel) {
+		p := &d.Pins[pid]
+		nets[p.NetID] = true
+		fmt.Fprintf(w, "pin %d net %d shape %d %d %d %d\n",
+			pid, p.NetID, p.Shape.X0, p.Shape.Y0, p.Shape.X1, p.Shape.Y1)
+	}
+	netIDs := make([]int, 0, len(nets))
+	for id := range nets {
+		netIDs = append(netIDs, id)
+	}
+	sort.Ints(netIDs)
+	for _, id := range netIDs {
+		box := d.NetBBox(id)
+		fmt.Fprintf(w, "netbbox %d %d %d %d %d\n", id, box.X0, box.Y0, box.X1, box.Y1)
+	}
+	for y := lo; y <= hi; y++ {
+		for _, span := range idx.BlockedSpans(y) {
+			fmt.Fprintf(w, "blocked %d %d %d\n", y, span.Lo, span.Hi)
+		}
+	}
+}
+
+// TestWritePanelInputsMatchesFormat checks that the append-based encoder
+// writes the fmt reference's bytes for every panel, blockages included,
+// under the default rules and a non-default rule engine; stored panel
+// keys depend on it.
+func TestWritePanelInputsMatchesFormat(t *testing.T) {
+	for _, p := range []tech.Patterning{{}, {Engine: tech.EngineTPL, ColorSpacing: 3, MergeTolerance: 1}} {
+		d, err := synth.Generate(synth.Spec{Name: "keys", Nets: 60, Width: 90, Height: 40, Seed: 12, BlockageFraction: 0.05})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Tech.Patterning = p
+		idx := d.BuildTrackIndex()
+		blocked := 0
+		for panel := 0; panel <= d.NumPanels(); panel++ {
+			var got, want bytes.Buffer
+			if err := WritePanelInputs(&got, d, idx, panel); err != nil {
+				t.Fatal(err)
+			}
+			formatPanelInputs(&want, d, idx, panel)
+			if !bytes.Equal(got.Bytes(), want.Bytes()) {
+				t.Fatalf("patterning %+v panel %d:\n got %q\nwant %q", p, panel, got.Bytes(), want.Bytes())
+			}
+			blocked += bytes.Count(got.Bytes(), []byte("\nblocked "))
+		}
+		if blocked == 0 {
+			t.Fatal("no panel encodes a blockage")
+		}
 	}
 }

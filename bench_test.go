@@ -325,18 +325,6 @@ func BenchmarkConflictDetectionWorkers(b *testing.B) {
 	}
 }
 
-func BenchmarkLagrangeWorkers(b *testing.B) {
-	m := benchModel(b, 3000, 77)
-	for _, w := range benchWorkerCounts {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := lagrange.Solve(m, lagrange.Config{Workers: w})
-				b.ReportMetric(res.Solution.Objective, "objective")
-			}
-		})
-	}
-}
-
 // --- Micro-benchmarks of the core kernels -----------------------------
 
 func BenchmarkIntervalGeneration(b *testing.B) {

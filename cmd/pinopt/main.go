@@ -58,6 +58,10 @@ func main() {
 	if _, err := core.ParseRerunMode(*rerunMode); err != nil {
 		fatal(err)
 	}
+	lrCfg := lagrange.Config{MaxIterations: *ub, Alpha: *alpha}
+	if err := lrCfg.Validate(); err != nil {
+		fatal(err)
+	}
 
 	if *circuit != "" || *loadPath != "" {
 		d, err := loadOrSynth(*circuit, *loadPath)
@@ -83,7 +87,7 @@ func main() {
 		model.NumPins(), model.NumIntervals(), len(model.Conflicts.Sets))
 
 	t0 := time.Now()
-	lr := lagrange.Solve(model, lagrange.Config{MaxIterations: *ub, Alpha: *alpha, Workers: parallel.Resolve(*workers)})
+	lr := lagrange.Solve(model, lrCfg)
 	lrTime := time.Since(t0)
 	st := lr.Solution.Lengths(model.Set)
 	fmt.Printf("LR : objective %.1f, %d iterations, converged=%v, cpu %v\n",

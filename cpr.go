@@ -198,6 +198,7 @@ func BuildAssignmentModel(d *Design, pins []int) (*AssignmentModel, error) {
 }
 
 // SolveLR runs the Lagrangian relaxation solver on an assignment model.
+// cfg must pass cfg.Validate.
 func SolveLR(m *AssignmentModel, cfg LRConfig) LRResult { return lagrange.Solve(m, cfg) }
 
 // SolveILP runs the exact branch-and-bound solver on an assignment model.

@@ -1,5 +1,5 @@
 // Package cache is the content-addressed result cache behind the cprd
-// daemon. It is two-level:
+// daemon (ThreeLevel):
 //
 //   - the design level stores completed optimization results under the
 //     SHA-256 of the design's canonical encoding combined with a
@@ -9,11 +9,13 @@
 //     SHA-256 of one panel's canonical input encoding (see
 //     pipeline.WritePanelInputs) combined with the solver fingerprint,
 //     so an edited design that misses the design level still reuses
-//     every panel the edit provably cannot affect.
+//     every panel the edit provably cannot affect;
+//   - the route level stores per-region route bundles under RouteKey.
 //
-// Both levels are in-memory LRUs bounded by entry count, safe for
-// concurrent use, with hit/miss/eviction counters cheap enough to read on
-// every /v1/stats request.
+// Each level is an in-memory LRU bounded by entry count, optionally
+// backed by a block store (NewBacked), safe for concurrent use, with
+// hit/miss/eviction counters cheap enough to read on every /v1/stats
+// request.
 package cache
 
 import (

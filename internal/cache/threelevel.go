@@ -20,10 +20,10 @@ func RouteKey(regionHash, routerFingerprint string) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// ThreeLevel extends the two-level design/panel scheme with a
-// per-region route artifact level, so an edited design that misses the
-// design level reuses both the panel artifacts and the route bundles
-// its edit provably cannot affect. Each level is a Level: a plain
+// ThreeLevel couples the whole-design result cache with a per-panel
+// artifact level and a per-region route artifact level, so an edited
+// design that misses the design level reuses both the panel artifacts
+// and the route bundles its edit provably cannot affect. Each level is a Level: a plain
 // in-memory LRU (NewThreeLevel) or a block-backed one whose misses fall
 // through to a persistent store and peer daemons (NewBacked per level).
 type ThreeLevel[D, P, R any] struct {

@@ -10,6 +10,7 @@ package conflict
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"cpr/internal/geom"
@@ -35,30 +36,21 @@ func Detect(intervals []pinaccess.Interval) []Set {
 }
 
 // DetectWorkers is Detect with the per-track sweeps sharded across up to
-// workers goroutines (<= 1 is sequential). One sort orders the intervals
-// by (track, lo, hi, index), so each track's sweep input is a contiguous
-// run of that order. Runs are independent, each shard sweeps its runs
-// into its own sets and member arena, and shards are concatenated in
-// ascending track order, so the result is byte-identical for every
-// worker count.
+// workers goroutines (<= 1 is sequential). One stable radix sort orders
+// the intervals by (track, lo, hi, index), so each track's sweep input is
+// a contiguous run of that order. Runs are independent, each shard sweeps
+// its runs into its own sets and member arena, and shards are
+// concatenated in ascending track order, so the result is byte-identical
+// for every worker count.
 func DetectWorkers(intervals []pinaccess.Interval, workers int) []Set {
-	order := make([]sweepEntry, len(intervals))
+	// One allocation holds the entries and the radix sort's scratch.
+	buf := make([]sweepEntry, 2*len(intervals))
+	order := buf[:len(intervals)]
 	for i := range intervals {
 		iv := &intervals[i]
 		order[i] = sweepEntry{track: iv.Track, lo: iv.Span.Lo, hi: iv.Span.Hi, id: i}
 	}
-	slices.SortFunc(order, func(a, b sweepEntry) int {
-		if c := cmp.Compare(a.track, b.track); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.lo, b.lo); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.hi, b.hi); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
+	order = sortSweep(order, buf[len(intervals):])
 	// runs[r]:runs[r+1] is the r-th track's range of order.
 	runs := []int{0}
 	for i := 1; i < len(order); i++ {
@@ -91,6 +83,65 @@ func DetectWorkers(intervals []pinaccess.Interval, workers int) []Set {
 // sweepEntry is one interval in sweep order.
 type sweepEntry struct {
 	track, lo, hi, id int
+}
+
+// key returns the sort key field f: 0 is track, 1 lo and 2 hi.
+func (e *sweepEntry) key(f int) int {
+	switch f {
+	case 0:
+		return e.track
+	case 1:
+		return e.lo
+	}
+	return e.hi
+}
+
+// radixBits is the digit width of sortSweep: every pass counts into one
+// fixed array of 1<<radixBits buckets, whatever the coordinate range.
+const radixBits = 8
+
+// sortSweep orders entries, given in ascending id, by (track, lo, hi, id)
+// with a stable LSD radix sort: digit passes on hi, then lo, then track.
+// Each pass is stable and ids start ascending, so the order is exactly
+// the comparison order on the total key. A field is offset by its
+// minimum, so only the digits its range spans are sorted, and a pass
+// whose digit is equal for every entry is skipped. tmp is scratch of the
+// same length; the result is entries or tmp.
+func sortSweep(entries, tmp []sweepEntry) []sweepEntry {
+	if len(entries) < 2 {
+		return entries
+	}
+	var count [1 << radixBits]int
+	const mask = 1<<radixBits - 1
+	for f := 2; f >= 0; f-- {
+		lo, hi := entries[0].key(f), entries[0].key(f)
+		for i := range entries {
+			lo, hi = min(lo, entries[i].key(f)), max(hi, entries[i].key(f))
+		}
+		base := uint64(lo)
+		for shift := 0; shift < bits.Len64(uint64(hi)-base); shift += radixBits {
+			digit := func(e *sweepEntry) int { return int((uint64(e.key(f))-base)>>shift) & mask }
+			clear(count[:])
+			for i := range entries {
+				count[digit(&entries[i])]++
+			}
+			if count[digit(&entries[0])] == len(entries) {
+				continue
+			}
+			sum := 0
+			for d, c := range count {
+				count[d] = sum
+				sum += c
+			}
+			for i := range entries {
+				d := digit(&entries[i])
+				tmp[count[d]] = entries[i]
+				count[d]++
+			}
+			entries, tmp = tmp, entries
+		}
+	}
+	return entries
 }
 
 // sweeper runs left-to-right sweeps over track runs, collecting sets whose

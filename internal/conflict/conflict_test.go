@@ -1,8 +1,11 @@
 package conflict
 
 import (
+	"cmp"
+	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -437,4 +440,66 @@ func TestArenaWindowsAreClipped(t *testing.T) {
 			}
 		}
 	}
+}
+
+// compareSweep is the comparison order sortSweep replaced, kept as its
+// reference: (track, lo, hi, index).
+func compareSweep(a, b sweepEntry) int {
+	if c := cmp.Compare(a.track, b.track); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.lo, b.lo); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.hi, b.hi); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// checkSweepOrder decodes entries from data, six bytes each: track, lo
+// and a span length as signed 16-bit values, all shifted left by
+// shift%49 bits so that coordinates reach near the int64 extremes. It
+// requires sortSweep to give the comparison order.
+func checkSweepOrder(t *testing.T, data []byte, shift uint8) {
+	s := shift % 49
+	var entries []sweepEntry
+	for ; len(data) >= 6; data = data[6:] {
+		v := func(i int) int { return int(int16(binary.LittleEndian.Uint16(data[i:]))) << s }
+		lo := v(2)
+		entries = append(entries, sweepEntry{track: v(0), lo: lo, hi: lo + v(4), id: len(entries)})
+	}
+	want := slices.Clone(entries)
+	slices.SortFunc(want, compareSweep)
+	if got := sortSweep(entries, make([]sweepEntry, len(entries))); !slices.Equal(got, want) {
+		t.Fatalf("radix order differs from the comparison order:\n got  %v\n want %v", got, want)
+	}
+}
+
+// TestSweepOrderMatchesComparator checks the radix sort against the
+// comparison order on random entries with many equal keys.
+func TestSweepOrderMatchesComparator(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 2000; trial++ {
+		data := make([]byte, 6*r.Intn(300))
+		r.Read(data)
+		// Mostly narrow values, so equal tracks, lefts and rights abound
+		// and every pass's stability matters.
+		for i := 1; i < len(data); i += 2 {
+			if r.Intn(4) > 0 {
+				data[i] = 0
+				data[i-1] &= 7
+			}
+		}
+		checkSweepOrder(t, data, uint8(r.Intn(64)))
+	}
+}
+
+// FuzzSweepOrder checks the radix sort against the comparison order on
+// decoded entries, including negative and large coordinates.
+func FuzzSweepOrder(f *testing.F) {
+	f.Add([]byte{1, 0, 5, 0, 3, 0, 1, 0, 5, 0, 2, 0, 0, 0, 5, 0, 3, 0}, uint8(0))
+	f.Add([]byte{255, 255, 0, 128, 255, 127, 0, 0, 255, 127, 1, 0, 255, 255, 0, 128, 0, 0}, uint8(48))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 0, 1, 2, 3, 4, 6, 0, 1, 2, 3, 4, 5, 9, 1, 2, 3, 4, 5}, uint8(17))
+	f.Fuzz(checkSweepOrder)
 }

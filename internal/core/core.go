@@ -161,10 +161,9 @@ type Options struct {
 	Profit assign.ProfitFn
 	// Workers bounds the concurrency of the whole optimization pipeline:
 	// panel subproblems run on a shared pool, and spare capacity flows
-	// into the per-track interval generation, the per-track conflict
-	// sweeps, and the per-conflict-set LR subgradient updates of each
-	// panel. 0 selects runtime.GOMAXPROCS(0); 1 forces the fully
-	// sequential path. The determinism contract of internal/parallel
+	// into the per-track interval generation and the per-track conflict
+	// sweeps of each panel. 0 selects runtime.GOMAXPROCS(0); 1 forces the
+	// fully sequential path. The determinism contract of internal/parallel
 	// guarantees byte-identical results — metrics, selected intervals,
 	// and routes — for every value (only wall-clock fields such as
 	// Metrics.CPUSeconds and PinOptReport.Elapsed vary).
@@ -400,6 +399,9 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 	if err := opts.Router.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if err := opts.LR.Validate(); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -528,6 +530,9 @@ func OptimizePinAccess(d *design.Design, opts Options) (*PinOptReport, []PanelSe
 //
 //keypurity:entry design
 func OptimizePinAccessContext(ctx context.Context, d *design.Design, opts Options) (*PinOptReport, []PanelSeed, error) {
+	if err := opts.LR.Validate(); err != nil {
+		return nil, nil, fmt.Errorf("core: %w", err)
+	}
 	report, seeds, _, _, err := optimizePanels(ctx, d, opts, nil)
 	return report, seeds, err
 }
@@ -552,9 +557,9 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 	}
 
 	// Panels are the outer shard; when there are fewer panels than
-	// workers, the leftover budget flows into each panel's per-track and
-	// per-conflict-set stages, capped so total concurrency never exceeds
-	// the worker budget.
+	// workers, the leftover budget flows into each panel's per-track
+	// stages, capped so total concurrency never exceeds the worker
+	// budget.
 	outer, inner := panelWorkerSplit(opts.workers(), len(panels))
 
 	reg := telemetry.RegistryFrom(ctx)

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"cpr/internal/design"
+	"cpr/internal/lagrange"
 	"cpr/internal/router"
 	"cpr/internal/synth"
 	"cpr/internal/telemetry"
@@ -167,6 +169,29 @@ func TestRunRejectsInvalidRouterConfig(t *testing.T) {
 	// not positive prices history alone.
 	if _, err := Run(d, Options{Router: router.Config{PresentCostBase: -1, PresentCostGrowth: -2}, Workers: 1}); err != nil {
 		t.Errorf("negative present-cost settings: %v", err)
+	}
+}
+
+// TestRunRejectsInvalidLRAlpha: a negative step exponent makes the LR
+// steps grow until they are infinite, and the multipliers, penalties and
+// gains then turn NaN; NaN or infinite exponents do the same at once.
+// Run and OptimizePinAccess refuse them, and the default, fractional and
+// unit exponents still run.
+func TestRunRejectsInvalidLRAlpha(t *testing.T) {
+	d := miniCircuit(t)
+	for _, alpha := range []float64{math.NaN(), -1, -1000, math.Inf(1), math.Inf(-1)} {
+		opts := Options{LR: lagrange.Config{Alpha: alpha}, Workers: 1}
+		if _, err := Run(d, opts); err == nil || !strings.Contains(err.Error(), "Alpha") {
+			t.Errorf("Run with Alpha %v: err = %v, want an Alpha error", alpha, err)
+		}
+		if _, _, err := OptimizePinAccess(d, opts); err == nil {
+			t.Errorf("OptimizePinAccess with Alpha %v: want error", alpha)
+		}
+	}
+	for _, alpha := range []float64{0, 0.5, 1} {
+		if _, err := Run(d, Options{LR: lagrange.Config{Alpha: alpha}, Workers: 1}); err != nil {
+			t.Errorf("Run with Alpha %v: %v", alpha, err)
+		}
 	}
 }
 

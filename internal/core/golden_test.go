@@ -4,10 +4,13 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
+	"hash"
 	"testing"
 
 	"cpr/internal/design"
 	"cpr/internal/designio"
+	"cpr/internal/grid"
+	"cpr/internal/pipeline"
 	"cpr/internal/router"
 	"cpr/internal/synth"
 	"cpr/internal/tech"
@@ -119,4 +122,67 @@ func TestRoutedBytesGolden(t *testing.T) {
 			}
 		}
 	}
+}
+
+// goldenRouteKeyHashes pins, across commits, the bytes of the route-side
+// content keys: every region's RouteKeyFor and every net's NetSignature
+// on each golden design and rule engine, and the RouterFingerprint of a
+// default and a non-default router configuration. These keys address
+// route blocks on disk and at peers, so a rewrite of their encoders must
+// keep every byte; the same-binary suites cannot tell.
+var goldenRouteKeyHashes = map[string]string{
+	"golden-a/sadp":       "e23e4b5eb4c48d2f49484360046ceccfab96364ced548e20733acc4f13ae4101",
+	"golden-a/lele":       "c6da11dde861ed8807a552034c8935da516a350090d7618d1c4e4d42b86f779c",
+	"golden-a/tpl":        "bfe9d03ae031d85b4a26992be53b9dde520fff3500550d78ba12e49e8cec16f2",
+	"golden-b/sadp":       "326511b29e154cd21374afb3ce0179a6e6e82c95e641ae779e2a14a551ecf3e9",
+	"golden-b/lele":       "ba9db7d217eacf4f6088b229a84adb3db7005006f9f1d6b4458bc132d97bb5f8",
+	"golden-b/tpl":        "217a74bdcf6bddba31ba83abd86c7185eb6a31ab669571be5c06b89c75bf119f",
+	"router-fingerprints": "eab77c3e688be6927fb87066dd3b741938880aae0938aab3741ce34cb2b62a60",
+}
+
+// TestRouteKeysGolden pins the route keys, net signatures and router
+// fingerprints across commits. The keys are taken on the seeded router
+// before any routing, as routeIncremental takes them.
+func TestRouteKeysGolden(t *testing.T) {
+	check := func(t *testing.T, name string, h hash.Hash) {
+		t.Helper()
+		if got, want := hex.EncodeToString(h.Sum(nil)), goldenRouteKeyHashes[name]; got != want {
+			t.Errorf("route key bytes moved: got %s, want %s", got, want)
+		}
+	}
+	for _, spec := range goldenSpecs {
+		for _, engine := range []string{tech.EngineSADP, tech.EngineLELE, tech.EngineTPL} {
+			name := spec.Name + "/" + engine
+			t.Run(name, func(t *testing.T) {
+				d := generateWithEngine(t, spec, engine)
+				_, seeds, err := OptimizePinAccess(d, Options{Workers: 2})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r := router.New(d, grid.New(d), router.Config{Workers: 2})
+				for _, s := range seeds {
+					r.SeedAssignment(s.Set, s.Solution)
+				}
+				h := sha256.New()
+				for _, rg := range r.Partition().Regions {
+					fmt.Fprintf(h, "region %d %s\n", rg.ID, pipeline.RouteKeyFor(d, r, rg))
+				}
+				for netID := range d.Nets {
+					fmt.Fprintf(h, "net %d %s\n", netID, pipeline.NetSignature(d, r, netID))
+				}
+				check(t, name, h)
+			})
+		}
+	}
+	t.Run("router-fingerprints", func(t *testing.T) {
+		h := sha256.New()
+		for _, cfg := range []router.Config{{}, {
+			Order: router.OrderByPins, MaxNegotiationIters: 7,
+			PresentCostBase: 0.75, PresentCostGrowth: 1.25, HistoryIncrement: 0.5,
+			WindowMargin: 5, WindowGrowth: 3, MaxWindowMargin: 21, StallRounds: 2, SkipDRC: true,
+		}} {
+			fmt.Fprintln(h, pipeline.RouterFingerprint(cfg))
+		}
+		check(t, "router-fingerprints", h)
+	})
 }

@@ -211,10 +211,10 @@ func (d *Design) checkPinDisjointness() error {
 	return nil
 }
 
-// TrackIndex accelerates per-track and per-panel queries: which pins and
-// which M2 blockage spans touch each track, and which pins lie in each
-// panel. Build it once per design with BuildTrackIndex after the design is
-// complete.
+// TrackIndex accelerates per-track, per-panel and per-net queries: which
+// pins and which M2 blockage spans touch each track, which pins lie in
+// each panel, and each net's bounding box. Build it once per design with
+// BuildTrackIndex after the design is complete.
 type TrackIndex struct {
 	design *Design
 
@@ -228,6 +228,9 @@ type TrackIndex struct {
 	// blockedOnTrack[y] lists M2 blockage X spans on track y, sorted and
 	// merged so they are disjoint and non-adjacent.
 	blockedOnTrack [][]geom.Interval
+
+	// netBoxes[n] is Design.NetBBox(n).
+	netBoxes []geom.Rect
 }
 
 // BuildTrackIndex constructs the per-track index.
@@ -237,6 +240,10 @@ func (d *Design) BuildTrackIndex() *TrackIndex {
 		pinsInPanel:    make([][]int, d.NumPanels()),
 		pinsOnTrack:    make([][]int, d.Height),
 		blockedOnTrack: make([][]geom.Interval, d.Height),
+		netBoxes:       make([]geom.Rect, len(d.Nets)),
+	}
+	for n := range d.Nets {
+		idx.netBoxes[n] = d.NetBBox(n)
 	}
 	for i := range d.Pins {
 		if p := d.Pins[i].Panel(d.Tech); p >= 0 && p < len(idx.pinsInPanel) {
@@ -281,6 +288,12 @@ func (ti *TrackIndex) PinsInPanel(p int) []int {
 		return nil
 	}
 	return ti.pinsInPanel[p]
+}
+
+// NetBBox returns the bounding box of net netID's pin shapes, the same
+// box as Design.NetBBox, computed once when the index is built.
+func (ti *TrackIndex) NetBBox(netID int) geom.Rect {
+	return ti.netBoxes[netID]
 }
 
 // PinsOnTrack returns the pin IDs overlapping track y, sorted by X0.

@@ -40,6 +40,12 @@ func TestNetBBoxAndHPWL(t *testing.T) {
 	if box != (geom.Rect{X0: 2, Y0: 2, X1: 21, Y1: 2}) {
 		t.Errorf("NetBBox = %v", box)
 	}
+	idx := d.BuildTrackIndex()
+	for n := range d.Nets {
+		if got, want := idx.NetBBox(n), d.NetBBox(n); got != want {
+			t.Errorf("TrackIndex.NetBBox(%d) = %v, want %v", n, got, want)
+		}
+	}
 	if got := d.HPWL(0); got != 19 {
 		t.Errorf("HPWL(net a) = %d, want 19", got)
 	}

@@ -30,6 +30,16 @@ func handModel(t *testing.T, ivs []pinaccess.Interval) *assign.Model {
 	return assign.Build(set, assign.SqrtProfit)
 }
 
+// selectOnly flips selected to want through sub, interval by interval,
+// so the conflict-set counts penalize reads describe it.
+func selectOnly(sub *subproblem, selected, want []bool) {
+	for i, on := range want {
+		if selected[i] != on {
+			sub.flip(int32(i), on, selected)
+		}
+	}
+}
+
 func TestMaxGainsPicksHighestGain(t *testing.T) {
 	// One pin, two intervals: the longer must win at zero penalties.
 	m := handModel(t, []pinaccess.Interval{
@@ -90,8 +100,9 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 	penalties := make([]float64, 2)
 	gains := append([]float64(nil), m.Profits...)
 	sub := newSubproblem(m, Config{}.withDefaults())
-	selected := []bool{true, true}
-	vio := penalize(m, sub, selected, gains, lambda, penalties, 1, Config{}.withDefaults())
+	selected := make([]bool, 2)
+	selectOnly(sub, selected, []bool{true, true})
+	vio := penalize(m, sub, gains, lambda, penalties, 1, Config{}.withDefaults())
 	if vio != 1 {
 		t.Errorf("vio = %d, want 1", vio)
 	}
@@ -108,7 +119,7 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 		}
 	}
 	// Second iteration: step shrinks by k^alpha.
-	vio = penalize(m, sub, selected, gains, lambda, penalties, 2, Config{}.withDefaults())
+	vio = penalize(m, sub, gains, lambda, penalties, 2, Config{}.withDefaults())
 	if vio != 1 {
 		t.Errorf("vio = %d, want 1", vio)
 	}
@@ -127,8 +138,9 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	penalties := []float64{5, 5}
 	gains := []float64{m.Profits[0] - 5, m.Profits[1] - 5}
 	sub := newSubproblem(m, Config{}.withDefaults())
-	selected := []bool{true, false} // satisfied
-	if vio := penalize(m, sub, selected, gains, lambda, penalties, 3, Config{}.withDefaults()); vio != 0 {
+	selected := make([]bool, 2)
+	selectOnly(sub, selected, []bool{true, false}) // satisfied
+	if vio := penalize(m, sub, gains, lambda, penalties, 3, Config{}.withDefaults()); vio != 0 {
 		t.Errorf("vio = %d, want 0", vio)
 	}
 	if lambda[0] != 5 {
@@ -136,9 +148,9 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	}
 	// Full subgradient decreases it (subgradient = count-1 = 0 here when
 	// one selected: 1-1=0 -> unchanged; deselect both for -1).
-	selected = []bool{false, false}
+	selectOnly(sub, selected, []bool{false, false})
 	cfg := Config{FullSubgradient: true}.withDefaults()
-	penalize(m, sub, selected, gains, lambda, penalties, 3, cfg)
+	penalize(m, sub, gains, lambda, penalties, 3, cfg)
 	if lambda[0] >= 5 {
 		t.Errorf("full subgradient should decrease lambda, got %g", lambda[0])
 	}

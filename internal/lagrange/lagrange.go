@@ -16,15 +16,22 @@
 // iterations is kept; any residual conflicts are removed by greedily
 // shrinking intervals to their minimum intervals, which is guaranteed to
 // terminate because the all-minimum solution is conflict free (Theorem 1).
+//
+// The solver keeps, per conflict set, the number of selected members and
+// a bitset of the sets holding more than one, updated on every selection
+// flip. The multiplier update therefore visits only the violated sets,
+// and the post-improvement pass tests a candidate in time proportional
+// to its own memberships (DESIGN.md §4b).
 package lagrange
 
 import (
+	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
 	"cpr/internal/assign"
-	"cpr/internal/parallel"
 )
 
 // Config tunes the LR solver. Zero values take the paper's defaults.
@@ -51,12 +58,10 @@ type Config struct {
 	// solution): each pin greedily upgrades to a more profitable
 	// conflict-free interval. Disable to measure the bare algorithm.
 	SkipPostImprove bool
-	// Workers bounds the goroutines used inside each subgradient
-	// iteration: the multiplier update is sharded per conflict set, with
-	// penalty deltas folded back in conflict-set index order so every
-	// floating point accumulation happens in the sequential order. <= 1
-	// runs fully sequentially; the result is byte-identical for every
-	// value.
+	// Workers has no effect: the multiplier update visits only the
+	// violated conflict sets and runs on the solving goroutine.
+	//
+	// Deprecated: the solver is sequential; leave Workers zero.
 	//
 	//keypurity:exempt execution parallelism; the internal/parallel determinism contract makes results byte-identical for every worker count
 	Workers int
@@ -101,6 +106,18 @@ type IterationStat struct {
 	DualValue float64 `json:"dual"`
 }
 
+// Validate reports a configuration the solver cannot run: an Alpha that
+// is NaN, infinite or negative. A negative exponent is no subgradient
+// step schedule, since its steps t_k = L_m / k^alpha grow with k; once
+// k^alpha underflows to zero the step is infinite and the multipliers,
+// penalties and gains turn NaN. Zero keeps meaning the default 0.95.
+func (c Config) Validate() error {
+	if math.IsNaN(c.Alpha) || math.IsInf(c.Alpha, 0) || c.Alpha < 0 {
+		return fmt.Errorf("lagrange: Config.Alpha must be finite and non-negative, got %v", c.Alpha)
+	}
+	return nil
+}
+
 func (c Config) withDefaults() Config {
 	if c.MaxIterations == 0 {
 		c.MaxIterations = 200
@@ -136,23 +153,13 @@ func Solve(m *assign.Model, cfg Config) Result {
 	// Penalties accumulate per interval as the sum of its conflict sets'
 	// multipliers. Gains start at the profits; penalize keeps each
 	// interval's gain at its profit minus its penalty and marks the pin
-	// groups whose gains moved, so maxGains re-solves only those.
+	// groups whose gains moved, so maxGains re-solves only those. The
+	// subproblem keeps the per-set selection counts penalize reads.
 	penalties := make([]float64, n)
 	lambda := make([]float64, len(m.Conflicts.Sets))
 	sub := newSubproblem(m, cfg)
 	gains := append([]float64(nil), m.Profits...)
 	selected := make([]bool, n)
-
-	// Per-iteration parallelism (cfg.Workers > 1): the per-conflict-set
-	// multiplier updates are independent subproblems; scratch slots carry
-	// their results into an ordered merge.
-	setWorkers := iterationWorkers(cfg, len(lambda))
-	var setDeltas []float64
-	var setCounts []int
-	if setWorkers > 1 {
-		setDeltas = make([]float64, len(lambda))
-		setCounts = make([]int, len(lambda))
-	}
 
 	var best []bool
 	minVio := math.MaxInt
@@ -178,12 +185,7 @@ func Solve(m *assign.Model, cfg Config) Result {
 				}
 			}
 		}
-		var vio int
-		if setWorkers > 1 {
-			vio = penalizeParallel(m, sub, selected, gains, lambda, penalties, k, cfg, setWorkers, setDeltas, setCounts)
-		} else {
-			vio = penalize(m, sub, selected, gains, lambda, penalties, k, cfg)
-		}
+		vio := penalize(m, sub, gains, lambda, penalties, k, cfg)
 		if vio < minVio {
 			minVio = vio
 			best = append(best[:0], selected...)
@@ -229,16 +231,32 @@ func Solve(m *assign.Model, cfg Config) Result {
 // pin's current interval must serve no other pin, and the candidate must
 // cover exactly this pin and sit in conflict sets with no other selected
 // member. Returns the number of upgrades.
+//
+// Every conflict set's selected members are counted once, and the counts
+// follow each move, so a candidate is tested in time proportional to its
+// own memberships (see onlyCur).
 func postImprove(m *assign.Model, sol *assign.Solution) int {
-	selected := make([]bool, m.NumIntervals())
-	users := make(map[int]int) // interval -> #pins assigned to it
+	n := m.NumIntervals()
+	memberOf := m.Conflicts.MemberOf
+	selected := make([]bool, n)
+	users := make([]int32, n) // interval -> #pins assigned to it
 	for _, iv := range sol.ByPin {
 		selected[iv] = true
 		users[iv]++
 	}
+	counts := make([]int32, len(m.Conflicts.Sets))
+	for i, sel := range selected {
+		if sel {
+			for _, si := range memberOf[i] {
+				counts[si]++
+			}
+		}
+	}
 	improved := 0
 	for pass := 0; pass < 10; pass++ {
 		changed := false
+		// Set.PinIDs may repeat a pin, so its interval is read on every
+		// visit.
 		for _, pid := range m.Set.PinIDs {
 			cur := sol.ByPin[pid]
 			if users[cur] != 1 {
@@ -255,27 +273,19 @@ func postImprove(m *assign.Model, sol *assign.Solution) int {
 				if m.Profits[cand] <= bestProfit {
 					continue
 				}
-				free := true
-				for _, si := range m.Conflicts.MemberOf[cand] {
-					for _, other := range m.Conflicts.Sets[si].IDs {
-						if other != cur && other != cand && selected[other] {
-							free = false
-							break
-						}
-					}
-					if !free {
-						break
-					}
-				}
-				if free {
+				if onlyCur(counts, memberOf[cand], memberOf[cur]) {
 					best, bestProfit = cand, m.Profits[cand]
 				}
 			}
 			if best >= 0 {
-				selected[cur] = false
-				users[cur] = 0
-				selected[best] = true
-				users[best] = 1
+				selected[cur], users[cur] = false, 0
+				for _, si := range memberOf[cur] {
+					counts[si]--
+				}
+				selected[best], users[best] = true, 1
+				for _, si := range memberOf[best] {
+					counts[si]++
+				}
 				sol.ByPin[pid] = best
 				improved++
 				changed = true
@@ -286,6 +296,25 @@ func postImprove(m *assign.Model, sol *assign.Solution) int {
 		}
 	}
 	return improved
+}
+
+// onlyCur reports whether no conflict set of an unselected candidate
+// (candSets) has a selected member other than the selected interval cur,
+// whose sets curSets are ascending: each count is 0, or 1 and the set
+// holds cur. This equals scanning every member of every set.
+func onlyCur(counts []int32, candSets, curSets []int) bool {
+	for _, si := range candSets {
+		switch counts[si] {
+		case 0:
+		case 1:
+			if _, ok := slices.BinarySearch(curSets, si); !ok {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // subproblem is Algorithm 1's greedy LR subproblem, indexed once per
@@ -304,9 +333,10 @@ type subproblem struct {
 	// dense indices, numbered in order of first appearance.
 	ivPinStart []int32
 	ivPins     []int32
-	// groupIvs[groupStart[g]:groupStart[g+1]] are group g's intervals,
-	// ascending by ID. Intervals covering no pin belong to no group and
-	// are never selected.
+	// groupIvs[groupStart[g]:groupStart[g+1]] are group g's intervals:
+	// ascending by ID for a one-pin group, and in the order the last
+	// maxGains call sorted them into for a larger one. Intervals covering
+	// no pin belong to no group and are never selected.
 	groupStart []int32
 	groupIvs   []int32
 	// single[g] reports that every interval of group g covers exactly
@@ -319,11 +349,18 @@ type subproblem struct {
 	// call.
 	dirty []bool
 	// Scratch reused by every call: a pin is assigned in the current call
-	// when its stamp equals gen; order holds a multi-pin group's
-	// intervals while they are sorted.
+	// when its stamp equals gen.
 	stamp []uint32
 	gen   uint32
-	order []int32
+
+	// The conflict sets' selection state, kept equal to a recount from
+	// the selected slice on every flip: setCount[si] is the number of
+	// selected members of set si, bit si of over is set when that count
+	// is at least 2, and violated is the number of bits set.
+	memberOf [][]int
+	setCount []int32
+	over     []uint64
+	violated int
 }
 
 // newSubproblem joins the model's pins into groups with a union-find
@@ -404,6 +441,10 @@ func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 	}
 	s.stamp = make([]uint32, len(dense))
 	s.ivGroup = ivGroup
+	nsets := len(m.Conflicts.Sets)
+	s.memberOf = m.Conflicts.MemberOf
+	s.setCount = make([]int32, nsets)
+	s.over = make([]uint64, (nsets+63)/64)
 	// The first call solves every group.
 	s.dirty = make([]bool, len(counts))
 	for g := range s.dirty {
@@ -417,6 +458,27 @@ func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 func (s *subproblem) mark(i int) {
 	if g := s.ivGroup[i]; g >= 0 {
 		s.dirty[g] = true
+	}
+}
+
+// flip selects or deselects interval i and updates the counts of its
+// conflict sets.
+func (s *subproblem) flip(i int32, on bool, selected []bool) {
+	selected[i] = on
+	if on {
+		for _, si := range s.memberOf[i] {
+			if s.setCount[si]++; s.setCount[si] == 2 {
+				s.over[si>>6] |= 1 << (si & 63)
+				s.violated++
+			}
+		}
+		return
+	}
+	for _, si := range s.memberOf[i] {
+		if s.setCount[si]--; s.setCount[si] == 1 {
+			s.over[si>>6] &^= 1 << (si & 63)
+			s.violated--
+		}
 	}
 }
 
@@ -452,9 +514,11 @@ func (s *subproblem) compare(gains []float64, a, b int32) int {
 // A group's selection depends only on its own intervals' gains, so a call
 // re-solves only the groups marked since the previous call (every group
 // on the first) and leaves the rest of selected as that call left it.
-// The contract: selected is the slice the previous call filled (all false
-// before the first), and a caller that changes gains[i] calls mark(i)
-// before the next call. A call after the first allocates nothing.
+// Only intervals whose selection changes are flipped, which keeps the
+// conflict-set counts. The contract: selected is the slice the previous
+// call filled (all false before the first), and a caller that changes
+// gains[i] calls mark(i) before the next call. A call after the first
+// allocates nothing.
 func (s *subproblem) maxGains(gains []float64, selected []bool) {
 	s.gen++
 	if s.gen == 0 { // wrapped: no stamp may look current
@@ -467,33 +531,55 @@ func (s *subproblem) maxGains(gains []float64, selected []bool) {
 		}
 		s.dirty[g] = false
 		ivs := s.groupIvs[s.groupStart[g]:s.groupStart[g+1]]
-		for _, i := range ivs {
-			selected[i] = false
-		}
 		if s.single[g] {
 			// Ascending IDs and a strict comparison keep the lowest ID
-			// among equal gains.
-			best := ivs[0]
-			for _, i := range ivs[1:] {
+			// among equal gains. The group holds at most one selected
+			// interval, prev.
+			best, prev := ivs[0], int32(-1)
+			for _, i := range ivs {
 				if gains[i] > gains[best] {
 					best = i
 				}
+				if selected[i] {
+					prev = i
+				}
 			}
-			selected[best] = true
+			if best != prev {
+				if prev >= 0 {
+					s.flip(prev, false, selected)
+				}
+				s.flip(best, true, selected)
+			}
 			continue
 		}
-		s.order = append(s.order[:0], ivs...)
-		slices.SortFunc(s.order, func(a, b int32) int { return s.compare(gains, a, b) })
-		for _, i := range s.order {
+		s.sortGroup(gains, ivs)
+		for _, i := range ivs {
 			pins := s.pins(i)
-			if s.anyAssigned(pins) {
-				continue
+			take := !s.anyAssigned(pins)
+			if take {
+				for _, p := range pins {
+					s.stamp[p] = s.gen
+				}
 			}
-			selected[i] = true
-			for _, p := range pins {
-				s.stamp[p] = s.gen
+			if take != selected[i] {
+				s.flip(i, take, selected)
 			}
 		}
+	}
+}
+
+// sortGroup sorts a multi-pin group's intervals in place into Algorithm
+// 1's order by insertion, starting from the order the previous call left,
+// which one penalize step moves little. compare is a total order while no
+// gain is NaN (Config.Validate), so the result equals a fresh sort.
+func (s *subproblem) sortGroup(gains []float64, ivs []int32) {
+	for k := 1; k < len(ivs); k++ {
+		x := ivs[k]
+		j := k
+		for ; j > 0 && s.compare(gains, ivs[j-1], x) > 0; j-- {
+			ivs[j] = ivs[j-1]
+		}
+		ivs[j] = x
 	}
 }
 
@@ -513,27 +599,18 @@ func (s *subproblem) anyAssigned(pins []int32) bool {
 // penalties. Every interval whose penalty moves gets its gain recomputed
 // as profit minus penalty and is marked in sub. Returns the violation
 // count.
-func penalize(m *assign.Model, sub *subproblem, selected []bool, gains, lambda, penalties []float64, k int, cfg Config) int {
-	vio := 0
+//
+// Under the paper's rule only violated sets move, so the update visits
+// the set bits of sub.over in ascending set index: the sets, and the
+// order, for which a loop over every set does anything, which keeps each
+// float accumulation in that loop's order. FullSubgradient moves every
+// set.
+func penalize(m *assign.Model, sub *subproblem, gains, lambda, penalties []float64, k int, cfg Config) int {
 	kAlpha := math.Pow(float64(k), cfg.Alpha)
-	for si := range m.Conflicts.Sets {
+	step := func(si int) {
 		cs := &m.Conflicts.Sets[si]
-		count := 0
-		for _, id := range cs.IDs {
-			if selected[id] {
-				count++
-			}
-		}
-		violated := count > 1
-		if violated {
-			vio++
-		}
-		if !violated && !cfg.FullSubgradient {
-			continue
-		}
-		lm := float64(cs.Common.Len())
-		tk := lm / kAlpha
-		next := lambda[si] + tk*float64(count-1)
+		tk := float64(cs.Common.Len()) / kAlpha
+		next := lambda[si] + tk*float64(sub.setCount[si]-1)
 		if next < 0 {
 			next = 0
 		}
@@ -546,70 +623,18 @@ func penalize(m *assign.Model, sub *subproblem, selected []bool, gains, lambda, 
 			}
 		}
 	}
-	return vio
-}
-
-// iterationWorkers decides whether the per-iteration multiplier update is
-// big enough to amortize a fork-join. The cutover depends only on the
-// conflict-set count, never on timing, so the choice — and with it the
-// exact execution — is reproducible.
-func iterationWorkers(cfg Config, numSets int) int {
-	if cfg.Workers > 1 && numSets >= parallel.Threshold {
-		return cfg.Workers
+	if cfg.FullSubgradient {
+		for si := range m.Conflicts.Sets {
+			step(si)
+		}
+		return sub.violated
 	}
-	return 1
-}
-
-// penalizeParallel is penalize with the per-conflict-set subproblems run
-// concurrently. Each set owns its lambda slot and writes its penalty delta
-// and selection count to scratch; the deltas are then folded into the
-// shared per-interval penalties, gains and marks serially in set index
-// order — the same floating point accumulation order as the sequential
-// path, so the multiplier trajectory is byte-identical for every worker
-// count.
-func penalizeParallel(m *assign.Model, sub *subproblem, selected []bool, gains, lambda, penalties []float64, k int, cfg Config, workers int, deltas []float64, counts []int) int {
-	kAlpha := math.Pow(float64(k), cfg.Alpha)
-	sets := m.Conflicts.Sets
-	parallel.ForEachChunk(workers, len(sets), func(lo, hi int) {
-		for si := lo; si < hi; si++ {
-			cs := &sets[si]
-			count := 0
-			for _, id := range cs.IDs {
-				if selected[id] {
-					count++
-				}
-			}
-			counts[si] = count
-			deltas[si] = 0
-			if count <= 1 && !cfg.FullSubgradient {
-				continue
-			}
-			lm := float64(cs.Common.Len())
-			tk := lm / kAlpha
-			next := lambda[si] + tk*float64(count-1)
-			if next < 0 {
-				next = 0
-			}
-			if delta := next - lambda[si]; delta != 0 {
-				lambda[si] = next
-				deltas[si] = delta
-			}
-		}
-	})
-	vio := 0
-	for si := range sets {
-		if counts[si] > 1 {
-			vio++
-		}
-		if delta := deltas[si]; delta != 0 {
-			for _, id := range sets[si].IDs {
-				penalties[id] += delta
-				gains[id] = m.Profits[id] - penalties[id]
-				sub.mark(id)
-			}
+	for w, word := range sub.over {
+		for ; word != 0; word &= word - 1 {
+			step(w<<6 | bits.TrailingZeros64(word))
 		}
 	}
-	return vio
+	return sub.violated
 }
 
 // refine performs the greedy conflict removal of Algorithm 2 line 11:

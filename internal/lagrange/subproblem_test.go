@@ -1,8 +1,8 @@
 package lagrange
 
 import (
+	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -155,18 +155,58 @@ func FuzzMaxGains(f *testing.F) {
 	f.Fuzz(checkGreedyCase)
 }
 
+// refPenalize is the multiplier update that recounts every conflict
+// set's selected members and visits every set, which the count-based
+// penalize replaced, kept as its reference without the gains and marks.
+func refPenalize(m *assign.Model, selected []bool, lambda, penalties []float64, k int, cfg Config) int {
+	vio := 0
+	kAlpha := math.Pow(float64(k), cfg.Alpha)
+	for si := range m.Conflicts.Sets {
+		cs := &m.Conflicts.Sets[si]
+		count := 0
+		for _, id := range cs.IDs {
+			if selected[id] {
+				count++
+			}
+		}
+		violated := count > 1
+		if violated {
+			vio++
+		}
+		if !violated && !cfg.FullSubgradient {
+			continue
+		}
+		lm := float64(cs.Common.Len())
+		tk := lm / kAlpha
+		next := lambda[si] + tk*float64(count-1)
+		if next < 0 {
+			next = 0
+		}
+		if delta := next - lambda[si]; delta != 0 {
+			lambda[si] = next
+			for _, id := range cs.IDs {
+				penalties[id] += delta
+			}
+		}
+	}
+	return vio
+}
+
 // lrTrajectory replays Solve's subgradient loop, with gains and group
-// marks kept by penalize as in Solve, and runs the reference greedy from
+// marks kept by penalize as in Solve, and runs the references from
 // scratch beside it on every iteration: gains refreshed for every
-// interval, every interval sorted. It fails on the first gain or
-// selection that differs and returns the iteration count.
+// interval from the reference penalties, every interval sorted, every
+// set recounted. After every maxGains it also compares the subproblem's
+// set counts, bitset and violation total with a recount. It fails on the
+// first gain, selection, count, multiplier or penalty that differs, bit
+// for bit, and returns the iteration count.
 func lrTrajectory(t *testing.T, m *assign.Model, cfg Config) int {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	n := m.NumIntervals()
 	sub := newSubproblem(m, cfg)
-	penalties := make([]float64, n)
-	lambda := make([]float64, len(m.Conflicts.Sets))
+	penalties, refPenalties := make([]float64, n), make([]float64, n)
+	lambda, refLambda := make([]float64, len(m.Conflicts.Sets)), make([]float64, len(m.Conflicts.Sets))
 	gains := slices.Clone(m.Profits)
 	refGains := make([]float64, n)
 	got, want, order := make([]bool, n), make([]bool, n), make([]int, n)
@@ -174,7 +214,7 @@ func lrTrajectory(t *testing.T, m *assign.Model, cfg Config) int {
 	for k := 1; k <= cfg.MaxIterations; k++ {
 		iters = k
 		for i := range refGains {
-			refGains[i] = m.Profits[i] - penalties[i]
+			refGains[i] = m.Profits[i] - refPenalties[i]
 		}
 		if !slices.Equal(gains, refGains) {
 			t.Fatalf("iteration %d: gains differ from a full refresh", k)
@@ -184,11 +224,46 @@ func lrTrajectory(t *testing.T, m *assign.Model, cfg Config) int {
 		if !slices.Equal(got, want) {
 			t.Fatalf("iteration %d: selection differs from the reference greedy", k)
 		}
-		if penalize(m, sub, got, gains, lambda, penalties, k, cfg) == 0 {
+		checkSetCounts(t, m, sub, got)
+		vio := penalize(m, sub, gains, lambda, penalties, k, cfg)
+		if refVio := refPenalize(m, want, refLambda, refPenalties, k, cfg); vio != refVio {
+			t.Fatalf("iteration %d: %d violations, reference %d", k, vio, refVio)
+		}
+		if !slices.Equal(lambda, refLambda) || !slices.Equal(penalties, refPenalties) {
+			t.Fatalf("iteration %d: multipliers or penalties differ from the reference update", k)
+		}
+		if vio == 0 {
 			break
 		}
 	}
 	return iters
+}
+
+// checkSetCounts recounts every conflict set's selected members and
+// compares the subproblem's counts, its bitset of sets with two or more,
+// and its violation total.
+func checkSetCounts(t *testing.T, m *assign.Model, sub *subproblem, selected []bool) {
+	t.Helper()
+	over := make([]uint64, len(sub.over))
+	violated := 0
+	for si := range m.Conflicts.Sets {
+		var count int32
+		for _, id := range m.Conflicts.Sets[si].IDs {
+			if selected[id] {
+				count++
+			}
+		}
+		if sub.setCount[si] != count {
+			t.Fatalf("set %d: count %d, recount %d", si, sub.setCount[si], count)
+		}
+		if count >= 2 {
+			over[si/64] |= 1 << (si % 64)
+			violated++
+		}
+	}
+	if !slices.Equal(sub.over, over) || sub.violated != violated {
+		t.Fatalf("violated sets: bitset %x total %d, recount %x total %d", sub.over, sub.violated, over, violated)
+	}
 }
 
 // TestMaxGainsMatchesReferenceOnPanels compares the selection of every LR
@@ -267,30 +342,4 @@ func table2Models(t *testing.T, name string) []*assign.Model {
 		models = append(models, assign.BuildWorkers(set, assign.SqrtProfit, 2))
 	}
 	return models
-}
-
-// TestSolveWorkersMatchSequential runs Solve at one and four workers on
-// the ecc panels large enough for the parallel multiplier update, whose
-// serial fold keeps the gains and group marks, and requires identical
-// results.
-func TestSolveWorkersMatchSequential(t *testing.T) {
-	cfgs := []Config{{}, {DisableSameNetTieBreak: true}, {FullSubgradient: true}}
-	parallelPanels := 0
-	for p, m := range table2Models(t, "ecc") {
-		if iterationWorkers(Config{Workers: 4}, len(m.Conflicts.Sets)) == 1 {
-			continue
-		}
-		parallelPanels++
-		for _, cfg := range cfgs {
-			seq := Solve(m, cfg)
-			cfg.Workers = 4
-			if par := Solve(m, cfg); !reflect.DeepEqual(par, seq) {
-				t.Fatalf("panel %d %+v: Workers 4 result differs from Workers 1:\n%+v\n%+v", p, cfg, par, seq)
-			}
-		}
-	}
-	if parallelPanels == 0 {
-		t.Fatal("no ecc panel has enough conflict sets for the parallel update")
-	}
-	t.Logf("%d panels compared", parallelPanels)
 }

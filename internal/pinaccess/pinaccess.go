@@ -21,22 +21,24 @@
 // Generation is track-sharded: candidate enumeration — the O(m*n) cut-line
 // work plus covered-pin scans — is independent per routing track and runs
 // on Options.Workers goroutines. Each track's shard keeps its candidates
-// and their covered pins in flat buffers, and a candidate tests only the
-// same-net pins on its track, listed once per (pin, track). Interval IDs
-// are assigned by a serial merge that replays the candidates in canonical
-// (pin, track) order, one cursor per track, deduplicating on (net, track,
-// span): a candidate covers exactly the same-net pins inside its span, so
-// a duplicate can only contribute its minimum-interval mark. The produced
-// Set is therefore byte-identical for every worker count, including the
-// fully sequential Workers <= 1 path. Interval.PinIDs and the ByPin lists
-// are capacity-clipped windows of two set-wide arenas, so a caller's
-// append copies instead of overwriting a neighbouring list.
+// and their covered pins in flat buffers, pooled across calls, and a
+// candidate tests only the same-net pins on its track, listed once per
+// (pin, track). Interval IDs are assigned by a serial merge that replays
+// the candidates in canonical (pin, track) order, one cursor per track,
+// deduplicating on (net, track, span): a candidate covers exactly the
+// same-net pins inside its span, so a duplicate can only contribute its
+// minimum-interval mark. The produced Set is therefore byte-identical for
+// every worker count, including the fully sequential Workers <= 1 path.
+// Interval.PinIDs and the ByPin lists are capacity-clipped windows of two
+// set-wide arenas, so a caller's append copies instead of overwriting a
+// neighbouring list.
 package pinaccess
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"cpr/internal/design"
 	"cpr/internal/geom"
@@ -149,6 +151,11 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	// read-only design and track index, and every job writes to its own
 	// shard.
 	shards, first := trackShards(d, s.PinIDs)
+	defer func() {
+		for i := range shards {
+			shardPool.Put(shards[i].shardBufs)
+		}
+	}()
 	parallel.ForEach(opts.Workers, len(shards), func(ti int) {
 		shards[ti].enumerate(d, idx, opts)
 	})
@@ -281,19 +288,30 @@ type candidate struct {
 }
 
 // trackShard is one track's enumeration job. Its candidates and their
-// covered pins live in flat buffers owned by the shard: the candidates
-// of pins[i] are cands[start[i]:start[i+1]].
+// covered pins live in flat buffers the shard borrows from shardPool for
+// one generation: the candidates of pins[i] are
+// cands[start[i]:start[i+1]].
 type trackShard struct {
-	track   int
+	track int
+	*shardBufs
+	// cursor is the merge's next index into pins.
+	cursor int
+}
+
+// shardBufs are a track shard's flat buffers.
+type shardBufs struct {
 	pins    []int // requested pins overlapping the track, ascending
 	start   []int32
 	cands   []candidate
 	covered []int // covered-pin arena
 	// Scratch reused across the shard's pins.
 	lefts, rights, same []int
-	// cursor is the merge's next index into pins.
-	cursor int
 }
+
+// shardPool recycles shard buffers across generations. A generation
+// returns its shards' buffers once the merge has copied the covered pins
+// into the set's own arena, so nothing it returns aliases them.
+var shardPool = sync.Pool{New: func() any { return new(shardBufs) }}
 
 // trackShards groups the requested pins by the tracks their shapes overlap:
 // one shard per track from the lowest to the highest one overlapped,
@@ -311,6 +329,8 @@ func trackShards(d *design.Design, sortedPinIDs []int) (shards []trackShard, fir
 	shards = make([]trackShard, last-first+1)
 	for i := range shards {
 		shards[i].track = first + i
+		shards[i].shardBufs = shardPool.Get().(*shardBufs)
+		shards[i].pins = shards[i].pins[:0]
 	}
 	prev := -1
 	for _, pid := range sortedPinIDs {
@@ -329,7 +349,8 @@ func trackShards(d *design.Design, sortedPinIDs []int) (shards []trackShard, fir
 // enumerate lists the candidates of every pin of the shard. It only reads
 // the design and index, so shards are safe to enumerate concurrently.
 func (sh *trackShard) enumerate(d *design.Design, idx *design.TrackIndex, opts Options) {
-	sh.start = make([]int32, 1, len(sh.pins)+1)
+	sh.start = append(sh.start[:0], 0)
+	sh.cands, sh.covered = sh.cands[:0], sh.covered[:0]
 	for _, pid := range sh.pins {
 		sh.enumeratePin(d, idx, pid, opts)
 		sh.start = append(sh.start, int32(len(sh.cands)))
@@ -349,7 +370,7 @@ func (sh *trackShard) enumeratePin(d *design.Design, idx *design.TrackIndex, pid
 		// cover the pin here.
 		return
 	}
-	bbox := d.NetBBox(pin.NetID).XSpan()
+	bbox := idx.NetBBox(pin.NetID).XSpan()
 	if opts.MaxSpanRadius > 0 {
 		c := pin.Shape.CenterX()
 		window := geom.Interval{Lo: c - opts.MaxSpanRadius, Hi: c + opts.MaxSpanRadius}

@@ -1,10 +1,13 @@
 package pinaccess
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"cpr/internal/design"
 	"cpr/internal/geom"
+	"cpr/internal/synth"
 	"cpr/internal/tech"
 )
 
@@ -346,6 +349,64 @@ func TestArenaWindowsAreClipped(t *testing.T) {
 			t.Errorf("pin %d: ByPin list has len %d, cap %d", pid, len(ivs), cap(ivs))
 		}
 	}
+}
+
+// TestSetOutlivesPooledBuffers generates a set, then a second one that
+// reuses the pooled shard buffers, and requires the first set unchanged:
+// nothing a generation returns may alias those buffers.
+func TestSetOutlivesPooledBuffers(t *testing.T) {
+	d, a1 := figure3aDesign(t)
+	idx := d.BuildTrackIndex()
+	first, err := Generate(d, idx, []int{a1, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("%+v", *first)
+	for i := 0; i < 3; i++ {
+		if _, err := Generate(d, idx, []int{3, 4}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := fmt.Sprintf("%+v", *first); got != want {
+		t.Errorf("a later generation changed an earlier set:\n got  %s\n want %s", got, want)
+	}
+}
+
+// TestConcurrentGenerationsShareThePool generates every panel of a
+// design from several goroutines at once, as concurrent panel solves do,
+// and requires each set to equal its sequential generation.
+func TestConcurrentGenerationsShareThePool(t *testing.T) {
+	d, err := synth.Generate(synth.Spec{Name: "pool", Nets: 120, Width: 120, Height: 40, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx := d.BuildTrackIndex()
+	want := make([]string, d.NumPanels())
+	for p := range want {
+		set, err := Generate(d, idx, idx.PinsInPanel(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[p] = fmt.Sprintf("%+v", *set)
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for p := range want {
+				set, err := Generate(d, idx, idx.PinsInPanel(p))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := fmt.Sprintf("%+v", *set); got != want[p] {
+					t.Errorf("panel %d: concurrent generation differs from the sequential one", p)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestDuplicateSpanMergesMinimumMark covers the one merge a dedup hit can

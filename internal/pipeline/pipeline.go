@@ -265,7 +265,7 @@ func WritePanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, pan
 	}
 	slices.Sort(nets)
 	for _, id := range slices.Compact(nets) {
-		box := d.NetBBox(id)
+		box := idx.NetBBox(id)
 		b = append(b, "netbbox"...)
 		b = appendInts(b, id, box.X0, box.Y0, box.X1, box.Y1)
 		b = append(b, '\n')

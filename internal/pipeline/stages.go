@@ -156,7 +156,7 @@ func ConflictStage(s *IntervalSet, cfg SolverConfig, workers int) *ConflictModel
 // primal profit, dual value) is recorded onto it, so an ablation-style
 // convergence plot can be regenerated from any trace. The recording is
 // read-only: solver results are byte-identical with tracing on or off.
-func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, workers int) (*Assignment, error) {
+func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig) (*Assignment, error) {
 	model := m.Model
 	sp := telemetry.SpanFrom(ctx)
 	if cfg.UseILP {
@@ -174,9 +174,6 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig, worker
 		sp.SetAttr("ilp_fallback", err.Error())
 	}
 	lrCfg := cfg.LR
-	if lrCfg.Workers == 0 {
-		lrCfg.Workers = workers
-	}
 	if lrCfg.Stop == nil && ctx.Done() != nil {
 		lrCfg.Stop = func() bool { return ctx.Err() != nil }
 	}
@@ -251,7 +248,7 @@ func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, p
 
 	assignCtx, assignSpan := telemetry.StartSpan(ctx, "assign")
 	assignStart := time.Now() //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
-	sol, err := AssignStage(assignCtx, model, cfg, workers)
+	sol, err := AssignStage(assignCtx, model, cfg)
 	assignSpan.End()
 	if err != nil {
 		return nil, err

@@ -417,6 +417,9 @@ func buildOptions(wo *httpapi.Options, defaultEngine string) (core.Options, erro
 	opts.Workers = wo.Workers
 	opts.LR.MaxIterations = wo.LRMaxIterations
 	opts.LR.Alpha = wo.LRAlpha
+	if err := opts.LR.Validate(); err != nil {
+		return opts, err
+	}
 	opts.ILP.TimeLimit = time.Duration(wo.ILPTimeLimitMS) * time.Millisecond
 	opts.ILP.MaxNodes = wo.ILPMaxNodes
 	opts.Router.MaxNegotiationIters = wo.MaxNegotiationIters

@@ -275,6 +275,12 @@ func TestBadRequests(t *testing.T) {
 	if !errors.As(err, &se) || se.Code != http.StatusBadRequest {
 		t.Fatalf("bad mode: err = %v, want 400", err)
 	}
+	// A negative LR step exponent turns the multipliers NaN; it is refused
+	// with its reason before the job is queued.
+	_, err = c.Submit(ctx, client.SubmitRequest{Spec: &smallSpec, Options: &client.Options{LRAlpha: -1000}})
+	if !errors.As(err, &se) || se.Code != http.StatusBadRequest || !strings.Contains(err.Error(), "Alpha") {
+		t.Fatalf("lr_alpha -1000: err = %v, want 400 naming Alpha", err)
+	}
 	_, err = c.Job(ctx, "j999999")
 	if !errors.As(err, &se) || se.Code != http.StatusNotFound {
 		t.Fatalf("unknown job: err = %v, want 404", err)

@@ -11,11 +11,10 @@
 //	cprd -blockstore-dir /var/lib/cprd -peers http://node-a:8080,http://node-b:8080
 //
 // Endpoints: POST /v1/jobs, GET /v1/jobs/{id}, GET /v1/jobs/{id}/trace,
-// GET/HEAD /v1/blocks/{key}, GET /v1/healthz, GET /v1/stats,
-// GET /metrics (Prometheus text),
-// GET /debug/vars. With -debug-addr a second listener serves
-// net/http/pprof profiles on a private address. On SIGTERM/SIGINT the
-// daemon stops accepting jobs, drains in-flight work (bounded by
+// GET/HEAD /v1/blocks/{key}, GET /v1/healthz, GET /v1/stats and
+// GET /metrics (Prometheus text). With -debug-addr a second listener
+// serves net/http/pprof profiles on a private address. On SIGTERM/SIGINT
+// the daemon stops accepting jobs, drains in-flight work (bounded by
 // -drain-timeout, with running jobs canceled at the deadline), and exits
 // cleanly.
 package main

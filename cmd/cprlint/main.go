@@ -1,16 +1,15 @@
 // Command cprlint is the repo's determinism & robustness linter: a
 // multichecker driving the internal/analysis suite (maporder,
-// nondeterm, floatreduce, ctxpass, mutexcopy, errdrop, plus the
-// interprocedural lockheld, keypurity, goroleak, and deferclose) over
-// package patterns, with //cprlint:<analyzer> <reason> suppression
-// comments enforced to carry reasons.
+// nondeterm, floatreduce, ctxpass, errdrop, plus the interprocedural
+// lockheld, keypurity, goroleak, and deferclose) over package patterns,
+// with //cprlint:<analyzer> <reason> suppression comments enforced to
+// carry reasons. Lock copies are left to go vet's copylocks check.
 //
 // The v2 analyzers are summary-based: the engine walks the
 // `go list -deps` graph, summarizes in-module dependency packages
-// bottom-up (funcsum facts: blocking, clock reads, option-field reads,
-// ...), and checks targets with every dependency's summary in scope. A
-// facts cache (-facts-dir) persists those summaries keyed by content
-// hash, so narrow re-lints skip re-summarizing unchanged dependencies.
+// bottom-up in memory (funcsum facts: blocking, clock reads,
+// option-field reads, ...), and checks targets with every dependency's
+// summary in scope.
 //
 // Usage:
 //
@@ -20,7 +19,6 @@
 //	-list             print the analyzers and exit
 //	-enable  a,b,...  run only the named analyzers
 //	-disable a,b,...  skip the named analyzers
-//	-facts-dir DIR    persist/reuse per-package fact summaries in DIR
 //
 // Exit status: 0 when clean, 1 on findings, 2 on usage or load errors.
 // The CI lint job runs `cprlint ./...` and additionally asserts that
@@ -60,7 +58,6 @@ func main() {
 	list := flag.Bool("list", false, "list analyzers and exit")
 	enable := flag.String("enable", "", "comma-separated analyzers to run (default: all)")
 	disable := flag.String("disable", "", "comma-separated analyzers to skip")
-	factsDir := flag.String("facts-dir", "", "directory for the persistent fact-summary cache")
 	flag.Parse()
 
 	if *list {
@@ -85,7 +82,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "cprlint:", err)
 		os.Exit(2)
 	}
-	findings, timings, err := Lint(wd, patterns, analyzers, *factsDir)
+	findings, timings, err := Lint(wd, patterns, analyzers)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cprlint:", err)
 		os.Exit(2)
@@ -170,10 +167,9 @@ func selectAnalyzers(enable, disable string) ([]*analysis.Analyzer, error) {
 // timings. Suppression comments are applied (and validated: a
 // //cprlint: comment with a bad name or no reason is itself a finding,
 // under the "cprlint" analyzer name).
-func Lint(moduleDir string, patterns []string, analyzers []*analysis.Analyzer, factsDir string) ([]finding, []engine.Timing, error) {
+func Lint(moduleDir string, patterns []string, analyzers []*analysis.Analyzer) ([]finding, []engine.Timing, error) {
 	e := engine.New(engine.Options{
 		ModuleDir: moduleDir,
-		FactsDir:  factsDir,
 		Analyzers: analyzers,
 		Known:     all.Known(),
 	})

@@ -30,14 +30,22 @@ func TestLintFindsSortsAndRelativizes(t *testing.T) {
 	dir := writeModule(t, map[string]string{
 		"a/a.go": `package a
 
-import "sync"
+import (
+	"sync"
+	"time"
+)
 
 type Guarded struct {
 	mu sync.Mutex
 	n  int
 }
 
-func Copy(g Guarded) int { return g.n }
+func (g *Guarded) Slow() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	time.Sleep(time.Millisecond)
+	return g.n
+}
 
 func Sum(m map[string]float64) float64 {
 	var s float64
@@ -48,7 +56,7 @@ func Sum(m map[string]float64) float64 {
 }
 `,
 	})
-	findings, _, err := Lint(dir, []string{"./..."}, all.Analyzers(), "")
+	findings, _, err := Lint(dir, []string{"./..."}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("Lint: %v", err)
 	}
@@ -62,9 +70,9 @@ func Sum(m map[string]float64) float64 {
 			t.Errorf("file not module-relative: %q", f.File)
 		}
 	}
-	// Sorted by position: the mutexcopy param (line 10) precedes the
-	// maporder float accumulation (line 14).
-	if names[0] != "mutexcopy" || names[1] != "maporder" {
+	// Sorted by position: the lockheld sleep under the mutex (line 16)
+	// precedes the maporder float accumulation (line 22).
+	if names[0] != "lockheld" || names[1] != "maporder" {
 		t.Errorf("findings out of order: %v", names)
 	}
 	if findings[0].Line >= findings[1].Line {
@@ -95,7 +103,7 @@ func SumB(m map[string]float64) float64 {
 }
 `,
 	})
-	findings, _, err := Lint(dir, []string{"./..."}, all.Analyzers(), "")
+	findings, _, err := Lint(dir, []string{"./..."}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("Lint: %v", err)
 	}
@@ -124,7 +132,7 @@ func TestLintCleanModule(t *testing.T) {
 func Add(a, b int) int { return a + b }
 `,
 	})
-	findings, _, err := Lint(dir, []string{"./..."}, all.Analyzers(), "")
+	findings, _, err := Lint(dir, []string{"./..."}, all.Analyzers())
 	if err != nil {
 		t.Fatalf("Lint: %v", err)
 	}
@@ -158,13 +166,13 @@ func TestSelectAnalyzers(t *testing.T) {
 		t.Errorf("-enable selection wrong: %v", got)
 	}
 
-	without, err := selectAnalyzers("", "mutexcopy")
+	without, err := selectAnalyzers("", "lockheld")
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, n := range names(without) {
-		if n == "mutexcopy" {
-			t.Error("-disable did not drop mutexcopy")
+		if n == "lockheld" {
+			t.Error("-disable did not drop lockheld")
 		}
 	}
 	if len(without) != len(all.Analyzers())-1 {

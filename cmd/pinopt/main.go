@@ -42,7 +42,6 @@ func main() {
 		ruleEngine = cliutil.RuleEngine()
 		loadPath   = flag.String("load", "", "load the design from a cpr-design file (per-panel optimization)")
 		baseline   = cliutil.Baseline()
-		rerunMode  = cliutil.RerunMode()
 		tracePath  = cliutil.Trace()
 		traceFmt   = cliutil.TraceFormat()
 	)
@@ -50,12 +49,6 @@ func main() {
 
 	ctx, flushTrace, err := cliutil.StartTrace(context.Background(), *tracePath, *traceFmt)
 	if err != nil {
-		fatal(err)
-	}
-	// Pin optimization has no routing stage, so both rerun modes behave
-	// identically here; the flag is validated for script compatibility
-	// with cmd/cpr.
-	if _, err := core.ParseRerunMode(*rerunMode); err != nil {
 		fatal(err)
 	}
 	lrCfg := lagrange.Config{MaxIterations: *ub, Alpha: *alpha}

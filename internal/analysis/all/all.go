@@ -13,7 +13,6 @@ import (
 	"cpr/internal/analysis/keypurity"
 	"cpr/internal/analysis/lockheld"
 	"cpr/internal/analysis/maporder"
-	"cpr/internal/analysis/mutexcopy"
 	"cpr/internal/analysis/nondeterm"
 )
 
@@ -30,7 +29,6 @@ func Analyzers() []*analysis.Analyzer {
 		keypurity.Analyzer,
 		lockheld.Analyzer,
 		maporder.Analyzer,
-		mutexcopy.Analyzer,
 		nondeterm.Analyzer,
 	}
 }

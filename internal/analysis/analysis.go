@@ -34,8 +34,7 @@ type Analyzer struct {
 	// FactTypes declares the fact types this analyzer exports, as nil
 	// pointer prototypes (e.g. (*Summary)(nil)). An analyzer with a
 	// non-empty FactTypes is a fact producer: the engine runs it over
-	// dependency packages, not just analysis targets, and persists its
-	// output in the facts cache.
+	// dependency packages, not just analysis targets.
 	FactTypes []Fact
 	// Run executes the check on one package.
 	Run func(*Pass) error
@@ -55,9 +54,7 @@ type Pass struct {
 	// TypesInfo holds the type-checker's results for Files.
 	TypesInfo *types.Info
 
-	// Facts is the run-wide fact store. Drivers that execute analyzers
-	// with Requires/FactTypes install it; it may be nil under the legacy
-	// single-package drivers, in which case the fact methods are no-ops.
+	// Facts is the run-wide fact store; never nil.
 	Facts *FactStore
 
 	// Report delivers one finding. Drivers install it.
@@ -68,9 +65,6 @@ type Pass struct {
 // obj must belong to the package being analyzed (facts flow from
 // dependencies to dependents, never sideways).
 func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
-	if p.Facts == nil {
-		return
-	}
 	if obj != nil && obj.Pkg() != nil && obj.Pkg() != p.Pkg {
 		panic(fmt.Sprintf("analysis: %s exported a fact for %s, which is outside package %s",
 			p.Analyzer.Name, obj.Name(), p.Pkg.Path()))
@@ -81,9 +75,6 @@ func (p *Pass) ExportObjectFact(obj types.Object, f Fact) {
 // ExportPackageFact records a package-level fact for the package being
 // analyzed.
 func (p *Pass) ExportPackageFact(f Fact) {
-	if p.Facts == nil {
-		return
-	}
 	p.Facts.ExportPackage(p.Analyzer.Name, p.Pkg.Path(), f)
 }
 
@@ -93,17 +84,17 @@ func (p *Pass) ExportPackageFact(f Fact) {
 // what keeps analyzers isolated: facts of an analyzer you did not
 // declare are invisible even when another run left them in the store.
 func (p *Pass) ImportObjectFact(from *Analyzer, obj types.Object, ptr Fact) bool {
-	if p.Facts == nil || !p.mayImport(from) {
+	if !p.mayImport(from) {
 		return false
 	}
 	return p.Facts.Import(from.Name, obj, ptr)
 }
 
 // ImportObjectFactByName is ImportObjectFact addressed by package path
-// and ObjectKey, for objects whose defining package was summarized from
-// the facts cache and has no live types.Object in this process.
+// and ObjectKey, for objects another fact names without a live
+// types.Object.
 func (p *Pass) ImportObjectFactByName(from *Analyzer, pkgPath, objKey string, ptr Fact) bool {
-	if p.Facts == nil || !p.mayImport(from) {
+	if !p.mayImport(from) {
 		return false
 	}
 	return p.Facts.ImportByName(from.Name, pkgPath, objKey, ptr)
@@ -112,7 +103,7 @@ func (p *Pass) ImportObjectFactByName(from *Analyzer, pkgPath, objKey string, pt
 // ImportPackageFact copies the package-level fact exported for pkgPath
 // by `from` into ptr.
 func (p *Pass) ImportPackageFact(from *Analyzer, pkgPath string, ptr Fact) bool {
-	if p.Facts == nil || !p.mayImport(from) {
+	if !p.mayImport(from) {
 		return false
 	}
 	return p.Facts.ImportPackage(from.Name, pkgPath, ptr)

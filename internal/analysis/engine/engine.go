@@ -1,22 +1,16 @@
 // Package engine drives summary-based interprocedural analysis over a
 // module: it walks the `go list -deps` graph, summarizes in-module
-// dependency packages (running only fact-producing analyzers on them,
-// reloading unchanged summaries from a facts cache), then runs the full
-// analyzer set on the target packages with every dependency's facts
-// already in the store. Dependencies are processed before dependents,
-// so a function's summary — "blocks on I/O", "reads the wall clock",
-// "reads Options field X" — is always complete by the time its callers
-// are checked.
+// dependency packages in memory (running only fact-producing analyzers
+// on them), then runs the full analyzer set on the target packages with
+// every dependency's facts already in the store. Dependencies are
+// processed before dependents, so a function's summary — "blocks on
+// I/O", "reads the wall clock", "reads Options field X" — is always
+// complete by the time its callers are checked.
 package engine
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"go/token"
-	"os"
-	"path/filepath"
 	"sort"
 	"time"
 
@@ -24,20 +18,10 @@ import (
 	"cpr/internal/analysis/loader"
 )
 
-// factsFormat versions the on-disk facts cache; bump it whenever the
-// encoding or the meaning of summaries changes so stale caches miss
-// instead of corrupting a run.
-const factsFormat = "cprlint-facts-v1"
-
 // Options configures one engine run.
 type Options struct {
 	// ModuleDir is the module root (where go list runs).
 	ModuleDir string
-	// FactsDir, when non-empty, persists per-package fact encodings
-	// keyed by a content hash of the package and its in-module
-	// dependencies. Unchanged dependency packages reload their
-	// summaries instead of being re-type-checked.
-	FactsDir string
 	// Analyzers are the diagnostic-producing analyzers to run on target
 	// packages. Their Requires closure is scheduled automatically.
 	Analyzers []*analysis.Analyzer
@@ -67,33 +51,20 @@ type Engine struct {
 	loader  *loader.Loader
 	store   *analysis.FactStore
 	closure []*analysis.Analyzer // Requires-closed, topo order
-	protos  map[string][]analysis.Fact
-	hashes  map[string]string // pkg path -> content hash
 	timings map[string]*Timing
 }
 
 // New creates an engine. The loader and fact store live for the
 // engine's lifetime, so successive Run calls share type-checking work.
 func New(opts Options) *Engine {
-	e := &Engine{
+	return &Engine{
 		opts:    opts,
 		loader:  loader.New(opts.ModuleDir),
 		store:   analysis.NewFactStore(),
 		closure: analysis.Closure(opts.Analyzers),
-		protos:  make(map[string][]analysis.Fact),
-		hashes:  make(map[string]string),
 		timings: make(map[string]*Timing),
 	}
-	for _, a := range e.closure {
-		if len(a.FactTypes) > 0 {
-			e.protos[a.Name] = a.FactTypes
-		}
-	}
-	return e
 }
-
-// Store exposes the fact store (tests inspect it).
-func (e *Engine) Store() *analysis.FactStore { return e.store }
 
 // Run analyzes every package matching the patterns and returns the
 // surviving findings sorted by position, plus per-analyzer timings.
@@ -119,7 +90,7 @@ func (e *Engine) Run(patterns ...string) ([]Finding, []Timing, error) {
 	producers := analysis.Producers(e.closure)
 	var findings []Finding
 	for _, path := range order {
-		fs, err := e.runPackage(path, targets[path], modPath, producers)
+		fs, err := e.runPackage(path, targets[path], producers)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -202,20 +173,13 @@ func (e *Engine) topoOrder(roots []*loader.Meta, modPath string) ([]string, erro
 }
 
 // runPackage summarizes (and, for targets, fully analyzes) one package.
-func (e *Engine) runPackage(path string, isTarget bool, modPath string, producers []*analysis.Analyzer) ([]Finding, error) {
-	hash, err := e.packageHash(path, modPath, producers)
-	if err != nil {
-		return nil, err
-	}
-	e.hashes[path] = hash
-
+func (e *Engine) runPackage(path string, isTarget bool, producers []*analysis.Analyzer) ([]Finding, error) {
+	toRun := e.closure
 	if !isTarget {
 		if len(producers) == 0 {
 			return nil, nil // nothing to learn from dependencies
 		}
-		if e.loadCachedFacts(path, hash, producers) {
-			return nil, nil
-		}
+		toRun = producers
 	}
 
 	pkg, err := e.loader.LoadPath(path)
@@ -223,10 +187,6 @@ func (e *Engine) runPackage(path string, isTarget bool, modPath string, producer
 		return nil, err
 	}
 
-	toRun := producers
-	if isTarget {
-		toRun = e.closure
-	}
 	selected := make(map[*analysis.Analyzer]bool, len(e.opts.Analyzers))
 	for _, a := range e.opts.Analyzers {
 		selected[a] = true
@@ -237,24 +197,12 @@ func (e *Engine) runPackage(path string, isTarget bool, modPath string, producer
 		if len(a.FactTypes) > 0 && e.store.Analyzed(a.Name, path) {
 			continue
 		}
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      e.loader.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			Facts:     e.store,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
 		start := time.Now()
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("engine: %s on %s: %w", a.Name, path, err)
+		diags, err := runPass(e.loader.Fset, e.store, pkg, a)
+		if err != nil {
+			return nil, err
 		}
 		e.addTiming(a.Name, time.Since(start))
-		if len(a.FactTypes) > 0 {
-			e.store.MarkAnalyzed(a.Name, path)
-		}
 		if !isTarget || !selected[a] {
 			continue
 		}
@@ -276,123 +224,30 @@ func (e *Engine) runPackage(path string, isTarget bool, modPath string, producer
 			})
 		}
 	}
-
-	if e.opts.FactsDir != "" && len(producers) > 0 {
-		if err := e.writeCachedFacts(path, hash); err != nil {
-			return nil, err
-		}
-	}
 	return findings, nil
 }
 
-// packageHash fingerprints a package for the facts cache: its file
-// contents, the hashes of its in-module imports (so a change anywhere
-// below invalidates everything above), the import paths of external
-// deps, and the producing analyzer set.
-func (e *Engine) packageHash(path, modPath string, producers []*analysis.Analyzer) (string, error) {
-	m, err := e.loader.Describe(path)
-	if err != nil {
-		return "", err
+// runPass runs analyzer a on pkg and returns its raw diagnostics. A fact
+// producer's package is then marked analyzed in store, so neither Run
+// nor RunOverlay summarizes it twice.
+func runPass(fset *token.FileSet, store *analysis.FactStore, pkg *loader.Package, a *analysis.Analyzer) ([]analysis.Diagnostic, error) {
+	var diags []analysis.Diagnostic
+	pass := &analysis.Pass{
+		Analyzer:  a,
+		Fset:      fset,
+		Files:     pkg.Files,
+		Pkg:       pkg.Types,
+		TypesInfo: pkg.TypesInfo,
+		Facts:     store,
+		Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
 	}
-	h := sha256.New()
-	fmt.Fprintf(h, "%s\n%s\n", factsFormat, path)
-	for _, a := range producers {
-		fmt.Fprintf(h, "producer %s\n", a.Name)
+	if err := a.Run(pass); err != nil {
+		return nil, fmt.Errorf("engine: %s on %s: %w", a.Name, pkg.PkgPath, err)
 	}
-	files := append([]string(nil), m.GoFiles...)
-	sort.Strings(files)
-	for _, name := range files {
-		data, err := os.ReadFile(filepath.Join(m.Dir, name))
-		if err != nil {
-			return "", fmt.Errorf("engine: hashing %s: %w", path, err)
-		}
-		fmt.Fprintf(h, "file %s %d\n", name, len(data))
-		h.Write(data)
+	if len(a.FactTypes) > 0 {
+		store.MarkAnalyzed(a.Name, pkg.PkgPath)
 	}
-	imports := append([]string(nil), m.Imports...)
-	sort.Strings(imports)
-	for _, imp := range imports {
-		if mapped, ok := m.ImportMap[imp]; ok {
-			imp = mapped
-		}
-		if dep, ok := e.hashes[imp]; ok {
-			fmt.Fprintf(h, "dep %s %s\n", imp, dep)
-		} else {
-			fmt.Fprintf(h, "ext %s\n", imp)
-		}
-	}
-	return hex.EncodeToString(h.Sum(nil)), nil
-}
-
-// cacheEntry is the on-disk facts file for one package.
-type cacheEntry struct {
-	Format string          `json:"format"`
-	Pkg    string          `json:"pkg"`
-	Hash   string          `json:"hash"`
-	Facts  json.RawMessage `json:"facts"`
-}
-
-func (e *Engine) cachePath(pkgPath string) string {
-	sum := sha256.Sum256([]byte(pkgPath))
-	return filepath.Join(e.opts.FactsDir, hex.EncodeToString(sum[:8])+".facts.json")
-}
-
-// loadCachedFacts reloads a dependency's summaries when its cache entry
-// matches the current content hash. A miss (absent, unreadable, stale,
-// or wrong format) just means the package is re-summarized from source.
-func (e *Engine) loadCachedFacts(path, hash string, producers []*analysis.Analyzer) bool {
-	if e.opts.FactsDir == "" {
-		return false
-	}
-	cached := true
-	for _, a := range producers {
-		if !e.store.Analyzed(a.Name, path) {
-			cached = false
-			break
-		}
-	}
-	if cached {
-		return true // already summarized live this run
-	}
-	data, err := os.ReadFile(e.cachePath(path))
-	if err != nil {
-		return false
-	}
-	var entry cacheEntry
-	if err := json.Unmarshal(data, &entry); err != nil {
-		return false
-	}
-	if entry.Format != factsFormat || entry.Pkg != path || entry.Hash != hash {
-		return false
-	}
-	if err := e.store.DecodePackage(path, entry.Facts, e.protos); err != nil {
-		return false
-	}
-	for _, a := range producers {
-		e.store.MarkAnalyzed(a.Name, path)
-	}
-	return true
-}
-
-// writeCachedFacts persists one package's facts under its content hash.
-func (e *Engine) writeCachedFacts(path, hash string) error {
-	facts, err := e.store.EncodePackage(path)
-	if err != nil {
-		return err
-	}
-	entry := cacheEntry{Format: factsFormat, Pkg: path, Hash: hash, Facts: facts}
-	data, err := json.Marshal(entry)
-	if err != nil {
-		return err
-	}
-	if err := os.MkdirAll(e.opts.FactsDir, 0o755); err != nil {
-		return fmt.Errorf("engine: facts dir: %w", err)
-	}
-	tmp := e.cachePath(path) + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("engine: writing facts: %w", err)
-	}
-	return os.Rename(tmp, e.cachePath(path))
+	return diags, nil
 }
 
 func (e *Engine) addTiming(name string, d time.Duration) {
@@ -434,19 +289,10 @@ func RunOverlay(l *loader.Loader, store *analysis.FactStore, root *loader.Packag
 			if store.Analyzed(a.Name, tp.PkgPath) {
 				continue
 			}
-			pass := &analysis.Pass{
-				Analyzer:  a,
-				Fset:      l.Fset,
-				Files:     tp.Files,
-				Pkg:       tp.Types,
-				TypesInfo: tp.TypesInfo,
-				Facts:     store,
-				Report:    func(analysis.Diagnostic) {}, // producer diags on stubs are not under test
+			// Producer diagnostics on stubs are not under test.
+			if _, err := runPass(l.Fset, store, tp, a); err != nil {
+				return err
 			}
-			if err := a.Run(pass); err != nil {
-				return fmt.Errorf("engine: %s on overlay %s: %w", a.Name, tp.PkgPath, err)
-			}
-			store.MarkAnalyzed(a.Name, tp.PkgPath)
 		}
 		return nil
 	}
@@ -459,22 +305,11 @@ func RunOverlay(l *loader.Loader, store *analysis.FactStore, root *loader.Packag
 	// deterministic and idempotent, and diagnostics must not be lost.
 	out := make(map[string][]analysis.Diagnostic)
 	for _, a := range closure {
-		name := a.Name
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      l.Fset,
-			Files:     root.Files,
-			Pkg:       root.Types,
-			TypesInfo: root.TypesInfo,
-			Facts:     store,
-			Report:    func(d analysis.Diagnostic) { out[name] = append(out[name], d) },
+		diags, err := runPass(l.Fset, store, root, a)
+		if err != nil {
+			return nil, err
 		}
-		if err := a.Run(pass); err != nil {
-			return nil, fmt.Errorf("engine: %s on %s: %w", a.Name, root.PkgPath, err)
-		}
-		if len(a.FactTypes) > 0 {
-			store.MarkAnalyzed(a.Name, root.PkgPath)
-		}
+		out[a.Name] = diags
 	}
 	return out, nil
 }

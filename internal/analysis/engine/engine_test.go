@@ -1,7 +1,6 @@
 package engine_test
 
 import (
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -65,13 +64,11 @@ func (s *S) Do() int {
 }
 
 // runFresh analyzes ./svc with a brand-new engine (no shared loader or
-// in-memory fact store), so anything remembered between calls must have
-// come through factsDir.
-func runFresh(t *testing.T, dir, factsDir string) []engine.Finding {
+// fact store), so every finding comes from the module's current source.
+func runFresh(t *testing.T, dir string) []engine.Finding {
 	t.Helper()
 	e := engine.New(engine.Options{
 		ModuleDir: dir,
-		FactsDir:  factsDir,
 		Analyzers: []*analysis.Analyzer{lockheld.Analyzer},
 	})
 	findings, _, err := e.Run("./svc")
@@ -81,79 +78,32 @@ func runFresh(t *testing.T, dir, factsDir string) []engine.Finding {
 	return findings
 }
 
-// utilCacheFile locates the facts-cache entry persisted for tmpmod/util.
-func utilCacheFile(t *testing.T, factsDir string) string {
-	t.Helper()
-	entries, err := os.ReadDir(factsDir)
-	if err != nil {
-		t.Fatalf("reading facts dir: %v", err)
-	}
-	for _, ent := range entries {
-		path := filepath.Join(factsDir, ent.Name())
-		data, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var cached struct {
-			Pkg string `json:"pkg"`
-		}
-		if json.Unmarshal(data, &cached) == nil && cached.Pkg == "tmpmod/util" {
-			return path
-		}
-	}
-	t.Fatal("no facts-cache entry for tmpmod/util")
-	return ""
-}
-
-// TestFactsDirRoundTrip proves dependency summaries really are reloaded
-// from the facts cache: after a first run persists util's facts, the
-// cache entry is doctored to drop the blocking summary, and a fresh
-// engine — which would rediscover the blocking call if it re-analyzed
-// util from source — believes the doctored fact and reports nothing.
-func TestFactsDirRoundTrip(t *testing.T) {
+// TestCrossPackageFacts proves the engine summarizes a dependency that
+// is not an analysis target and carries its facts to the dependent: the
+// only finding in ./svc needs util's funcsum summary.
+func TestCrossPackageFacts(t *testing.T) {
 	dir := crossPackageModule(t)
-	factsDir := t.TempDir()
-
-	if got := runFresh(t, dir, factsDir); len(got) != 1 ||
+	if got := runFresh(t, dir); len(got) != 1 ||
 		!strings.Contains(got[0].Message, "tmpmod/util.Slow") {
-		t.Fatalf("first run: got %+v, want one lockheld finding via tmpmod/util.Slow", got)
-	}
-
-	path := utilCacheFile(t, factsDir)
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	doctored := strings.ReplaceAll(string(data), `\"blocking\"`, `\"_gone_\"`)
-	if doctored == string(data) {
-		doctored = strings.ReplaceAll(string(data), `"blocking"`, `"_gone_"`)
-	}
-	if doctored == string(data) {
-		t.Fatalf("cache entry for util carries no blocking summary:\n%s", data)
-	}
-	if err := os.WriteFile(path, []byte(doctored), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	if got := runFresh(t, dir, factsDir); len(got) != 0 {
-		t.Fatalf("second run re-analyzed util from source instead of trusting the cache: %+v", got)
+		t.Fatalf("got %+v, want one lockheld finding via tmpmod/util.Slow", got)
 	}
 }
 
-// TestStaleFactsInvalidated proves the content hash guards the cache:
-// editing the dependency re-summarizes it from source even though a
-// (now stale) cache entry exists.
+// TestStaleFactsInvalidated proves no dependency summary outlives its
+// source: rewriting util so Slow no longer blocks removes the finding,
+// and restoring it brings the finding back.
 func TestStaleFactsInvalidated(t *testing.T) {
 	dir := crossPackageModule(t)
-	factsDir := t.TempDir()
+	utilPath := filepath.Join(dir, "util", "util.go")
+	blocking, err := os.ReadFile(utilPath)
+	if err != nil {
+		t.Fatal(err)
+	}
 
-	if got := runFresh(t, dir, factsDir); len(got) != 1 {
+	if got := runFresh(t, dir); len(got) != 1 {
 		t.Fatalf("first run: got %+v, want one finding", got)
 	}
 
-	// Rewrite util so Slow no longer blocks. A run that reused the old
-	// cached summary would still report the finding.
-	utilPath := filepath.Join(dir, "util", "util.go")
 	if err := os.WriteFile(utilPath, []byte(`package util
 
 // Slow no longer blocks.
@@ -161,24 +111,15 @@ func Slow() {}
 `), 0o644); err != nil {
 		t.Fatal(err)
 	}
-
-	if got := runFresh(t, dir, factsDir); len(got) != 0 {
-		t.Fatalf("stale cached summary survived a source change: %+v", got)
+	if got := runFresh(t, dir); len(got) != 0 {
+		t.Fatalf("after util stopped blocking: got %+v, want no findings", got)
 	}
 
-	// And flipping it back restores the finding: the cache now holds the
-	// edited version's summary, which the restored content must not reuse.
-	if err := os.WriteFile(utilPath, []byte(`package util
-
-import "time"
-
-// Slow blocks for a moment.
-func Slow() { time.Sleep(time.Millisecond) }
-`), 0o644); err != nil {
+	if err := os.WriteFile(utilPath, blocking, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if got := runFresh(t, dir, factsDir); len(got) != 1 {
-		t.Fatalf("third run: got %+v, want the finding back", got)
+	if got := runFresh(t, dir); len(got) != 1 {
+		t.Fatalf("after util was restored: got %+v, want the finding back", got)
 	}
 }
 

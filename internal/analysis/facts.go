@@ -1,33 +1,29 @@
 package analysis
 
 import (
-	"encoding/json"
-	"fmt"
 	"go/types"
 	"reflect"
-	"sort"
-	"strings"
 )
 
-// Fact is a serializable piece of analysis knowledge attached to a
-// types.Object (usually a function or a type) or to a whole package,
-// exported by one analyzer while checking the defining package and
-// imported by analyzers checking packages downstream of it. Facts are
-// how summaries ("this function blocks on I/O", "this struct is an
-// options struct") cross package boundaries: the engine analyzes
-// dependencies first, so by the time a caller is checked, every callee's
-// facts are present.
+// Fact is a piece of analysis knowledge attached to a types.Object
+// (usually a function or a type) or to a whole package, exported by one
+// analyzer while checking the defining package and imported by
+// analyzers checking packages downstream of it. Facts are how summaries
+// ("this function blocks on I/O", "this struct is an options struct")
+// cross package boundaries: the engine analyzes dependencies first, so
+// by the time a caller is checked, every callee's facts are present.
 //
-// Implementations must be pointers to JSON-marshalable structs; the
-// AFact marker method keeps arbitrary values out of the store.
+// Implementations must be pointers to structs (the store copies a fact
+// by assigning its pointee); the AFact marker method keeps arbitrary
+// values out of the store.
 type Fact interface{ AFact() }
 
 // ObjectKey renders a stable, package-relative name for a fact-bearing
 // object: "Name" for package-level functions, variables, and types, and
 // "Recv.Name" for methods (pointer receivers are stripped, so a method
 // set shares its value/pointer spelling). Together with the package path
-// it identifies the object across processes, which is what lets facts be
-// persisted to disk and reloaded without live type identity.
+// it identifies the object without live type identity, which is what
+// lets a fact be imported by a name recorded in another package's fact.
 func ObjectKey(obj types.Object) string {
 	fn, ok := obj.(*types.Func)
 	if !ok {
@@ -60,8 +56,8 @@ type factKey struct {
 }
 
 // FactStore holds every fact of one engine run, keyed by analyzer and
-// stable object name so entries survive serialization. It is not safe
-// for concurrent use (the engine is single-threaded, like the loader).
+// stable object name. It is not safe for concurrent use (the engine is
+// single-threaded, like the loader).
 type FactStore struct {
 	facts    map[factKey]Fact
 	analyzed map[string]map[string]bool // analyzer -> pkg path -> done
@@ -102,9 +98,8 @@ func (s *FactStore) Import(analyzer string, obj types.Object, ptr Fact) bool {
 }
 
 // ImportByName is Import addressed by (package path, ObjectKey) instead
-// of a live types.Object — the form encoder/entry registries use when
-// the defining package was summarized from the facts cache and has no
-// loaded syntax or type identity in this process.
+// of a live types.Object — the form encoder/entry registries use, since
+// they record objects by name in facts of other packages.
 func (s *FactStore) ImportByName(analyzer, pkgPath, objKey string, ptr Fact) bool {
 	f, ok := s.facts[factKey{analyzer, pkgPath, objKey}]
 	if !ok {
@@ -133,9 +128,8 @@ func copyFact(dst, src Fact) bool {
 	return true
 }
 
-// MarkAnalyzed records that analyzer has produced its facts for pkgPath
-// (whether by running or by a facts-cache reload), so the engine never
-// summarizes a package twice.
+// MarkAnalyzed records that analyzer has produced its facts for pkgPath,
+// so the engine never summarizes a package twice.
 func (s *FactStore) MarkAnalyzed(analyzer, pkgPath string) {
 	m, ok := s.analyzed[analyzer]
 	if !ok {
@@ -148,83 +142,4 @@ func (s *FactStore) MarkAnalyzed(analyzer, pkgPath string) {
 // Analyzed reports whether analyzer's facts for pkgPath are present.
 func (s *FactStore) Analyzed(analyzer, pkgPath string) bool {
 	return s.analyzed[analyzer][pkgPath]
-}
-
-// encodedFact is the serialized form of one fact.
-type encodedFact struct {
-	Analyzer string          `json:"analyzer"`
-	Object   string          `json:"object"` // "" = package fact
-	Type     string          `json:"type"`   // concrete Fact type name
-	Data     json.RawMessage `json:"data"`
-}
-
-// EncodePackage serializes every fact recorded for pkgPath, sorted by
-// (analyzer, object) so equal stores produce byte-identical encodings.
-func (s *FactStore) EncodePackage(pkgPath string) ([]byte, error) {
-	var out []encodedFact
-	for k, f := range s.facts {
-		if k.pkg != pkgPath {
-			continue
-		}
-		data, err := json.Marshal(f)
-		if err != nil {
-			return nil, fmt.Errorf("analysis: encoding %s fact for %s.%s: %w", k.analyzer, k.pkg, k.object, err)
-		}
-		out = append(out, encodedFact{
-			Analyzer: k.analyzer,
-			Object:   k.object,
-			Type:     factTypeName(f),
-			Data:     data,
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Analyzer != out[j].Analyzer {
-			return out[i].Analyzer < out[j].Analyzer
-		}
-		return out[i].Object < out[j].Object
-	})
-	return json.Marshal(out)
-}
-
-// DecodePackage loads facts for pkgPath from an EncodePackage blob.
-// prototypes maps analyzer name to its FactTypes; facts of analyzers
-// absent from the map (disabled this run, or renamed since the cache
-// was written) are skipped, so a stale cache can never leak facts into
-// an analyzer that did not declare them.
-func (s *FactStore) DecodePackage(pkgPath string, data []byte, prototypes map[string][]Fact) error {
-	var in []encodedFact
-	if err := json.Unmarshal(data, &in); err != nil {
-		return fmt.Errorf("analysis: decoding facts for %s: %w", pkgPath, err)
-	}
-	for _, ef := range in {
-		proto := findPrototype(prototypes[ef.Analyzer], ef.Type)
-		if proto == nil {
-			continue
-		}
-		v := reflect.New(reflect.TypeOf(proto).Elem())
-		if err := json.Unmarshal(ef.Data, v.Interface()); err != nil {
-			return fmt.Errorf("analysis: decoding %s fact %s.%s: %w", ef.Analyzer, pkgPath, ef.Object, err)
-		}
-		s.facts[factKey{ef.Analyzer, pkgPath, ef.Object}] = v.Interface().(Fact)
-	}
-	return nil
-}
-
-// findPrototype selects the registered fact prototype matching a
-// serialized type name.
-func findPrototype(protos []Fact, typeName string) Fact {
-	for _, p := range protos {
-		if factTypeName(p) == typeName {
-			return p
-		}
-	}
-	return nil
-}
-
-func factTypeName(f Fact) string {
-	t := reflect.TypeOf(f)
-	for t.Kind() == reflect.Pointer {
-		t = t.Elem()
-	}
-	return strings.TrimPrefix(t.String(), "*")
 }

@@ -170,13 +170,6 @@ type Options struct {
 	//
 	//keypurity:exempt pipeline parallelism; the internal/parallel determinism contract makes results byte-identical for every worker count
 	Workers int
-	// Parallelism is the number of panels optimized concurrently.
-	//
-	// Deprecated: set Workers instead. Parallelism is honoured only when
-	// Workers is zero.
-	//
-	//keypurity:exempt deprecated alias of Workers; same determinism contract
-	Parallelism int
 	// PanelCache, when non-nil, is consulted for per-panel artifacts
 	// before each panel is solved and updated with recomputed ones.
 	// Content addressing makes it invisible in results (it never affects
@@ -213,13 +206,7 @@ type Options struct {
 
 // workers resolves the effective worker count for a run.
 func (o Options) workers() int {
-	if o.Workers != 0 {
-		return parallel.Resolve(o.Workers)
-	}
-	if o.Parallelism != 0 {
-		return parallel.Resolve(o.Parallelism)
-	}
-	return parallel.Resolve(0)
+	return parallel.Resolve(o.Workers)
 }
 
 // solverConfig maps the pin-opt-affecting options onto the pipeline's

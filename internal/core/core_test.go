@@ -266,11 +266,11 @@ func TestPanelSeedsAreConflictFreeAcrossPanels(t *testing.T) {
 
 func TestParallelPinOptMatchesSequential(t *testing.T) {
 	d := miniCircuit(t)
-	seq, seqSeeds, err := OptimizePinAccess(d, Options{})
+	seq, seqSeeds, err := OptimizePinAccess(d, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, parSeeds, err := OptimizePinAccess(d, Options{Parallelism: 4})
+	par, parSeeds, err := OptimizePinAccess(d, Options{Workers: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -882,7 +882,7 @@ func (m *Manager) stageLocked(name string) *stageAgg {
 	return a
 }
 
-// Stats snapshots the manager counters for /v1/stats and /debug/vars.
+// Stats snapshots the manager counters for /v1/stats.
 func (m *Manager) Stats() Stats {
 	m.mu.Lock()
 	defer m.mu.Unlock()

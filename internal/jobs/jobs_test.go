@@ -362,9 +362,6 @@ func TestFingerprintNormalization(t *testing.T) {
 	if Fingerprint(core.Options{Workers: 1}) != Fingerprint(core.Options{Workers: 8}) {
 		t.Error("worker count must not change the fingerprint (results are identical)")
 	}
-	if Fingerprint(core.Options{Parallelism: 3}) != Fingerprint(core.Options{}) {
-		t.Error("deprecated Parallelism must not change the fingerprint")
-	}
 	if Fingerprint(core.Options{Mode: core.ModeCPR}) == Fingerprint(core.Options{Mode: core.ModeSequential}) {
 		t.Error("mode must change the fingerprint")
 	}

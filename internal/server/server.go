@@ -8,7 +8,6 @@
 //	GET  /v1/healthz          liveness and drain state
 //	GET  /v1/stats            queue depth, cache hit rate, per-stage latencies
 //	GET  /metrics             Prometheus text exposition of the manager's registry
-//	GET  /debug/vars          the same counters via expvar
 //
 // Identical submissions are served from cache (no optimizer run) and
 // identical in-flight submissions coalesce onto one job. A submission
@@ -20,13 +19,10 @@ package server
 import (
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"cpr/internal/blockstore"
@@ -65,14 +61,9 @@ type Server struct {
 	eventHeartbeat time.Duration
 }
 
-// New wires a server to its manager and registers the manager's stats
-// with the process-wide expvar registry (last server wins, so tests can
-// create many).
+// New wires a server to its manager.
 func New(mgr *jobs.Manager) *Server {
-	s := &Server{mgr: mgr}
-	currentManager.Store(mgr)
-	publishExpvars()
-	return s
+	return &Server{mgr: mgr}
 }
 
 // SetExchange attaches the block exchange service. The server then
@@ -111,25 +102,6 @@ func (s *Server) SetEventHeartbeat(d time.Duration) {
 	s.eventHeartbeat = d
 }
 
-// The expvar registry is process-global and Publish panics on duplicate
-// names, so the published Func reads whichever manager was wired most
-// recently.
-var (
-	currentManager atomic.Pointer[jobs.Manager]
-	expvarOnce     sync.Once
-)
-
-func publishExpvars() {
-	expvarOnce.Do(func() {
-		expvar.Publish("cprd", expvar.Func(func() any {
-			if m := currentManager.Load(); m != nil {
-				return m.Stats()
-			}
-			return nil
-		}))
-	})
-}
-
 // Handler builds the route mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
@@ -143,7 +115,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/healthz", s.handleHealth)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /metrics", s.handleMetrics)
-	mux.Handle("GET /debug/vars", expvar.Handler())
 	return mux
 }
 

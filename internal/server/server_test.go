@@ -2,7 +2,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"net/http/httptest"
@@ -287,33 +286,16 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-func TestExpvarExposesCounters(t *testing.T) {
-	mgr := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(8, 0, 0))
-	ts := httptest.NewServer(New(mgr).Handler())
-	defer ts.Close()
-
-	resp, err := http.Get(ts.URL + "/debug/vars")
+// TestStatsReportsDefaultQueueCap: a manager configured without a queue
+// cap reports the default of 64 on /v1/stats.
+func TestStatsReportsDefaultQueueCap(t *testing.T) {
+	_, c := newTestServer(t, jobs.Config{MaxConcurrent: 1})
+	st, err := c.Stats(context.Background())
 	if err != nil {
-		t.Fatalf("GET /debug/vars: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, want 200", resp.StatusCode)
-	}
-	var vars map[string]json.RawMessage
-	if err := json.NewDecoder(resp.Body).Decode(&vars); err != nil {
-		t.Fatalf("decoding vars: %v", err)
-	}
-	raw, ok := vars["cprd"]
-	if !ok {
-		t.Fatalf("expvar output missing cprd key; have %d keys", len(vars))
-	}
-	var st jobs.Stats
-	if err := json.Unmarshal(raw, &st); err != nil {
-		t.Fatalf("cprd var is not a stats object: %v", err)
+		t.Fatalf("GET /v1/stats: %v", err)
 	}
 	if st.QueueCap != 64 {
-		t.Fatalf("queue cap via expvar = %d, want default 64", st.QueueCap)
+		t.Fatalf("queue_cap = %d, want default 64", st.QueueCap)
 	}
 }
 

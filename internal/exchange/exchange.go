@@ -35,7 +35,9 @@ type Fetcher interface {
 	Fetch(ctx context.Context, key string) ([]byte, error)
 }
 
-// Stats counts block resolutions by outcome.
+// Stats counts block resolutions by outcome, read from the
+// cpr_blocks_total{source} counters. Peer transport errors are counted
+// per peer (PeerHealth), not here: a failed fetch is a miss.
 type Stats struct {
 	// Local counts keys answered from the local blockstore.
 	Local int64 `json:"local"`
@@ -43,9 +45,6 @@ type Stats struct {
 	Peer int64 `json:"peer"`
 	// Miss counts keys nobody had; the caller recomputes.
 	Miss int64 `json:"miss"`
-	// PeerErrors counts peer fetches that failed with a transport error
-	// (timeouts, refused connections) rather than a clean 404.
-	PeerErrors int64 `json:"peer_errors"`
 }
 
 // flight is one in-progress peer fetch shared by concurrent callers.
@@ -69,15 +68,18 @@ type Service struct {
 
 	mu      sync.Mutex
 	flights map[string]*flight
-	stats   Stats
 
 	ctrLocal, ctrPeer, ctrMiss *telemetry.Counter
 }
 
-// New builds a Service over store. fetcher may be nil (no peers); reg
-// may be nil (no telemetry). With a registry, resolutions are counted
-// on cpr_blocks_total{source=local|peer|miss}.
+// New builds a Service over store. fetcher may be nil (no peers).
+// Resolutions are counted on cpr_blocks_total{source=local|peer|miss}
+// in reg, or in a private registry when reg is nil; Stats reads those
+// counters either way.
 func New(store blockstore.Store, fetcher Fetcher, reg *telemetry.Registry) *Service {
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	const name = "cpr_blocks_total"
 	const help = "Content-addressed block resolutions by source."
 	return &Service{
@@ -115,13 +117,13 @@ func (s *Service) GetBlock(ctx context.Context, key string) ([]byte, error) {
 	data, err := s.store.Get(key)
 	switch {
 	case err == nil:
-		s.count(&s.stats.Local, s.ctrLocal)
+		s.ctrLocal.Inc()
 		return data, nil
 	case err != blockstore.ErrNotFound:
 		return nil, err
 	}
 	if s.fetcher == nil {
-		s.count(&s.stats.Miss, s.ctrMiss)
+		s.ctrMiss.Inc()
 		return nil, ErrNotFound
 	}
 
@@ -157,12 +159,7 @@ func (s *Service) fetchAndStore(ctx context.Context, key string) ([]byte, error)
 	em := telemetry.EmitterFrom(ctx)
 	data, err := s.fetcher.Fetch(ctx, key)
 	if err != nil {
-		if err != blockstore.ErrNotFound {
-			s.mu.Lock()
-			s.stats.PeerErrors++
-			s.mu.Unlock()
-		}
-		s.count(&s.stats.Miss, s.ctrMiss)
+		s.ctrMiss.Inc()
 		sp.SetAttr("source", "miss")
 		em.Emit("block_fetch", map[string]any{"key": key, "source": "miss"})
 		return nil, ErrNotFound
@@ -171,7 +168,7 @@ func (s *Service) fetchAndStore(ctx context.Context, key string) ([]byte, error)
 	// local store only loses the write-through: the fetched bytes are
 	// still returned to the caller.
 	_ = s.store.Put(key, data)
-	s.count(&s.stats.Peer, s.ctrPeer)
+	s.ctrPeer.Inc()
 	sp.SetAttr("source", "peer")
 	em.Emit("block_fetch", map[string]any{"key": key, "source": "peer"})
 	return data, nil
@@ -187,17 +184,11 @@ func (s *Service) PeerHealth() []PeerHealth {
 	return h.Health()
 }
 
-// count bumps one stats field and its telemetry counter.
-func (s *Service) count(field *int64, ctr *telemetry.Counter) {
-	s.mu.Lock()
-	*field++
-	s.mu.Unlock()
-	ctr.Inc()
-}
-
 // Stats snapshots the resolution counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return Stats{
+		Local: int64(s.ctrLocal.Value()),
+		Peer:  int64(s.ctrPeer.Value()),
+		Miss:  int64(s.ctrMiss.Value()),
+	}
 }

@@ -33,9 +33,10 @@ type HTTPOptions struct {
 	BackoffMax  time.Duration
 	// Client overrides the HTTP client (tests).
 	Client *http.Client
-	// Registry, when set, records per-peer fetch latency
+	// Registry records per-peer fetch latency
 	// (cpr_peer_fetch_seconds{peer}) and transport errors
-	// (cpr_peer_errors_total{peer}).
+	// (cpr_peer_errors_total{peer}); nil gets a private registry. Health
+	// reads its fetch and error counts from these instruments.
 	Registry *telemetry.Registry
 }
 
@@ -44,11 +45,9 @@ type peerState struct {
 	base     string // normalized base URL, no trailing slash
 	failures int
 	until    time.Time // in backoff until this instant
-	fetches  int64     // total attempts against this peer
-	errors   int64     // transport-level failures
 	lastErr  string
 
-	hist   *telemetry.Histogram // per-peer latency, nil without a registry
+	hist   *telemetry.Histogram // per-peer latency; its count is the attempts
 	errCtr *telemetry.Counter   // per-peer transport errors
 }
 
@@ -107,6 +106,10 @@ func NewHTTPFetcher(peers []string, opts HTTPOptions) *HTTPFetcher {
 	if f.max <= 0 {
 		f.max = defaultBackoffMax
 	}
+	reg := opts.Registry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
 	for _, p := range peers {
 		p = strings.TrimSpace(p)
 		if p == "" {
@@ -118,10 +121,10 @@ func NewHTTPFetcher(peers []string, opts HTTPOptions) *HTTPFetcher {
 		base := strings.TrimRight(p, "/")
 		f.peers = append(f.peers, &peerState{
 			base: base,
-			hist: opts.Registry.Histogram("cpr_peer_fetch_seconds",
+			hist: reg.Histogram("cpr_peer_fetch_seconds",
 				"Block fetch latency per peer.", telemetry.DefSecondsBuckets,
 				telemetry.L("peer", base)),
-			errCtr: opts.Registry.Counter("cpr_peer_errors_total",
+			errCtr: reg.Counter("cpr_peer_errors_total",
 				"Transport-level block fetch failures per peer.",
 				telemetry.L("peer", base)),
 		})
@@ -147,8 +150,8 @@ func (f *HTTPFetcher) Health() []PeerHealth {
 	for _, p := range f.peers {
 		out = append(out, PeerHealth{
 			Peer:                p.base,
-			Fetches:             p.fetches,
-			Errors:              p.errors,
+			Fetches:             int64(p.hist.Count()),
+			Errors:              int64(p.errCtr.Value()),
 			ConsecutiveFailures: p.failures,
 			InBackoff:           p.failures > 0 && now.Before(p.until),
 			LastError:           p.lastErr,
@@ -192,10 +195,6 @@ func (f *HTTPFetcher) fetchOne(ctx context.Context, p *peerState, key string) ([
 	sp.SetAttr("peer", p.base)
 	sp.SetAttr("key", key)
 	defer sp.End()
-
-	f.mu.Lock()
-	p.fetches++
-	f.mu.Unlock()
 
 	t0 := time.Now()
 	data, err := f.doFetch(ctx, p.base, key, sp)
@@ -263,7 +262,6 @@ func (f *HTTPFetcher) markFailed(p *peerState, err error) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	p.failures++
-	p.errors++
 	if err != nil {
 		p.lastErr = err.Error()
 	}

@@ -5,11 +5,9 @@ package httpapi
 
 import (
 	"cpr/internal/blockstore"
-	"cpr/internal/cache"
 	"cpr/internal/exchange"
 	"cpr/internal/jobs"
 	"cpr/internal/metrics"
-	"cpr/internal/telemetry"
 )
 
 // SubmitRequest is the body of POST /v1/jobs. Exactly one of Design
@@ -140,28 +138,12 @@ type Job struct {
 	Result      *Result `json:"result,omitempty"`
 }
 
-// Stats is the body of GET /v1/stats.
+// Stats is the body of GET /v1/stats: the job manager's view (whose
+// counters and latency histograms are the instruments /metrics exports)
+// plus the block layer. Peer transport errors are reported per peer in
+// PeerHealth only.
 type Stats struct {
-	QueueDepth int              `json:"queue_depth"`
-	QueueCap   int              `json:"queue_cap"`
-	Running    int              `json:"running"`
-	Draining   bool             `json:"draining"`
-	ByState    map[string]int64 `json:"jobs_by_state"`
-	// RejectedQueueFull counts submissions refused with 429 (queue at
-	// capacity); RejectedDraining counts 503s after drain started.
-	RejectedQueueFull int64       `json:"rejected_queue_full"`
-	RejectedDraining  int64       `json:"rejected_draining"`
-	Cache             cache.Stats `json:"cache"`
-	CacheHitRate      float64     `json:"cache_hit_rate"`
-	// PanelCache counts per-panel artifact reuse: the incremental hit
-	// rate harvested by design-level misses.
-	PanelCache        cache.Stats `json:"panel_cache"`
-	PanelCacheHitRate float64     `json:"panel_cache_hit_rate"`
-	// RouteCache counts per-region route bundle reuse: the routing
-	// splice rate of incremental reruns.
-	RouteCache        cache.Stats                `json:"route_cache"`
-	RouteCacheHitRate float64                    `json:"route_cache_hit_rate"`
-	Stages            map[string]jobs.StageStats `json:"stage_latency"`
+	jobs.Stats
 	// Blockstore snapshots the local content-addressed block store
 	// backing the cache levels; absent on daemons running without one.
 	Blockstore *blockstore.Stats `json:"blockstore,omitempty"`
@@ -174,12 +156,6 @@ type Stats struct {
 	// PeerHealth reports per-peer fetch counts, transport errors, and
 	// backoff state; absent without peers.
 	PeerHealth []exchange.PeerHealth `json:"peer_health,omitempty"`
-	// QueueWaitHistogram is the admission-to-start latency distribution
-	// (the cprd_job_queue_wait_seconds histogram); absent without a
-	// metrics registry.
-	QueueWaitHistogram *telemetry.HistogramSnapshot `json:"queue_wait_histogram,omitempty"`
-	// EventsDropped counts stream events lost to slow subscribers.
-	EventsDropped uint64 `json:"events_dropped,omitempty"`
 }
 
 // JobEvent is one server-sent event on GET /v1/jobs/{id}/events; it

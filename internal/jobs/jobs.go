@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"os"
 	"runtime/debug"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -141,12 +140,13 @@ type Config struct {
 	// Rerun overrides the incremental job executor (tests only; default
 	// core.RerunContext).
 	Rerun RerunFunc
-	// Metrics, when non-nil, receives the manager's operational metrics
-	// (queue depth, queue-wait and run latencies, rejected submissions,
-	// cache hit/miss/evict) and is threaded into every job's run context
-	// so the pipeline's stage metrics land in the same registry.
-	// Telemetry is strictly observational: results are byte-identical
-	// with or without it.
+	// Metrics receives the manager's operational metrics (queue depth,
+	// queue-wait and run latencies, rejected submissions, cache
+	// hit/miss/evict) and is threaded into every job's run context so the
+	// pipeline's stage metrics land in the same registry. Nil gets a
+	// private registry: Stats reads these instruments, so they always
+	// exist. Telemetry is strictly observational: results are
+	// byte-identical whichever registry is attached.
 	Metrics *telemetry.Registry
 	// TraceJobs, when set, gives every executed job its own span tracer,
 	// retrievable via Job.Tracer (the daemon serves it as
@@ -181,6 +181,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Rerun == nil {
 		c.Rerun = core.RerunContext
+	}
+	if c.Metrics == nil {
+		c.Metrics = telemetry.NewRegistry()
 	}
 	return c
 }
@@ -318,29 +321,10 @@ func Fingerprint(o core.Options) string {
 	return b.String()
 }
 
-// stageAgg accumulates one latency family.
-type stageAgg struct {
-	count int64
-	sum   time.Duration
-	max   time.Duration
-}
-
-func (a *stageAgg) add(d time.Duration) {
-	a.count++
-	a.sum += d
-	if d > a.max {
-		a.max = d
-	}
-}
-
-// StageStats is one latency family in Stats.
-type StageStats struct {
-	Count  int64   `json:"count"`
-	MeanMS float64 `json:"mean_ms"`
-	MaxMS  float64 `json:"max_ms"`
-}
-
-// Stats is a point-in-time view of the manager for /v1/stats.
+// Stats is a point-in-time view of the manager for /v1/stats. Every
+// figure /metrics also exports is read from the owner /metrics reads (a
+// registry instrument, or a cache counter the registry bridges), so the
+// two surfaces cannot disagree.
 type Stats struct {
 	QueueDepth int              `json:"queue_depth"`
 	QueueCap   int              `json:"queue_cap"`
@@ -348,10 +332,11 @@ type Stats struct {
 	Draining   bool             `json:"draining"`
 	ByState    map[string]int64 `json:"jobs_by_state"`
 	// RejectedQueueFull counts submissions refused with ErrQueueFull
-	// (HTTP 429) since the manager started.
+	// (HTTP 429) since the manager started:
+	// cprd_jobs_rejected_total{reason="queue_full"}.
 	RejectedQueueFull int64 `json:"rejected_queue_full"`
 	// RejectedDraining counts submissions refused with ErrDraining
-	// (HTTP 503).
+	// (HTTP 503): cprd_jobs_rejected_total{reason="draining"}.
 	RejectedDraining int64       `json:"rejected_draining"`
 	Cache            cache.Stats `json:"cache"`
 	CacheHitRate     float64     `json:"cache_hit_rate"`
@@ -361,13 +346,13 @@ type Stats struct {
 	PanelCacheHitRate float64     `json:"panel_cache_hit_rate"`
 	// RouteCache counts per-region route bundle hits and misses: the
 	// routing-splice rate of incremental reruns.
-	RouteCache        cache.Stats           `json:"route_cache"`
-	RouteCacheHitRate float64               `json:"route_cache_hit_rate"`
-	Stages            map[string]StageStats `json:"stage_latency"`
-	// QueueWait is the full admission-to-start latency distribution
-	// (mirrors the cprd_job_queue_wait_seconds histogram on /metrics);
-	// nil without Config.Metrics.
-	QueueWait *telemetry.HistogramSnapshot `json:"queue_wait_histogram,omitempty"`
+	RouteCache        cache.Stats `json:"route_cache"`
+	RouteCacheHitRate float64     `json:"route_cache_hit_rate"`
+	// Stages snapshots three latency histograms, sums in seconds:
+	// queue_wait (cprd_job_queue_wait_seconds), run (cprd_job_run_seconds)
+	// and pinopt (cpr_stage_seconds{stage="pinopt"}, the pin-access
+	// optimizer's time per run). All three are always present.
+	Stages map[string]*telemetry.HistogramSnapshot `json:"stage_latency"`
 	// EventsDropped counts stream events lost to slow subscribers; 0
 	// without Config.Events.
 	EventsDropped uint64 `json:"events_dropped,omitempty"`
@@ -381,24 +366,21 @@ type Manager struct {
 	queue   chan *Job
 	workers sync.WaitGroup
 
-	mu            sync.Mutex
-	jobs          map[string]*Job
-	finished      []string        // finished job IDs, oldest first, for retention
-	inflight      map[string]*Job // key -> queued/running job, for coalescing
-	cancels       map[string]context.CancelFunc
-	counts        map[State]int64
-	stages        map[string]*stageAgg
-	rejectedFull  int64
-	rejectedDrain int64
-	running       int
-	seq           int64
-	draining      bool
-	hardStop      bool
+	mu       sync.Mutex
+	jobs     map[string]*Job
+	finished []string        // finished job IDs, oldest first, for retention
+	inflight map[string]*Job // key -> queued/running job, for coalescing
+	cancels  map[string]context.CancelFunc
+	counts   map[State]int64
+	running  int
+	seq      int64
+	draining bool
+	hardStop bool
 
-	// Pre-registered instruments (nil without Config.Metrics; nil
-	// instruments no-op).
+	// Instruments registered in Config.Metrics; Stats reads them back.
 	mQueueWait    *telemetry.Histogram
 	mRunTime      *telemetry.Histogram
+	mPinOpt       *telemetry.Histogram
 	mRejectedFull *telemetry.Counter
 	mRejectedDrn  *telemetry.Counter
 }
@@ -418,7 +400,6 @@ func New(cfg Config, c *ResultCache) *Manager {
 		inflight: make(map[string]*Job),
 		cancels:  make(map[string]context.CancelFunc),
 		counts:   make(map[State]int64),
-		stages:   make(map[string]*stageAgg),
 	}
 	m.registerMetrics(c)
 	m.workers.Add(cfg.MaxConcurrent)
@@ -432,15 +413,17 @@ func New(cfg Config, c *ResultCache) *Manager {
 // configured registry: live gauges read manager state at scrape time,
 // cache counters bridge the cache's own counters, and the latency
 // histograms are pre-registered so the hot finish path only observes.
+// The pinopt histogram is the one the pipeline observes per pin-access
+// run (same name, help and buckets); registering it here makes it exist
+// before the first job.
 func (m *Manager) registerMetrics(c *ResultCache) {
 	reg := m.cfg.Metrics
-	if reg == nil {
-		return
-	}
 	m.mQueueWait = reg.Histogram("cprd_job_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.", telemetry.DefSecondsBuckets)
 	m.mRunTime = reg.Histogram("cprd_job_run_seconds",
 		"Wall-clock job execution time.", telemetry.DefSecondsBuckets)
+	m.mPinOpt = reg.Histogram("cpr_stage_seconds", "Wall-clock time per pipeline stage.",
+		telemetry.DefSecondsBuckets, telemetry.L("stage", "pinopt"))
 	m.mRejectedFull = reg.Counter("cprd_jobs_rejected_total",
 		"Submissions refused by the manager.", telemetry.L("reason", "queue_full"))
 	m.mRejectedDrn = reg.Counter("cprd_jobs_rejected_total",
@@ -565,7 +548,6 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	// Draining and coalescing are (re-)checked under the lock afterwards.
 	m.mu.Lock()
 	if m.draining {
-		m.rejectedDrain++
 		m.mRejectedDrn.Inc()
 		m.mu.Unlock()
 		m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
@@ -584,7 +566,6 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 			m.mu.Lock()
 			defer m.mu.Unlock()
 			if m.draining {
-				m.rejectedDrain++
 				m.mRejectedDrn.Inc()
 				m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
 				return nil, ErrDraining
@@ -608,7 +589,6 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.draining {
-		m.rejectedDrain++
 		m.mRejectedDrn.Inc()
 		m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
 		return nil, ErrDraining
@@ -621,7 +601,6 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 		}
 	}
 	if len(m.queue) >= m.cfg.QueueCap {
-		m.rejectedFull++
 		m.mRejectedFull.Inc()
 		m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "queue_full"})
 		return nil, ErrQueueFull
@@ -641,7 +620,6 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 		delete(m.jobs, job.ID)
 		delete(m.inflight, key)
 		m.counts[StateQueued]--
-		m.rejectedFull++
 		m.mRejectedFull.Inc()
 		m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "queue_full"})
 		return nil, ErrQueueFull
@@ -677,8 +655,8 @@ func (m *Manager) retainLocked(id string) {
 	}
 }
 
-// Metrics returns the registry the manager was configured with, or nil.
-// The daemon serves it at GET /metrics.
+// Metrics returns the manager's registry: Config.Metrics, or the private
+// one New created. The daemon serves it at GET /metrics.
 func (m *Manager) Metrics() *telemetry.Registry { return m.cfg.Metrics }
 
 // Get returns a job by ID.
@@ -734,7 +712,7 @@ func (m *Manager) execute(job *Job) {
 	job.mu.Unlock()
 
 	if skip {
-		m.finish(job, queueWait, 0, nil, false)
+		m.finish(job, queueWait, 0, false)
 		return
 	}
 
@@ -762,9 +740,7 @@ func (m *Manager) execute(job *Job) {
 		job.mu.Unlock()
 		ctx = telemetry.WithTracer(ctx, tr)
 	}
-	if m.cfg.Metrics != nil {
-		ctx = telemetry.WithRegistry(ctx, m.cfg.Metrics)
-	}
+	ctx = telemetry.WithRegistry(ctx, m.cfg.Metrics)
 	ctx = telemetry.WithEmitter(ctx, em)
 	m.cfg.Events.Publish(job.ID, "job_started", nil)
 	res, err := m.runJob(ctx, job, opts)
@@ -784,7 +760,7 @@ func (m *Manager) execute(job *Job) {
 	if err == nil && job.Key != "" && m.cache != nil {
 		m.cache.Design.Put(job.Key, res)
 	}
-	m.finish(job, queueWait, end.Sub(start), res, true)
+	m.finish(job, queueWait, end.Sub(start), true)
 }
 
 // runJob executes the job's Run/Rerun function, converting a panic into
@@ -828,10 +804,10 @@ func (m *Manager) dumpCrash() {
 // Events returns the manager's event bus, or nil.
 func (m *Manager) Events() *telemetry.EventBus { return m.cfg.Events }
 
-// finish moves the job out of the live sets and folds its latencies into
-// the aggregates. ran distinguishes jobs that reached a worker from jobs
-// failed by a hard-stopped drain (those were counted failed in execute).
-func (m *Manager) finish(job *Job, queueWait, runTime time.Duration, res *core.RunResult, ran bool) {
+// finish moves the job out of the live sets and observes its latencies.
+// ran distinguishes jobs that reached a worker from jobs failed by a
+// hard-stopped drain (those were counted failed in execute).
+func (m *Manager) finish(job *Job, queueWait, runTime time.Duration, ran bool) {
 	job.mu.Lock()
 	state := job.state
 	errMsg := job.errMsg
@@ -856,30 +832,14 @@ func (m *Manager) finish(job *Job, queueWait, runTime time.Duration, res *core.R
 	if job.Key != "" && m.inflight[job.Key] == job {
 		delete(m.inflight, job.Key)
 	}
-	m.stageLocked("queue_wait").add(queueWait)
-	if ran {
-		m.stageLocked("run").add(runTime)
-	}
 	m.mQueueWait.Observe(queueWait.Seconds())
 	if ran {
 		m.mRunTime.Observe(runTime.Seconds())
-	}
-	if res != nil && res.PinOpt != nil {
-		m.stageLocked("pinopt").add(res.PinOpt.Elapsed)
 	}
 	m.retainLocked(job.ID)
 	m.mu.Unlock()
 
 	close(job.done)
-}
-
-func (m *Manager) stageLocked(name string) *stageAgg {
-	a, ok := m.stages[name]
-	if !ok {
-		a = &stageAgg{}
-		m.stages[name] = a
-	}
-	return a
 }
 
 // Stats snapshots the manager counters for /v1/stats.
@@ -891,17 +851,20 @@ func (m *Manager) Stats() Stats {
 		QueueCap:          m.cfg.QueueCap,
 		Running:           m.running,
 		Draining:          m.draining,
-		RejectedQueueFull: m.rejectedFull,
-		RejectedDraining:  m.rejectedDrain,
+		RejectedQueueFull: int64(m.mRejectedFull.Value()),
+		RejectedDraining:  int64(m.mRejectedDrn.Value()),
 		ByState:           make(map[string]int64, len(m.counts)),
-		Stages:            make(map[string]StageStats, len(m.stages)),
+		Stages: map[string]*telemetry.HistogramSnapshot{
+			"queue_wait": m.mQueueWait.Snapshot(),
+			"run":        m.mRunTime.Snapshot(),
+			"pinopt":     m.mPinOpt.Snapshot(),
+		},
 	}
 	for s, n := range m.counts {
 		if n != 0 {
 			st.ByState[s.String()] = n
 		}
 	}
-	st.QueueWait = m.mQueueWait.Snapshot()
 	st.EventsDropped = m.cfg.Events.Dropped()
 	if m.cache != nil {
 		st.Cache = m.cache.Design.Stats()
@@ -910,19 +873,6 @@ func (m *Manager) Stats() Stats {
 		st.PanelCacheHitRate = st.PanelCache.HitRate()
 		st.RouteCache = m.cache.Route.Stats()
 		st.RouteCacheHitRate = st.RouteCache.HitRate()
-	}
-	names := make([]string, 0, len(m.stages))
-	for name := range m.stages {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		a := m.stages[name]
-		agg := StageStats{Count: a.count, MaxMS: float64(a.max) / float64(time.Millisecond)}
-		if a.count > 0 {
-			agg.MeanMS = float64(a.sum) / float64(a.count) / float64(time.Millisecond)
-		}
-		st.Stages[name] = agg
 	}
 	return st
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -68,7 +69,16 @@ func TestSubmitRunsToDone(t *testing.T) {
 		t.Fatalf("stats = %+v, want 1 done", st.ByState)
 	}
 	if st.Stages["run"].Count != 1 || st.Stages["queue_wait"].Count != 1 {
-		t.Fatalf("stage aggregates missing: %+v", st.Stages)
+		t.Fatalf("stage histograms missing: %+v", st.Stages)
+	}
+	// Without Config.Metrics the manager keeps its own registry, and
+	// Stats reads the instruments it exports.
+	var prom strings.Builder
+	if err := m.Metrics().WritePrometheus(&prom); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(prom.String(), "\ncprd_job_run_seconds_count 1\n") {
+		t.Fatalf("registry does not export the run: want cprd_job_run_seconds_count 1 in\n%s", prom.String())
 	}
 }
 

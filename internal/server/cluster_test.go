@@ -129,8 +129,8 @@ func TestTwoNodeClusterResolvesBlocksFromPeer(t *testing.T) {
 	if exSt.Peer == 0 {
 		t.Fatalf("node B exchange stats = %+v, want peer resolutions > 0", exSt)
 	}
-	if exSt.PeerErrors != 0 {
-		t.Fatalf("node B exchange stats = %+v, want no peer errors", exSt)
+	if h := nodeB.exch.PeerHealth(); len(h) != 1 || h[0].Errors != 0 {
+		t.Fatalf("node B peer health = %+v, want one peer with no errors", h)
 	}
 
 	// The wire surfaces the same attribution: /v1/stats carries the
@@ -201,6 +201,14 @@ func TestClusterPeerDownFallsBackToCompute(t *testing.T) {
 	}
 	if exSt := nodeB.exch.Stats(); exSt.Peer != 0 || exSt.Miss == 0 {
 		t.Fatalf("node B exchange stats = %+v, want misses and no peer hits", exSt)
+	}
+	// The refused connection is a transport error, reported per peer.
+	st, err := nodeB.client.Stats(ctx)
+	if err != nil {
+		t.Fatalf("node B stats: %v", err)
+	}
+	if len(st.PeerHealth) != 1 || st.PeerHealth[0].Errors < 1 {
+		t.Fatalf("node B peer_health = %+v, want the refused peer with errors >= 1", st.PeerHealth)
 	}
 }
 

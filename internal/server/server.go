@@ -6,8 +6,12 @@
 //	GET  /v1/jobs/{id}/trace  per-job span trace (Chrome trace_event or JSON)
 //	GET  /v1/blocks/{key}     one content-addressed block from the local store (HEAD: presence)
 //	GET  /v1/healthz          liveness and drain state
-//	GET  /v1/stats            queue depth, cache hit rate, per-stage latencies
+//	GET  /v1/stats            queue depth, cache hit rates, latency histograms, block-layer counters
 //	GET  /metrics             Prometheus text exposition of the manager's registry
+//
+// /v1/stats and /metrics read every figure they share from one owner (a
+// registry instrument, or a cache counter the registry bridges), so the
+// two cannot disagree.
 //
 // Identical submissions are served from cache (no optimizer run) and
 // identical in-flight submissions coalesce onto one job. A submission
@@ -212,8 +216,8 @@ func (s *Server) handleGetTrace(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleMetrics serves the manager's metrics registry in Prometheus text
-// exposition format. Without a configured registry the body is empty —
-// still a valid scrape.
+// exposition format. The manager always has one (its own when none was
+// configured), so every scrape carries the job-manager series.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.mgr.Metrics().WritePrometheus(w)
@@ -286,41 +290,16 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st := s.mgr.Stats()
-	var bsStats *blockstore.Stats
-	var exStats *exchange.Stats
-	var peers []string
-	var peerHealth []exchange.PeerHealth
+	st := httpapi.Stats{Stats: s.mgr.Stats()}
 	if s.exch != nil {
 		bs := s.exch.Store().Stats()
-		bsStats = &bs
 		ex := s.exch.Stats()
-		exStats = &ex
-		peers = s.peers
-		peerHealth = s.exch.PeerHealth()
+		st.Blockstore = &bs
+		st.Exchange = &ex
+		st.Peers = s.peers
+		st.PeerHealth = s.exch.PeerHealth()
 	}
-	writeJSON(w, http.StatusOK, httpapi.Stats{
-		QueueDepth:         st.QueueDepth,
-		QueueCap:           st.QueueCap,
-		Running:            st.Running,
-		Draining:           st.Draining,
-		ByState:            st.ByState,
-		RejectedQueueFull:  st.RejectedQueueFull,
-		RejectedDraining:   st.RejectedDraining,
-		Cache:              st.Cache,
-		CacheHitRate:       st.CacheHitRate,
-		PanelCache:         st.PanelCache,
-		PanelCacheHitRate:  st.PanelCacheHitRate,
-		RouteCache:         st.RouteCache,
-		RouteCacheHitRate:  st.RouteCacheHitRate,
-		Stages:             st.Stages,
-		Blockstore:         bsStats,
-		Exchange:           exStats,
-		Peers:              peers,
-		PeerHealth:         peerHealth,
-		QueueWaitHistogram: st.QueueWait,
-		EventsDropped:      st.EventsDropped,
-	})
+	writeJSON(w, http.StatusOK, st)
 }
 
 // buildDesign materializes the request's design: inline text or a

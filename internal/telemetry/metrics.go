@@ -81,41 +81,6 @@ func (c *Counter) Value() float64 {
 	return math.Float64frombits(c.bits.Load())
 }
 
-// Gauge is a metric that can go up and down. Nil-safe like Counter.
-type Gauge struct {
-	bits atomic.Uint64
-}
-
-// Set stores v.
-func (g *Gauge) Set(v float64) {
-	if g == nil {
-		return
-	}
-	g.bits.Store(math.Float64bits(v))
-}
-
-// Add increments by v (may be negative).
-func (g *Gauge) Add(v float64) {
-	if g == nil {
-		return
-	}
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + v)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value reads the gauge (0 on nil).
-func (g *Gauge) Value() float64 {
-	if g == nil {
-		return 0
-	}
-	return math.Float64frombits(g.bits.Load())
-}
-
 // Histogram accumulates observations into fixed buckets (cumulative at
 // export, Prometheus-style, with an implicit +Inf bucket). Nil-safe.
 type Histogram struct {
@@ -197,7 +162,6 @@ func (h *Histogram) Snapshot() *HistogramSnapshot {
 type instrument struct {
 	labels []Label
 	ctr    *Counter
-	gauge  *Gauge
 	hist   *Histogram
 	fn     func() float64 // value function for *Func instruments
 }
@@ -292,20 +256,6 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return inst.ctr
 }
 
-// Gauge registers (or fetches) a gauge. Nil registry returns nil.
-func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	inst := r.getOrCreate(name, help, kindGauge, labels)
-	if inst.gauge == nil && inst.fn == nil {
-		inst.gauge = &Gauge{}
-	}
-	return inst.gauge
-}
-
 // Histogram registers (or fetches) a histogram with the given ascending
 // bucket upper bounds (+Inf implicit). Nil registry returns nil.
 func (r *Registry) Histogram(name, help string, bounds []float64, labels ...Label) *Histogram {
@@ -347,7 +297,6 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, labels ...Lab
 	defer r.mu.Unlock()
 	inst := r.getOrCreate(name, help, kindGauge, labels)
 	inst.fn = fn
-	inst.gauge = nil
 }
 
 // formatValue renders a sample value the way Prometheus expects.
@@ -437,8 +386,6 @@ func writeInstrument(w io.Writer, f *family, key string, inst *instrument) error
 			v = inst.fn()
 		case inst.ctr != nil:
 			v = inst.ctr.Value()
-		case inst.gauge != nil:
-			v = inst.gauge.Value()
 		}
 		_, err := fmt.Fprintf(w, "%s %s\n", sampleName(f.name, key, ""), formatValue(v))
 		return err

@@ -69,7 +69,6 @@ func TestNilSafety(t *testing.T) {
 
 	var reg *Registry
 	reg.Counter("c", "h").Inc()
-	reg.Gauge("g", "h").Set(2)
 	reg.Histogram("h", "h", DefSecondsBuckets).Observe(1)
 	reg.GaugeFunc("gf", "h", func() float64 { return 1 })
 	reg.CounterFunc("cf", "h", func() float64 { return 1 })
@@ -188,11 +187,15 @@ func TestCounterGaugeHistogram(t *testing.T) {
 		t.Error("re-registration must return the same counter")
 	}
 
-	g := reg.Gauge("cpr_depth", "depth")
-	g.Set(5)
-	g.Add(-2)
-	if g.Value() != 3 {
-		t.Errorf("gauge = %g, want 3", g.Value())
+	depth := 5.0
+	reg.GaugeFunc("cpr_depth", "depth", func() float64 { return depth })
+	depth -= 2
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), "\ncpr_depth 3\n") {
+		t.Errorf("gauge not read at scrape time, want cpr_depth 3:\n%s", buf.String())
 	}
 
 	h := reg.Histogram("cpr_lat_seconds", "latency", []float64{0.1, 1, 10})
@@ -208,7 +211,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("cpr_ops_total", "operations", L("op", "hit")).Add(4)
 	reg.Counter("cpr_ops_total", "operations", L("op", "miss")).Add(1)
-	reg.Gauge("cpr_queue_depth", "queue depth").Set(2)
+	reg.GaugeFunc("cpr_queue_depth", "queue depth", func() float64 { return 2 })
 	reg.GaugeFunc("cpr_live", "liveness", func() float64 { return 1 })
 	h := reg.Histogram("cpr_wait_seconds", "wait", []float64{0.1, 1})
 	h.Observe(0.05)

@@ -95,9 +95,9 @@ const (
 	// only.
 	RerunStrict = "strict"
 	// RerunEcoFast additionally warm-starts surviving nets of dirtied
-	// regions from the base's routes. Results are verified DRC-clean and
-	// objective-equal but route bytes may differ from a cold run, so
-	// eco-fast results are never cached or shared.
+	// regions from the base's routes. Results are checked DRC-clean only:
+	// route bytes and routed nets may differ from a cold run, so eco-fast
+	// results are never cached or shared.
 	RerunEcoFast = "eco-fast"
 )
 

@@ -61,9 +61,9 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 2, "max concurrently running jobs")
 		queueCap     = flag.Int("queue-cap", 64, "max queued jobs before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-job execution deadline (0 = none)")
-		cacheCap     = flag.Int("cache-cap", 1024, "max cached results (LRU eviction)")
-		panelCap     = flag.Int("panel-cache-cap", 16384, "max cached per-panel artifacts (LRU eviction)")
-		routeCap     = flag.Int("route-cache-cap", 16384, "max cached per-region route bundles (LRU eviction)")
+		cacheCap     = flag.Int("cache-cap", 1024, "max whole-design results kept decoded in memory (LRU); an evicted result is still answered from the blockstore")
+		panelCap     = flag.Int("panel-cache-cap", 16384, "max per-panel artifacts kept decoded in memory (LRU); an evicted artifact is still read from the blockstore")
+		routeCap     = flag.Int("route-cache-cap", 16384, "max per-region route bundles kept decoded in memory (LRU); an evicted bundle is still read from the blockstore")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 		debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof (empty = disabled)")
 		traceJobs    = flag.Bool("trace-jobs", true, "record a span trace per executed job (GET /v1/jobs/{id}/trace)")

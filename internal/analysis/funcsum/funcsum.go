@@ -147,16 +147,16 @@ var blockingCalls = map[string]string{
 	"net/http.PostForm": "net/http.PostForm",
 	"net/http.Head":     "net/http.Head",
 
-	"(*net/http.Client).Do":       "net/http.(*Client).Do",
-	"(*net/http.Client).Get":      "net/http.(*Client).Get",
-	"(*net/http.Client).Post":     "net/http.(*Client).Post",
-	"(*net/http.Client).PostForm": "net/http.(*Client).PostForm",
-	"(*net/http.Client).Head":     "net/http.(*Client).Head",
+	"(*net/http.Client).Do":           "net/http.(*Client).Do",
+	"(*net/http.Client).Get":          "net/http.(*Client).Get",
+	"(*net/http.Client).Post":         "net/http.(*Client).Post",
+	"(*net/http.Client).PostForm":     "net/http.(*Client).PostForm",
+	"(*net/http.Client).Head":         "net/http.(*Client).Head",
 	"(*net/http.Transport).RoundTrip": "net/http.(*Transport).RoundTrip",
 
-	"net.Dial":            "net.Dial",
-	"net.DialTimeout":     "net.DialTimeout",
-	"net.Listen":          "net.Listen",
+	"net.Dial":              "net.Dial",
+	"net.DialTimeout":       "net.DialTimeout",
+	"net.Listen":            "net.Listen",
 	"(net.Listener).Accept": "net.Listener.Accept",
 	"(net.Conn).Read":       "net.Conn.Read",
 	"(net.Conn).Write":      "net.Conn.Write",

@@ -2,7 +2,7 @@
 // blocks, the bottom layer of the cprd artifact-exchange stack (kubo's
 // blockstore / blockservice / exchange layering, DESIGN.md §4g):
 //
-//	blockstore  durable Put/Get/Has/Delete over key -> bytes (this package)
+//	blockstore  durable Put/Get/Has over key -> bytes (this package)
 //	exchange    resolves a missing key locally, then from peer daemons
 //	cache       typed design/panel/route levels decoding blocks on demand
 //
@@ -14,10 +14,10 @@
 //
 // Two implementations: Mem (bounded in-memory, for single-node daemons
 // and tests) and Disk (sharded directories, atomic writes, size-bounded
-// GC), both safe for concurrent use. Both support pinning: a pinned key
-// is never garbage-collected, which protects artifacts a running job is
-// splicing from ("in-flight" keys) and anything the operator wants kept
-// hot across GC pressure.
+// GC), both safe for concurrent use. The GC may collect any block: a
+// running job splices decoded artifacts, never block bytes, so a
+// collected block only turns a later lookup into a miss and a
+// recompute.
 package blockstore
 
 import (
@@ -68,8 +68,6 @@ type Stats struct {
 	Puts int64 `json:"puts"`
 	// Evictions counts blocks collected by the size-bounded GC.
 	Evictions int64 `json:"evictions"`
-	// Pinned is the number of currently pinned keys (never collected).
-	Pinned int `json:"pinned"`
 }
 
 // Store is the common surface of the block stores. All methods are safe
@@ -83,31 +81,6 @@ type Store interface {
 	// Has reports whether a block is stored under key, without touching
 	// the hit/miss counters or the GC recency order.
 	Has(key string) (bool, error)
-	// Delete removes the block under key; absent keys are a no-op.
-	Delete(key string) error
-	// Pin marks a key uncollectable until a matching Unpin. Pins are
-	// reference-counted, so concurrent jobs can pin the same key.
-	// Pinning a key with no stored block is allowed (it protects a block
-	// that is about to be written).
-	Pin(key string)
-	// Unpin releases one reference of a pinned key.
-	Unpin(key string)
 	// Stats snapshots the counters.
 	Stats() Stats
-}
-
-// pinSet is a reference-counted pin table shared by the implementations;
-// callers synchronize access.
-type pinSet map[string]int
-
-func (p pinSet) pin(key string) { p[key]++ }
-func (p pinSet) pinned(key string) bool {
-	return p[key] > 0
-}
-func (p pinSet) unpin(key string) {
-	if n := p[key]; n > 1 {
-		p[key] = n - 1
-	} else {
-		delete(p, key)
-	}
 }

@@ -21,8 +21,8 @@ import (
 // shard, so a crash mid-Put leaves either the old block or none — never
 // a torn one (stale staging files are swept on Open). When MaxBytes is
 // set, a Put that pushes the store past the bound collects
-// least-recently-used unpinned blocks until it fits; recency is tracked
-// in memory and seeded from file modification times on Open.
+// least-recently-used blocks until it fits; recency is tracked in memory
+// and seeded from file modification times on Open.
 type Disk struct {
 	root     string
 	maxBytes int64
@@ -31,7 +31,6 @@ type Disk struct {
 	blocks map[string]*list.Element
 	order  *list.List // front = most recently used
 	bytes  int64
-	pins   pinSet
 
 	hits, misses, puts, evictions int64
 }
@@ -55,7 +54,6 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 		maxBytes: opts.MaxBytes,
 		blocks:   make(map[string]*list.Element),
 		order:    list.New(),
-		pins:     make(pinSet),
 	}
 	if err := os.MkdirAll(d.tmpDir(), 0o755); err != nil {
 		return nil, fmt.Errorf("blockstore: creating %s: %w", d.tmpDir(), err)
@@ -73,9 +71,6 @@ func OpenDisk(dir string, opts DiskOptions) (*Disk, error) {
 	}
 	return d, nil
 }
-
-// Root returns the store's root directory.
-func (d *Disk) Root() string { return d.root }
 
 func (d *Disk) tmpDir() string { return filepath.Join(d.root, "tmp") }
 
@@ -228,39 +223,6 @@ func (d *Disk) Has(key string) (bool, error) {
 	return ok, nil
 }
 
-// Delete removes the block under key; absent keys are a no-op.
-func (d *Disk) Delete(key string) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	el, ok := d.blocks[key]
-	if !ok {
-		return nil
-	}
-	//cprlint:lockheld file unlink and index removal must be atomic under d.mu or a racing Get could resurrect a deleted key; unlinking a local file is bounded work
-	if err := os.Remove(d.blockPath(key)); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("blockstore: deleting %s: %w", key, err)
-	}
-	d.removeIndexLocked(el)
-	return nil
-}
-
-// Pin marks key uncollectable until a matching Unpin.
-func (d *Disk) Pin(key string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pins.pin(key)
-}
-
-// Unpin releases one pin reference.
-func (d *Disk) Unpin(key string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.pins.unpin(key)
-}
-
 // Stats snapshots the counters.
 func (d *Disk) Stats() Stats {
 	d.mu.Lock()
@@ -272,13 +234,12 @@ func (d *Disk) Stats() Stats {
 		Misses:    d.misses,
 		Puts:      d.puts,
 		Evictions: d.evictions,
-		Pinned:    len(d.pins),
 	}
 }
 
-// gcLocked collects least-recently-used unpinned blocks until the store
-// fits MaxBytes; pinned and in-flight keys are never collected, so the
-// store may overshoot while everything old is pinned. Callers hold d.mu.
+// gcLocked collects least-recently-used blocks until the store fits
+// MaxBytes. A block whose file cannot be removed stays indexed, and the
+// sweep moves on to the next oldest. Callers hold d.mu.
 func (d *Disk) gcLocked() {
 	if d.maxBytes <= 0 {
 		return
@@ -286,12 +247,10 @@ func (d *Disk) gcLocked() {
 	for el := d.order.Back(); el != nil && d.bytes > d.maxBytes; {
 		prev := el.Prev()
 		e := el.Value.(*diskEntry)
-		if !d.pins.pinned(e.key) {
-			//cprlint:lockheld eviction must unlink the file and drop its index entry atomically under d.mu; unlinking a local file is bounded work
-			if err := os.Remove(d.blockPath(e.key)); err == nil || os.IsNotExist(err) {
-				d.removeIndexLocked(el)
-				d.evictions++
-			}
+		//cprlint:lockheld eviction must unlink the file and drop its index entry atomically under d.mu; unlinking a local file is bounded work
+		if err := os.Remove(d.blockPath(e.key)); err == nil || os.IsNotExist(err) {
+			d.removeIndexLocked(el)
+			d.evictions++
 		}
 		el = prev
 	}

@@ -8,15 +8,14 @@ import (
 // Mem is a bounded in-memory block store: the default for single-node
 // daemons (fast, vanishes with the process) and the canonical test
 // double for the disk store. When MaxBytes is set, storing a block past
-// the bound collects least-recently-used unpinned blocks until the
-// store fits again — the same GC policy as Disk.
+// the bound collects least-recently-used blocks until the store fits
+// again — the same GC policy as Disk.
 type Mem struct {
 	mu       sync.Mutex
 	maxBytes int64
 	blocks   map[string]*list.Element
 	order    *list.List // front = most recently used
 	bytes    int64
-	pins     pinSet
 
 	hits, misses, puts, evictions int64
 }
@@ -32,7 +31,6 @@ func NewMem(maxBytes int64) *Mem {
 		maxBytes: maxBytes,
 		blocks:   make(map[string]*list.Element),
 		order:    list.New(),
-		pins:     make(pinSet),
 	}
 }
 
@@ -87,33 +85,6 @@ func (m *Mem) Has(key string) (bool, error) {
 	return ok, nil
 }
 
-// Delete removes the block under key.
-func (m *Mem) Delete(key string) error {
-	if err := checkKey(key); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if el, ok := m.blocks[key]; ok {
-		m.removeLocked(el)
-	}
-	return nil
-}
-
-// Pin marks key uncollectable until a matching Unpin.
-func (m *Mem) Pin(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pins.pin(key)
-}
-
-// Unpin releases one pin reference.
-func (m *Mem) Unpin(key string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pins.unpin(key)
-}
-
 // Stats snapshots the counters.
 func (m *Mem) Stats() Stats {
 	m.mu.Lock()
@@ -125,25 +96,18 @@ func (m *Mem) Stats() Stats {
 		Misses:    m.misses,
 		Puts:      m.puts,
 		Evictions: m.evictions,
-		Pinned:    len(m.pins),
 	}
 }
 
-// gcLocked collects least-recently-used unpinned blocks until the store
-// fits MaxBytes. Pinned blocks are skipped; if only pinned blocks
-// remain the store is allowed to overshoot (correctness beats the
-// bound). Callers hold m.mu.
+// gcLocked collects least-recently-used blocks until the store fits
+// MaxBytes. Callers hold m.mu.
 func (m *Mem) gcLocked() {
 	if m.maxBytes <= 0 {
 		return
 	}
-	for el := m.order.Back(); el != nil && m.bytes > m.maxBytes; {
-		prev := el.Prev()
-		if !m.pins.pinned(el.Value.(*memEntry).key) {
-			m.removeLocked(el)
-			m.evictions++
-		}
-		el = prev
+	for el := m.order.Back(); el != nil && m.bytes > m.maxBytes; el = m.order.Back() {
+		m.removeLocked(el)
+		m.evictions++
 	}
 }
 

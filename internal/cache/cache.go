@@ -1,21 +1,22 @@
-// Package cache is the content-addressed result cache behind the cprd
-// daemon (ThreeLevel):
+// Package cache holds the content-addressed artifact levels behind the
+// cprd daemon. The job manager keeps three of them (jobs.ResultCache):
 //
-//   - the design level stores completed optimization results under the
-//     SHA-256 of the design's canonical encoding combined with a
+//   - the design level stores completed optimization results under Key:
+//     the SHA-256 of the design's canonical encoding combined with a
 //     normalized options fingerprint, so resubmitting an identical
 //     design never re-runs the optimizer;
-//   - the panel level stores per-panel pipeline artifacts under the
-//     SHA-256 of one panel's canonical input encoding (see
+//   - the panel level stores per-panel pipeline artifacts under PanelKey:
+//     the SHA-256 of one panel's canonical input encoding (see
 //     pipeline.WritePanelInputs) combined with the solver fingerprint,
 //     so an edited design that misses the design level still reuses
 //     every panel the edit provably cannot affect;
 //   - the route level stores per-region route bundles under RouteKey.
 //
-// Each level is an in-memory LRU bounded by entry count, optionally
-// backed by a block store (NewBacked), safe for concurrent use, with
-// hit/miss/eviction counters cheap enough to read on every /v1/stats
-// request.
+// Each level is a Backed: a typed in-memory LRU of decoded values
+// (Cache, bounded by entry count) in front of a content-addressed block
+// source that keeps the encoded bytes for peer daemons and restarts.
+// Both are safe for concurrent use, with hit/miss/eviction counters
+// cheap enough to read on every /v1/stats request.
 package cache
 
 import (
@@ -49,6 +50,21 @@ func PanelKey(panelHash, solverFingerprint string) string {
 	h.Write([]byte(panelHash))
 	h.Write([]byte{'\n'})
 	h.Write([]byte(solverFingerprint))
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// RouteKey derives the content address for one routing region's artifact:
+// the hex SHA-256 over a domain-separation tag, the region's canonical
+// input hash (see pipeline.WriteRegionInputs), and the router
+// fingerprint. The "route\n" tag keeps the route keyspace disjoint from
+// the design and panel keyspaces even if the hash inputs ever collide in
+// content.
+func RouteKey(regionHash, routerFingerprint string) string {
+	h := sha256.New()
+	h.Write([]byte("route\n"))
+	h.Write([]byte(regionHash))
+	h.Write([]byte{'\n'})
+	h.Write([]byte(routerFingerprint))
 	return hex.EncodeToString(h.Sum(nil))
 }
 
@@ -139,13 +155,6 @@ func (c *Cache[V]) Put(key string, val V) {
 		delete(c.items, oldest.Value.(*entry[V]).key)
 		c.evictions++
 	}
-}
-
-// Len returns the current entry count.
-func (c *Cache[V]) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
 }
 
 // Stats snapshots the counters.

@@ -24,6 +24,20 @@ func TestKeyStability(t *testing.T) {
 	}
 }
 
+func TestRouteKeyDomainSeparation(t *testing.T) {
+	// The same hash/fingerprint pair must address different blocks at
+	// each level: the tags keep the keyspaces disjoint.
+	k1 := Key("hash", "fp")
+	k2 := PanelKey("hash", "fp")
+	k3 := RouteKey("hash", "fp")
+	if k1 == k2 || k1 == k3 || k2 == k3 {
+		t.Fatalf("keyspaces collide: %s %s %s", k1, k2, k3)
+	}
+	if RouteKey("hash", "fp") != k3 {
+		t.Fatal("RouteKey is not stable")
+	}
+}
+
 func TestCacheHitMissCounters(t *testing.T) {
 	c := New[int](8)
 	if _, ok := c.Get("a"); ok {
@@ -66,8 +80,8 @@ func TestCachePutReplace(t *testing.T) {
 	if v, _ := c.Get("a"); v != 9 {
 		t.Fatalf("replaced value = %d, want 9", v)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("len = %d, want 1", c.Len())
+	if n := c.Stats().Entries; n != 1 {
+		t.Fatalf("entries = %d, want 1", n)
 	}
 }
 
@@ -79,7 +93,7 @@ func TestCacheDefaultCapacity(t *testing.T) {
 		for i := 0; i < 1030; i++ {
 			c.Put(string(rune('a'+i%26))+string(rune('0'+i/26%10))+string(rune('A'+i/260)), i)
 		}
-		if n := c.Len(); n != 1024 {
+		if n := c.Stats().Entries; n != 1024 {
 			t.Errorf("capacity %d: cache holds %d entries, want the default 1024", capacity, n)
 		}
 	}

@@ -2,25 +2,6 @@ package cache
 
 import "context"
 
-// Level is one cache level as the daemon consumes it. *Cache[V]
-// implements it purely in memory; Backed[V] adds a content-addressed
-// block store (and, through it, peer daemons) behind the same surface,
-// so the job manager cannot tell a local hit from a cluster one.
-type Level[V any] interface {
-	// Get looks up a key, promoting it on hit; the hit/miss counters are
-	// updated either way.
-	Get(key string) (V, bool)
-	// Put stores a value under a non-empty key.
-	Put(key string, val V)
-	// Contains reports presence without touching counters or recency —
-	// and, on a backed level, without asking peers.
-	Contains(key string) bool
-	// Len returns the entry count of the level's memory tier.
-	Len() int
-	// Stats snapshots the level's counters.
-	Stats() Stats
-}
-
 // BlockSource is the slice of the exchange service a backed level needs:
 // resolve a block (locally then from peers), store one, and check local
 // presence. Implemented by *exchange.Service; kept as an interface here
@@ -56,9 +37,11 @@ type Backed[V any] struct {
 	storeHits int64
 }
 
-// NewBacked builds a backed level. capacity bounds the memory tier
-// (<= 0 selects the default); enc/dec translate values to and from
-// block bytes; keyOf may be nil (see Backed).
+// NewBacked builds a backed level. capacity bounds only the memory tier
+// (<= 0 selects the default): a value it evicts still resolves from the
+// block source until the store's own GC collects the block. enc/dec
+// translate values to and from block bytes; keyOf may be nil (see
+// Backed).
 func NewBacked[V any](capacity int, src BlockSource, enc func(V) ([]byte, error),
 	dec func([]byte) (V, error), keyOf func(V) string) *Backed[V] {
 	return &Backed[V]{
@@ -81,7 +64,8 @@ func (b *Backed[V]) Get(key string) (V, bool) {
 // GetCtx is Get with a caller context, so a lookup that falls through to
 // the block source carries the job's trace and event plumbing (peer
 // fetch spans, block_fetch events) and honors cancellation. The plain
-// Get remains for interface compatibility.
+// Get is what core.PanelCache and core.RouteCache call when a caller has
+// no context.
 func (b *Backed[V]) GetCtx(ctx context.Context, key string) (V, bool) {
 	if v, ok := b.mem.Get(key); ok {
 		return v, true
@@ -125,8 +109,8 @@ func (b *Backed[V]) Put(key string, val V) {
 }
 
 // Contains reports presence in memory or the local block store. It
-// never asks peers and never touches counters, matching the *Cache
-// contract (the job manager probes with Contains before re-warming).
+// never asks peers and never touches counters or recency: the job
+// manager probes with Contains before re-warming a base job's artifacts.
 func (b *Backed[V]) Contains(key string) bool {
 	if b.mem.Contains(key) {
 		return true
@@ -134,9 +118,6 @@ func (b *Backed[V]) Contains(key string) bool {
 	ok, err := b.src.Has(key)
 	return err == nil && ok
 }
-
-// Len returns the memory tier's entry count.
-func (b *Backed[V]) Len() int { return b.mem.Len() }
 
 // Stats snapshots the level. The memory tier counts every Get as a hit
 // or a miss; Gets it missed but the block source resolved are

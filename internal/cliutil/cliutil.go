@@ -151,10 +151,10 @@ func Baseline() *string {
 // core.ParseRerunMode). It selects the incremental-rerun contract used
 // together with -baseline: strict reruns are byte-identical to a cold
 // run, eco-fast reruns additionally warm-start dirtied nets from the
-// baseline's routes and are verified DRC-clean and objective-equal.
+// baseline's routes and are checked DRC-clean only.
 func RerunMode() *string {
 	return flag.String("rerun-mode", "strict",
-		"incremental rerun contract with -baseline: strict (byte-identical to a cold run) or eco-fast (warm-starts dirtied nets; verified equivalent, route bytes may differ)")
+		"incremental rerun contract with -baseline: strict (byte-identical to a cold run) or eco-fast (warm-starts dirtied nets; checked DRC-clean only, routes and routed nets may differ)")
 }
 
 // ReadDesign loads a cpr-design file.

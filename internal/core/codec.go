@@ -35,8 +35,8 @@ type resultEnvelope struct {
 }
 
 // EncodeResult encodes a RunResult as a design-level block. Results of
-// eco-fast reruns carry keyless route artifacts; they are encodable
-// (the design key itself embeds the rerun mode) but their keyless
+// eco-fast reruns carry keyless route artifacts; they are encodable,
+// but the job manager never gives them a design key, and their keyless
 // artifacts stay unservable at the panel/route levels.
 func EncodeResult(r *RunResult) ([]byte, error) {
 	if r == nil {

@@ -77,10 +77,10 @@ const (
 	RerunStrict RerunMode = iota
 	// RerunEcoFast additionally warm-starts surviving nets of dirtied
 	// regions from their previous routes, so negotiation converges on the
-	// residual set only. The result may diverge byte-wise from a cold
-	// run, but it is verified DRC-clean (internal/verify.Check) and
-	// objective-equal; a rerun that fails verification falls back to a
-	// cold run automatically.
+	// residual set only. The result may diverge from a cold run, in route
+	// bytes and in which nets get routed. It is checked DRC-clean
+	// (internal/verify.Check) at runtime; a rerun that fails the check
+	// falls back to a cold re-route automatically.
 	RerunEcoFast
 )
 
@@ -186,9 +186,9 @@ type Options struct {
 	//keypurity:exempt content-addressed artifact store; equal keys address byte-identical artifacts, so a cache can only skip recomputation
 	RouteCache RouteCache
 	// RerunMode selects the routing reuse contract of Rerun: RerunStrict
-	// (default, byte-identical) or RerunEcoFast (verified DRC-clean and
-	// objective-equal). Ignored on cold runs, which have nothing to
-	// reuse.
+	// (default, byte-identical) or RerunEcoFast (checked DRC-clean only;
+	// its routed nets may differ from a cold run). Ignored on cold runs,
+	// which have nothing to reuse.
 	//
 	//keypurity:exempt reuse-contract selector for Rerun only; eco-fast results are never design-cached (jobs.Submit refuses the key) and cold runs ignore it
 	RerunMode RerunMode

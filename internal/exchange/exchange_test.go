@@ -230,14 +230,17 @@ func TestFetcherPerPeerTimeout(t *testing.T) {
 
 func TestFetcherNormalizesPeerURLs(t *testing.T) {
 	f := NewHTTPFetcher([]string{" node-a:8080 ", "", "http://node-b:8080/"}, HTTPOptions{})
-	got := f.Peers()
+	var got []string
+	for _, h := range f.Health() {
+		got = append(got, h.Peer)
+	}
 	want := []string{"http://node-a:8080", "http://node-b:8080"}
 	if len(got) != len(want) {
-		t.Fatalf("Peers = %v, want %v", got, want)
+		t.Fatalf("peers = %v, want %v", got, want)
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("Peers = %v, want %v", got, want)
+			t.Fatalf("peers = %v, want %v", got, want)
 		}
 	}
 }

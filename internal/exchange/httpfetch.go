@@ -132,15 +132,6 @@ func NewHTTPFetcher(peers []string, opts HTTPOptions) *HTTPFetcher {
 	return f
 }
 
-// Peers returns the configured peer base URLs.
-func (f *HTTPFetcher) Peers() []string {
-	out := make([]string, len(f.peers))
-	for i, p := range f.peers {
-		out[i] = p.base
-	}
-	return out
-}
-
 // Health snapshots every peer's fetch/error counters and backoff state.
 func (f *HTTPFetcher) Health() []PeerHealth {
 	f.mu.Lock()

@@ -74,8 +74,8 @@ type Options struct {
 	// RerunMode selects the incremental-rerun contract for submissions
 	// with a base_job: "strict" (default; byte-identical to a cold run)
 	// or "eco-fast" (warm-starts dirtied nets from the base's routes;
-	// verified DRC-clean and objective-equal, but route bytes may
-	// differ). Without a base_job both behave identically.
+	// checked DRC-clean only, so route bytes and routed nets may differ
+	// from a cold run). Without a base_job both behave identically.
 	RerunMode string `json:"rerun_mode,omitempty"`
 }
 
@@ -92,7 +92,7 @@ type PinOptSummary struct {
 // IncrementalSummary reports how much of a run was spliced from reuse
 // (a base job's artifacts or the panel/route caches). Provenance only:
 // in strict mode results are byte-identical however much was reused,
-// and eco-fast results are verified equivalent.
+// and eco-fast results are checked DRC-clean only.
 type IncrementalSummary struct {
 	Panels     int   `json:"panels"`
 	Reused     int   `json:"reused"`
@@ -145,10 +145,11 @@ type Job struct {
 type Stats struct {
 	jobs.Stats
 	// Blockstore snapshots the local content-addressed block store
-	// backing the cache levels; absent on daemons running without one.
+	// backing the cache levels; absent when the server has no exchange
+	// attached (cmd/cprd always attaches one).
 	Blockstore *blockstore.Stats `json:"blockstore,omitempty"`
 	// Exchange counts block resolutions by source (local / peer / miss);
-	// absent without a block-backed cache.
+	// absent when the server has no exchange attached.
 	Exchange *exchange.Stats `json:"exchange,omitempty"`
 	// Peers lists the configured peer base URLs the exchange fetches
 	// from; empty for a single-node daemon.

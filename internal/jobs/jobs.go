@@ -28,27 +28,31 @@ import (
 // the top, per-panel pipeline artifacts and per-region route bundles
 // below. A design-level hit answers a resubmission without running
 // anything; a design-level miss still harvests panel- and route-level
-// hits for everything the edit provably cannot affect.
-type ResultCache = cache.ThreeLevel[*core.RunResult, *pipeline.PanelArtifact, *pipeline.RouteArtifact]
-
-// NewResultCache creates the three-level cache. Capacities <= 0 take the
-// cache package defaults; the panel and route levels typically want a
-// multiple of the design level (one design contributes many panels and
-// regions).
-func NewResultCache(designCap, panelCap, routeCap int) *ResultCache {
-	return cache.NewThreeLevel[*core.RunResult, *pipeline.PanelArtifact, *pipeline.RouteArtifact](designCap, panelCap, routeCap)
+// hits for everything the edit provably cannot affect. Every level is a
+// typed in-memory LRU over a content-addressed block source; build one
+// with NewExchangedResultCache.
+type ResultCache struct {
+	// Design holds whole-design results under cache.Key.
+	Design *cache.Backed[*core.RunResult]
+	// Panel holds per-panel pipeline artifacts under cache.PanelKey.
+	Panel *cache.Backed[*pipeline.PanelArtifact]
+	// Route holds per-region route bundles under cache.RouteKey.
+	Route *cache.Backed[*pipeline.RouteArtifact]
 }
 
 // NewExchangedResultCache creates the three-level cache on top of a
-// block source (exchange.Service): every level keeps its typed
-// in-memory LRU, but misses fall through to the content-addressed block
-// store — and, when the source has peers, to other daemons — and puts
-// write blocks through, making them durable and servable. Decoded panel
-// and route artifacts are verified to carry the requested key before
-// they are spliced; design-level results don't carry their key (it
-// covers the design bytes, which the result does not retain), so they
-// rely on the key's collision resistance alone, exactly like the
-// in-memory design level always has.
+// block source (exchange.Service). The capacities bound each level's
+// typed in-memory LRU (<= 0 selects the cache package default); the
+// panel and route levels typically want a multiple of the design level,
+// since one design contributes many panels and regions. Misses fall
+// through to the content-addressed block store — and, when the source
+// has peers, to other daemons — and puts write blocks through, making
+// them durable and servable, so an entry the memory tier evicts is still
+// answered from the store. Decoded panel and route artifacts are
+// verified to carry the requested key before they are spliced;
+// design-level results don't carry their key (it covers the design
+// bytes, which the result does not retain), so they rely on the key's
+// collision resistance alone.
 func NewExchangedResultCache(designCap, panelCap, routeCap int, src cache.BlockSource) *ResultCache {
 	return &ResultCache{
 		Design: cache.NewBacked[*core.RunResult](designCap, src,
@@ -112,11 +116,12 @@ var (
 )
 
 // RunFunc executes one optimization request. The default is
-// core.RunContext; tests substitute stubs.
+// core.RunContext; cmd/cprd wraps it, and tests substitute stubs.
 type RunFunc func(ctx context.Context, d *design.Design, opts core.Options) (*core.RunResult, error)
 
 // RerunFunc executes one incremental request against a base result. The
-// default is core.RerunContext; tests substitute stubs.
+// default is core.RerunContext; cmd/cprd wraps it, and tests substitute
+// stubs.
 type RerunFunc func(ctx context.Context, prev *core.RunResult, d *design.Design, opts core.Options) (*core.RunResult, error)
 
 // Config tunes a Manager. Zero values take the documented defaults.
@@ -134,11 +139,11 @@ type Config struct {
 	// RetainJobs bounds how many finished jobs stay queryable by ID
 	// (default 4096); the oldest finished jobs are forgotten first.
 	RetainJobs int
-	// Run overrides the job executor (tests only; default
-	// core.RunContext).
+	// Run overrides the job executor (default core.RunContext). cmd/cprd
+	// sets it to apply its -workers default.
 	Run RunFunc
-	// Rerun overrides the incremental job executor (tests only; default
-	// core.RerunContext).
+	// Rerun overrides the incremental job executor (default
+	// core.RerunContext). cmd/cprd sets it to apply its -workers default.
 	Rerun RerunFunc
 	// Metrics receives the manager's operational metrics (queue depth,
 	// queue-wait and run latencies, rejected submissions, cache
@@ -386,8 +391,7 @@ type Manager struct {
 }
 
 // New creates a manager and starts its worker goroutines. The cache may
-// be shared with other components for stats reporting; pass nil to run
-// without caching.
+// be shared with other components for stats reporting.
 //
 //cprlint:ctxpass worker lifecycle is bound to the queue channel; Drain(ctx) closes it and honors its context
 func New(cfg Config, c *ResultCache) *Manager {
@@ -401,7 +405,7 @@ func New(cfg Config, c *ResultCache) *Manager {
 		cancels:  make(map[string]context.CancelFunc),
 		counts:   make(map[State]int64),
 	}
-	m.registerMetrics(c)
+	m.registerMetrics()
 	m.workers.Add(cfg.MaxConcurrent)
 	for i := 0; i < cfg.MaxConcurrent; i++ {
 		go m.worker()
@@ -416,7 +420,7 @@ func New(cfg Config, c *ResultCache) *Manager {
 // The pinopt histogram is the one the pipeline observes per pin-access
 // run (same name, help and buckets); registering it here makes it exist
 // before the first job.
-func (m *Manager) registerMetrics(c *ResultCache) {
+func (m *Manager) registerMetrics() {
 	reg := m.cfg.Metrics
 	m.mQueueWait = reg.Histogram("cprd_job_queue_wait_seconds",
 		"Time jobs spent queued before a worker picked them up.", telemetry.DefSecondsBuckets)
@@ -450,16 +454,13 @@ func (m *Manager) registerMetrics(c *ResultCache) {
 				return float64(m.counts[st])
 			}, telemetry.L("state", st.String()))
 	}
-	if c == nil {
-		return
-	}
 	levels := []struct {
 		name  string
 		stats func() cache.Stats
 	}{
-		{"design", func() cache.Stats { return c.Design.Stats() }},
-		{"panel", func() cache.Stats { return c.Panel.Stats() }},
-		{"route", func() cache.Stats { return c.Route.Stats() }},
+		{"design", m.cache.Design.Stats},
+		{"panel", m.cache.Panel.Stats},
+		{"route", m.cache.Route.Stats},
 	}
 	for _, lv := range levels {
 		lv := lv
@@ -495,9 +496,9 @@ func (m *Manager) Submit(d *design.Design, opts core.Options) (*Job, error) {
 // submission, so reuse survives earlier evictions.
 //
 // Eco-fast reruns with a baseline are the one exception: their result
-// is verified legal and objective-equal but not byte-identical to a
-// cold run, so such jobs bypass the design-level cache entirely (no
-// cached-answer fast path, no coalescing, no Put) — a warm-started
+// is checked DRC-clean only, and its routes and routed nets may differ
+// from a cold run, so such jobs bypass the design-level cache entirely
+// (no cached-answer fast path, no coalescing, no Put) — a warm-started
 // result must never be served to a cold submitter of the same design.
 func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID string) (*Job, error) {
 	var base *core.RunResult
@@ -511,7 +512,7 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 			return nil, fmt.Errorf("%w: %q is %s", ErrBaseNotDone, baseJobID, snap.State)
 		}
 		base = snap.Result
-		if m.cache != nil && base.Artifacts != nil {
+		if base.Artifacts != nil {
 			for _, a := range base.Artifacts.Panels {
 				if a.Key != "" && !m.cache.Panel.Contains(a.Key) {
 					m.cache.Panel.Put(a.Key, a)
@@ -529,8 +530,8 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	// Design-level cacheability follows the pipeline's own rule
 	// (SolverConfig.Cacheable: custom Profit, LR Stop hooks, and
 	// time-limited ILP are not content-addressable) plus one job-layer
-	// exclusion: eco-fast rerun results are objective-equal but not
-	// byte-identical to a cold run, so they must never answer a cold key.
+	// exclusion: eco-fast rerun results are not byte-identical to a cold
+	// run, so they must never answer a cold key.
 	cacheable := opts.SolverConfig().Cacheable() &&
 		!(opts.RerunMode == core.RerunEcoFast && base != nil)
 	var key string
@@ -542,9 +543,9 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 		key = cache.Key(hash, fp)
 	}
 
-	// The design-level lookup happens outside the manager lock: on a
-	// block-backed cache a miss may fetch from peer daemons, and that
-	// network round-trip must never serialize unrelated submissions.
+	// The design-level lookup happens outside the manager lock: a miss
+	// may fetch from peer daemons, and that network round-trip must never
+	// serialize unrelated submissions.
 	// Draining and coalescing are (re-)checked under the lock afterwards.
 	m.mu.Lock()
 	if m.draining {
@@ -561,7 +562,7 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 	}
 	m.mu.Unlock()
 
-	if cacheable && m.cache != nil {
+	if cacheable {
 		if res, ok := m.cache.Design.Get(key); ok {
 			m.mu.Lock()
 			defer m.mu.Unlock()
@@ -723,7 +724,7 @@ func (m *Manager) execute(job *Job) {
 	// get both read-side caches — their own divergent artifacts carry no
 	// keys, so they can never poison either level.
 	opts := job.opts
-	if opts.Profit == nil && m.cache != nil {
+	if opts.Profit == nil {
 		opts.PanelCache = m.cache.Panel
 		opts.RouteCache = m.cache.Route
 	}
@@ -757,7 +758,7 @@ func (m *Manager) execute(job *Job) {
 	}
 	job.mu.Unlock()
 
-	if err == nil && job.Key != "" && m.cache != nil {
+	if err == nil && job.Key != "" {
 		m.cache.Design.Put(job.Key, res)
 	}
 	m.finish(job, queueWait, end.Sub(start), true)
@@ -800,9 +801,6 @@ func (m *Manager) dumpCrash() {
 	defer f.Close()
 	_ = m.cfg.Events.WriteJSON(f)
 }
-
-// Events returns the manager's event bus, or nil.
-func (m *Manager) Events() *telemetry.EventBus { return m.cfg.Events }
 
 // finish moves the job out of the live sets and observes its latencies.
 // ran distinguishes jobs that reached a worker from jobs failed by a
@@ -866,14 +864,12 @@ func (m *Manager) Stats() Stats {
 		}
 	}
 	st.EventsDropped = m.cfg.Events.Dropped()
-	if m.cache != nil {
-		st.Cache = m.cache.Design.Stats()
-		st.CacheHitRate = st.Cache.HitRate()
-		st.PanelCache = m.cache.Panel.Stats()
-		st.PanelCacheHitRate = st.PanelCache.HitRate()
-		st.RouteCache = m.cache.Route.Stats()
-		st.RouteCacheHitRate = st.RouteCache.HitRate()
-	}
+	st.Cache = m.cache.Design.Stats()
+	st.CacheHitRate = st.Cache.HitRate()
+	st.PanelCache = m.cache.Panel.Stats()
+	st.PanelCacheHitRate = st.PanelCache.HitRate()
+	st.RouteCache = m.cache.Route.Stats()
+	st.RouteCacheHitRate = st.RouteCache.HitRate()
 	return st
 }
 

@@ -10,12 +10,22 @@ import (
 	"testing"
 	"time"
 
+	"cpr/internal/blockstore"
+	"cpr/internal/cache"
 	"cpr/internal/core"
 	"cpr/internal/design"
+	"cpr/internal/exchange"
 	"cpr/internal/lagrange"
 	"cpr/internal/pipeline"
 	"cpr/internal/synth"
 )
+
+// memExchange is the block source cmd/cprd builds without
+// -blockstore-dir or -peers: an exchange over an unbounded in-memory
+// blockstore.
+func memExchange() *exchange.Service {
+	return exchange.New(blockstore.NewMem(0), nil, nil)
+}
 
 func testDesign(t *testing.T) *design.Design {
 	t.Helper()
@@ -50,7 +60,7 @@ func TestSubmitRunsToDone(t *testing.T) {
 			runs.Add(1)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	job, err := m.Submit(d, core.Options{})
@@ -89,7 +99,7 @@ func TestCacheHitOnIdenticalResubmission(t *testing.T) {
 			runs.Add(1)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	first, err := m.Submit(d, core.Options{})
@@ -130,7 +140,7 @@ func TestDifferentOptionsMissCache(t *testing.T) {
 			runs.Add(1)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 	a, _ := m.Submit(d, optsN(1))
 	waitTerminal(t, a)
@@ -151,7 +161,7 @@ func TestCoalesceIdenticalInflight(t *testing.T) {
 			<-release
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	a, err := m.Submit(d, core.Options{})
@@ -183,7 +193,7 @@ func TestQueueFullBackpressure(t *testing.T) {
 			<-release
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	first, err := m.Submit(d, optsN(1))
@@ -219,7 +229,7 @@ func TestJobTimeoutFailsWithoutWedging(t *testing.T) {
 			}
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	slow, err := m.Submit(d, optsN(999))
@@ -250,7 +260,7 @@ func TestDrainCompletesInflightJobs(t *testing.T) {
 			time.Sleep(20 * time.Millisecond)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	var jobs []*Job
@@ -283,7 +293,7 @@ func TestDrainDeadlineCancelsRunningJobs(t *testing.T) {
 			<-ctx.Done() // cooperates with cancellation but never finishes on its own
 			return nil, ctx.Err()
 		},
-	}, NewResultCache(16, 0, 0))
+	}, NewExchangedResultCache(16, 0, 0, memExchange()))
 	d := testDesign(t)
 
 	running, err := m.Submit(d, optsN(1))
@@ -311,13 +321,18 @@ func TestDrainDeadlineCancelsRunningJobs(t *testing.T) {
 // with overlapping submissions and asserts the two manager invariants:
 // every accepted submission reaches a terminal state, and no content
 // address is ever optimized twice (coalescing catches in-flight
-// duplicates, the cache catches completed ones).
+// duplicates, the cache catches completed ones). The design level's
+// memory tier holds fewer results than there are keys, so a result it
+// evicts must come back from the blockstore as a cached answer, not as
+// a second run.
 func TestStressNoJobLostNoDoubleRun(t *testing.T) {
 	const (
 		submitters = 8
 		keys       = 40
+		designCap  = 8
 	)
 	runCounts := make([]atomic.Int64, keys+1)
+	exch := memExchange()
 	m := New(Config{
 		MaxConcurrent: 4,
 		QueueCap:      submitters * keys, // never 429 in this test
@@ -326,7 +341,7 @@ func TestStressNoJobLostNoDoubleRun(t *testing.T) {
 			time.Sleep(100 * time.Microsecond)
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(keys*2, 0, 0))
+	}, NewExchangedResultCache(designCap, 0, 0, exch))
 	d := testDesign(t)
 
 	var (
@@ -358,13 +373,33 @@ func TestStressNoJobLostNoDoubleRun(t *testing.T) {
 			t.Fatalf("job %s = %v (%s), want done", j.ID, snap.State, snap.Err)
 		}
 	}
+	if len(jobs) != submitters*keys {
+		t.Errorf("lost submissions: got %d jobs, want %d", len(jobs), submitters*keys)
+	}
+
+	// Every key once more, after all are done: each is a cached answer.
+	// At least keys-designCap of them were evicted from memory, so the
+	// blockstore answers those.
+	localBefore := exch.Stats().Local
+	for k := 1; k <= keys; k++ {
+		j, err := m.Submit(d, optsN(k))
+		if err != nil {
+			t.Fatalf("resubmit key %d: %v", k, err)
+		}
+		if snap := waitTerminal(t, j); snap.State != StateDone || !snap.Cached {
+			t.Errorf("resubmitted key %d = %v cached=%v, want a cached answer", k, snap.State, snap.Cached)
+		}
+	}
+	if st := m.Stats().Cache; st.Evictions == 0 {
+		t.Errorf("design level = %+v, want evictions from its memory tier", st)
+	}
+	if got := exch.Stats().Local - localBefore; got < keys-designCap {
+		t.Errorf("blockstore answered %d resubmissions, want at least %d", got, keys-designCap)
+	}
 	for k := 1; k <= keys; k++ {
 		if got := runCounts[k].Load(); got != 1 {
 			t.Errorf("key %d ran %d times, want exactly 1", k, got)
 		}
-	}
-	if len(jobs) != submitters*keys {
-		t.Errorf("lost submissions: got %d jobs, want %d", len(jobs), submitters*keys)
 	}
 }
 
@@ -401,7 +436,7 @@ func TestSubmitBaseDispatchesRerun(t *testing.T) {
 			gotBase = prev
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 16, 0))
+	}, NewExchangedResultCache(16, 16, 0, memExchange()))
 	d := testDesign(t)
 
 	base, err := m.Submit(d, optsN(1))
@@ -438,7 +473,7 @@ func TestSubmitBaseErrors(t *testing.T) {
 			<-release
 			return &core.RunResult{}, nil
 		},
-	}, NewResultCache(16, 16, 0))
+	}, NewExchangedResultCache(16, 16, 0, memExchange()))
 	d := testDesign(t)
 
 	if _, err := m.SubmitBase(d, core.Options{}, "no-such-job"); !errors.Is(err, ErrUnknownBaseJob) {
@@ -458,17 +493,20 @@ func TestSubmitBaseErrors(t *testing.T) {
 
 // TestSubmitBaseRewarmsPanelCache: the base job's panel artifacts are
 // re-inserted into the panel cache at submission time, so incremental
-// reuse survives earlier panel-level evictions.
+// reuse survives earlier panel-level evictions. The re-warmed artifacts
+// are written through to the blockstore under their content keys.
 func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
+	k0, k1 := cache.PanelKey("panel-0", "fp"), cache.PanelKey("panel-1", "fp")
 	arts := &pipeline.ArtifactSet{
 		Fingerprint: "fp",
 		Panels: []*pipeline.PanelArtifact{
-			{Panel: 0, Key: "panel-key-0"},
-			{Panel: 1, Key: "panel-key-1"},
+			{Panel: 0, Key: k0},
+			{Panel: 1, Key: k1},
 			{Panel: 2}, // keyless artifacts must be skipped, not inserted
 		},
 	}
-	c := NewResultCache(16, 16, 0)
+	store := blockstore.NewMem(0)
+	c := NewExchangedResultCache(16, 16, 0, exchange.New(store, nil, nil))
 	m := New(Config{
 		MaxConcurrent: 1,
 		Run: func(ctx context.Context, d *design.Design, o core.Options) (*core.RunResult, error) {
@@ -485,7 +523,7 @@ func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
 		t.Fatalf("Submit: %v", err)
 	}
 	waitTerminal(t, base)
-	if c.Panel.Contains("panel-key-0") {
+	if c.Panel.Contains(k0) {
 		t.Fatal("panel cache warmed before any incremental submission (stub Run bypasses it)")
 	}
 
@@ -494,10 +532,90 @@ func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
 		t.Fatalf("SubmitBase: %v", err)
 	}
 	waitTerminal(t, inc)
-	if !c.Panel.Contains("panel-key-0") || !c.Panel.Contains("panel-key-1") {
+	if !c.Panel.Contains(k0) || !c.Panel.Contains(k1) {
 		t.Error("base artifacts were not re-warmed into the panel cache")
 	}
-	if c.Panel.Len() != 2 {
-		t.Errorf("panel cache holds %d entries, want 2 (keyless artifact skipped)", c.Panel.Len())
+	if n := c.Panel.Stats().Entries; n != 2 {
+		t.Errorf("panel cache holds %d entries, want 2 (keyless artifact skipped)", n)
+	}
+	for _, k := range []string{k0, k1} {
+		data, err := store.Get(k)
+		if err != nil {
+			t.Fatalf("re-warmed artifact %s... not in the blockstore: %v", k[:8], err)
+		}
+		if a, err := pipeline.UnmarshalPanelArtifact(data); err != nil || a.Key != k {
+			t.Errorf("block %s... decodes to %+v, %v; want the artifact keyed %s...", k[:8], a, err, k[:8])
+		}
+	}
+}
+
+// TestResultCacheIndependentAccounting: the three levels share one block
+// source but count hits, misses and entries on their own.
+func TestResultCacheIndependentAccounting(t *testing.T) {
+	c := NewExchangedResultCache(2, 2, 2, memExchange())
+	dk, pk, rk := cache.Key("d1", "fp"), cache.PanelKey("p1", "fp"), cache.RouteKey("r1", "fp")
+	c.Design.Put(dk, &core.RunResult{})
+	c.Panel.Put(pk, &pipeline.PanelArtifact{Key: pk})
+	c.Route.Put(rk, &pipeline.RouteArtifact{Key: rk})
+
+	if _, ok := c.Design.Get(dk); !ok {
+		t.Fatal("design level lost its entry")
+	}
+	if _, ok := c.Panel.Get(cache.PanelKey("missing", "fp")); ok {
+		t.Fatal("panel level fabricated an entry")
+	}
+	if _, ok := c.Route.Get(rk); !ok {
+		t.Fatal("route level lost its entry")
+	}
+
+	design, panel, route := c.Design.Stats(), c.Panel.Stats(), c.Route.Stats()
+	if design.Hits != 1 || design.Misses != 0 {
+		t.Fatalf("design stats = %+v", design)
+	}
+	if panel.Hits != 0 || panel.Misses != 1 {
+		t.Fatalf("panel stats = %+v", panel)
+	}
+	if route.Hits != 1 || route.Misses != 0 {
+		t.Fatalf("route stats = %+v", route)
+	}
+	if design.Entries != 1 || panel.Entries != 1 || route.Entries != 1 {
+		t.Fatalf("entry counts = %d %d %d", design.Entries, panel.Entries, route.Entries)
+	}
+}
+
+// TestResultCachePerLevelEviction: each level's capacity bounds its own
+// memory tier only. Overflowing one level evicts there and nowhere else,
+// and every evicted entry is still answered from the block store.
+func TestResultCachePerLevelEviction(t *testing.T) {
+	c := NewExchangedResultCache(1, 2, 3, memExchange())
+	var dks, pks, rks []string
+	for i := 0; i < 4; i++ {
+		label := fmt.Sprintf("k%d", i)
+		dks = append(dks, cache.Key(label, "fp"))
+		pks = append(pks, cache.PanelKey(label, "fp"))
+		rks = append(rks, cache.RouteKey(label, "fp"))
+		c.Design.Put(dks[i], &core.RunResult{})
+		c.Panel.Put(pks[i], &pipeline.PanelArtifact{Panel: i, Key: pks[i]})
+		c.Route.Put(rks[i], &pipeline.RouteArtifact{Key: rks[i]})
+	}
+	if st := c.Design.Stats(); st.Entries != 1 || st.Evictions != 3 {
+		t.Fatalf("design after overflow = %+v", st)
+	}
+	if st := c.Panel.Stats(); st.Entries != 2 || st.Evictions != 2 {
+		t.Fatalf("panel after overflow = %+v", st)
+	}
+	if st := c.Route.Stats(); st.Entries != 3 || st.Evictions != 1 {
+		t.Fatalf("route after overflow = %+v", st)
+	}
+	for i := 0; i < 4; i++ {
+		if _, ok := c.Design.Get(dks[i]); !ok {
+			t.Errorf("design key %d lost after memory eviction", i)
+		}
+		if a, ok := c.Panel.Get(pks[i]); !ok || a.Panel != i {
+			t.Errorf("panel key %d = %+v, %v after memory eviction", i, a, ok)
+		}
+		if _, ok := c.Route.Get(rks[i]); !ok {
+			t.Errorf("route key %d lost after memory eviction", i)
+		}
 	}
 }

@@ -312,9 +312,10 @@ func TestIncrementalEcoFastVerifiedEquivalent(t *testing.T) {
 // negotiation's congestion history, so under contention it strands nets
 // the seeded run routes. On this pinned congested instance the seeded
 // run routes strictly more nets than the unseeded one, which is exactly
-// the divergence verify.ObjectiveEqual (the eco-fast runtime gate) is
-// there to catch: if this test ever passes with seeding skipped, the
-// equivalence oracle has lost the power to detect a seeding regression.
+// the divergence verify.ObjectiveEqual (the eco-fast equivalence oracle
+// of the test suites) is there to catch: if this test ever passes with
+// seeding skipped, the oracle has lost the power to detect a seeding
+// regression.
 func TestEcoFastFailsWithoutSpliceSeeding(t *testing.T) {
 	// One dense cluster, seed pinned to a congested instance where the
 	// seeded and unseeded outcomes provably diverge.

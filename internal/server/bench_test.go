@@ -13,7 +13,7 @@ import (
 // specs.
 func benchServer(b *testing.B) *client.Client {
 	b.Helper()
-	mgr := jobs.New(jobs.Config{MaxConcurrent: 2}, jobs.NewResultCache(1<<16, 0, 0))
+	mgr := jobs.New(jobs.Config{MaxConcurrent: 2}, jobs.NewExchangedResultCache(1<<16, 0, 0, memExchange()))
 	ts := httptest.NewServer(New(mgr).Handler())
 	b.Cleanup(ts.Close)
 	return client.New(ts.URL)

@@ -27,7 +27,7 @@ func newEventServer(t *testing.T, cfg jobs.Config) (*jobs.Manager, *client.Clien
 	if cfg.Events == nil {
 		cfg.Events = telemetry.NewEventBus(0)
 	}
-	mgr := jobs.New(cfg, jobs.NewResultCache(256, 0, 0))
+	mgr := jobs.New(cfg, jobs.NewExchangedResultCache(256, 0, 0, memExchange()))
 	srv := New(mgr)
 	srv.SetEvents(cfg.Events)
 	ts := httptest.NewServer(srv.Handler())
@@ -316,7 +316,7 @@ func TestJobEventStream404s(t *testing.T) {
 	wantStatus(c.StreamEvents(ctx, cached.ID, 0, func(client.JobEvent) error { return nil }), "served from cache")
 
 	// A server without a bus 404s every stream.
-	mgr2 := jobs.New(jobs.Config{MaxConcurrent: 1, Run: run}, jobs.NewResultCache(16, 0, 0))
+	mgr2 := jobs.New(jobs.Config{MaxConcurrent: 1, Run: run}, jobs.NewExchangedResultCache(16, 0, 0, memExchange()))
 	ts2 := httptest.NewServer(New(mgr2).Handler())
 	t.Cleanup(ts2.Close)
 	c2 := client.New(ts2.URL)
@@ -357,7 +357,7 @@ func TestDebugEventsEndpoint(t *testing.T) {
 		}
 	}
 
-	mgr2 := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewResultCache(16, 0, 0))
+	mgr2 := jobs.New(jobs.Config{MaxConcurrent: 1}, jobs.NewExchangedResultCache(16, 0, 0, memExchange()))
 	ts2 := httptest.NewServer(New(mgr2).Handler())
 	t.Cleanup(ts2.Close)
 	if _, err := client.New(ts2.URL).DebugEvents(ctx); err == nil {

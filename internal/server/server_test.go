@@ -11,9 +11,11 @@ import (
 	"time"
 
 	"cpr/client"
+	"cpr/internal/blockstore"
 	"cpr/internal/core"
 	"cpr/internal/design"
 	"cpr/internal/designio"
+	"cpr/internal/exchange"
 	"cpr/internal/jobs"
 	"cpr/internal/synth"
 )
@@ -22,11 +24,18 @@ import (
 // well under a second.
 var smallSpec = client.Spec{Name: "srv-test", Nets: 20, Width: 80, Height: 30, Seed: 3}
 
+// memExchange is the block source cmd/cprd builds without
+// -blockstore-dir or -peers: an exchange over an unbounded in-memory
+// blockstore.
+func memExchange() *exchange.Service {
+	return exchange.New(blockstore.NewMem(0), nil, nil)
+}
+
 // newTestServer wires a manager (real pipeline unless cfg.Run overrides)
 // behind an httptest server and returns a client for it.
 func newTestServer(t *testing.T, cfg jobs.Config) (*jobs.Manager, *client.Client) {
 	t.Helper()
-	mgr := jobs.New(cfg, jobs.NewResultCache(256, 0, 0))
+	mgr := jobs.New(cfg, jobs.NewExchangedResultCache(256, 0, 0, memExchange()))
 	ts := httptest.NewServer(New(mgr).Handler())
 	t.Cleanup(ts.Close)
 	return mgr, client.New(ts.URL)

@@ -29,7 +29,7 @@ func newMetricsServer(t *testing.T, cfg jobs.Config) (*jobs.Manager, *client.Cli
 	if cfg.Metrics == nil {
 		cfg.Metrics = telemetry.NewRegistry()
 	}
-	mgr := jobs.New(cfg, jobs.NewResultCache(256, 0, 0))
+	mgr := jobs.New(cfg, jobs.NewExchangedResultCache(256, 0, 0, memExchange()))
 	ts := httptest.NewServer(New(mgr).Handler())
 	t.Cleanup(ts.Close)
 	return mgr, client.New(ts.URL), ts.URL

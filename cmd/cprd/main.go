@@ -61,9 +61,9 @@ func main() {
 		maxJobs      = flag.Int("max-jobs", 2, "max concurrently running jobs")
 		queueCap     = flag.Int("queue-cap", 64, "max queued jobs before 429 backpressure")
 		jobTimeout   = flag.Duration("job-timeout", 5*time.Minute, "per-job execution deadline (0 = none)")
-		cacheCap     = flag.Int("cache-cap", 1024, "max whole-design results kept decoded in memory (LRU); an evicted result is still answered from the blockstore")
-		panelCap     = flag.Int("panel-cache-cap", 16384, "max per-panel artifacts kept decoded in memory (LRU); an evicted artifact is still read from the blockstore")
-		routeCap     = flag.Int("route-cache-cap", 16384, "max per-region route bundles kept decoded in memory (LRU); an evicted bundle is still read from the blockstore")
+		cacheCap     = flag.Int("cache-cap", 1024, "max whole-design results kept decoded in memory (LRU); an evicted result is still answered from the blockstore (on the in-memory store, an evicted result moves there)")
+		panelCap     = flag.Int("panel-cache-cap", 16384, "max per-panel artifacts kept decoded in memory (LRU); an evicted artifact is still read from the blockstore (on the in-memory store, an evicted artifact moves there)")
+		routeCap     = flag.Int("route-cache-cap", 16384, "max per-region route bundles kept decoded in memory (LRU); an evicted bundle is still read from the blockstore (on the in-memory store, an evicted bundle moves there)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 		debugAddr    = flag.String("debug-addr", "", "private listen address for net/http/pprof (empty = disabled)")
 		traceJobs    = flag.Bool("trace-jobs", true, "record a span trace per executed job (GET /v1/jobs/{id}/trace)")
@@ -92,9 +92,10 @@ func main() {
 	registry := telemetry.NewRegistry()
 
 	// The result cache always sits on a content-addressed blockstore:
-	// disk-backed (surviving restarts) when -blockstore-dir is set,
-	// in-memory otherwise. With -peers, misses additionally fan out to
-	// peer daemons over HTTP before falling back to recompute.
+	// disk-backed (surviving restarts, every entry written at once) when
+	// -blockstore-dir is set, in-memory otherwise (an entry written only
+	// when its cache level evicts it). With -peers, misses additionally
+	// fan out to peer daemons over HTTP before falling back to recompute.
 	var store blockstore.Store
 	storeDesc := "mem"
 	if *storeDir != "" {

@@ -2,7 +2,7 @@
 // blocks, the bottom layer of the cprd artifact-exchange stack (kubo's
 // blockstore / blockservice / exchange layering, DESIGN.md §4g):
 //
-//	blockstore  durable Put/Get/Has over key -> bytes (this package)
+//	blockstore  Put/Get/Has over key -> bytes (this package)
 //	exchange    resolves a missing key locally, then from peer daemons
 //	cache       typed design/panel/route levels decoding blocks on demand
 //
@@ -14,10 +14,13 @@
 //
 // Two implementations: Mem (bounded in-memory, for single-node daemons
 // and tests) and Disk (sharded directories, atomic writes, size-bounded
-// GC), both safe for concurrent use. The GC may collect any block: a
-// running job splices decoded artifacts, never block bytes, so a
-// collected block only turns a later lookup into a miss and a
-// recompute.
+// GC), both safe for concurrent use. Store.Durable tells them apart for
+// the cache levels above: over Disk a level writes every block when it
+// stores the value, over Mem only when its typed tier evicts the value,
+// since until then the typed tier already holds it in a form peers can
+// be served from. The GC may collect any block: a running job splices
+// decoded artifacts, never block bytes, so a collected block only turns
+// a later lookup into a miss and a recompute.
 package blockstore
 
 import (
@@ -83,4 +86,8 @@ type Store interface {
 	Has(key string) (bool, error)
 	// Stats snapshots the counters.
 	Stats() Stats
+	// Durable reports whether stored blocks outlive the process (Disk)
+	// or vanish with it (Mem). The cache levels above write a block at
+	// Put time only over a durable store (see cache.Backed).
+	Durable() bool
 }

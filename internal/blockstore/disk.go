@@ -237,6 +237,10 @@ func (d *Disk) Stats() Stats {
 	}
 }
 
+// Durable is true: blocks survive the process and are reindexed by
+// OpenDisk.
+func (d *Disk) Durable() bool { return true }
+
 // gcLocked collects least-recently-used blocks until the store fits
 // MaxBytes. A block whose file cannot be removed stays indexed, and the
 // sweep moves on to the next oldest. Callers hold d.mu.

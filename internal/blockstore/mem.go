@@ -99,6 +99,9 @@ func (m *Mem) Stats() Stats {
 	}
 }
 
+// Durable is false: blocks vanish with the process.
+func (m *Mem) Durable() bool { return false }
+
 // gcLocked collects least-recently-used blocks until the store fits
 // MaxBytes. Callers hold m.mu.
 func (m *Mem) gcLocked() {

@@ -15,8 +15,11 @@
 // Each level is a Backed: a typed in-memory LRU of decoded values
 // (Cache, bounded by entry count) in front of a content-addressed block
 // source that keeps the encoded bytes for peer daemons and restarts.
-// Both are safe for concurrent use, with hit/miss/eviction counters
-// cheap enough to read on every /v1/stats request.
+// Each value is held in one form where it can be: over a durable (disk)
+// source a level writes the block when it stores the value, over an
+// in-memory source only when the LRU evicts the value. Both are safe
+// for concurrent use, with hit/miss/eviction counters cheap enough to
+// read on every /v1/stats request.
 package cache
 
 import (
@@ -87,10 +90,15 @@ func (s Stats) HitRate() float64 {
 
 // Cache is a bounded LRU keyed by content address.
 type Cache[V any] struct {
-	mu        sync.Mutex
-	cap       int
-	ll        *list.List // front = most recently used
-	items     map[string]*list.Element
+	mu    sync.Mutex
+	cap   int
+	ll    *list.List // front = most recently used
+	items map[string]*list.Element
+	// leaving holds entries evicted by put(…, keep=true) until their
+	// owner has written them elsewhere and calls release. Get, Contains
+	// and peek still answer them, so a value is never out of sight
+	// between its eviction and its write-back.
+	leaving   map[string]*entry[V]
 	hits      int64
 	misses    int64
 	evictions int64
@@ -108,9 +116,10 @@ func New[V any](capacity int) *Cache[V] {
 		capacity = 1024
 	}
 	return &Cache[V]{
-		cap:   capacity,
-		ll:    list.New(),
-		items: make(map[string]*list.Element),
+		cap:     capacity,
+		ll:      list.New(),
+		items:   make(map[string]*list.Element),
+		leaving: make(map[string]*entry[V]),
 	}
 }
 
@@ -125,6 +134,10 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 		c.ll.MoveToFront(el)
 		return el.Value.(*entry[V]).val, true
 	}
+	if e, ok := c.leaving[key]; ok {
+		c.hits++
+		return e.val, true
+	}
 	c.misses++
 	var zero V
 	return zero, false
@@ -132,28 +145,65 @@ func (c *Cache[V]) Get(key string) (V, bool) {
 
 // Contains reports presence without touching the counters or LRU order.
 func (c *Cache[V]) Contains(key string) bool {
+	_, ok := c.peek(key)
+	return ok
+}
+
+// peek returns key's value without touching the counters or LRU order.
+func (c *Cache[V]) peek(key string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	_, ok := c.items[key]
-	return ok
+	if el, ok := c.items[key]; ok {
+		return el.Value.(*entry[V]).val, true
+	}
+	if e, ok := c.leaving[key]; ok {
+		return e.val, true
+	}
+	var zero V
+	return zero, false
 }
 
 // Put stores a value, replacing any existing entry and evicting the least
 // recently used entry when the capacity is exceeded.
 func (c *Cache[V]) Put(key string, val V) {
+	c.put(key, val, false)
+}
+
+// put is Put that, with keep set, returns the entries it evicted and
+// keeps answering them until release.
+func (c *Cache[V]) put(key string, val V, keep bool) []*entry[V] {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.items[key]; ok {
 		el.Value.(*entry[V]).val = val
 		c.ll.MoveToFront(el)
-		return
+		return nil
 	}
 	c.items[key] = c.ll.PushFront(&entry[V]{key: key, val: val})
+	var evicted []*entry[V]
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
+		e := oldest.Value.(*entry[V])
 		c.ll.Remove(oldest)
-		delete(c.items, oldest.Value.(*entry[V]).key)
+		delete(c.items, e.key)
 		c.evictions++
+		if keep {
+			c.leaving[e.key] = e
+			evicted = append(evicted, e)
+		}
+	}
+	return evicted
+}
+
+// release stops answering entries put returned. An entry evicted again
+// since (after a fresh put of its key) stays until its own release.
+func (c *Cache[V]) release(evicted []*entry[V]) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range evicted {
+		if c.leaving[e.key] == e {
+			delete(c.leaving, e.key)
+		}
 	}
 }
 

@@ -296,7 +296,11 @@ type IncrementalStats struct {
 	NetsRerouted int
 }
 
-// RunResult is the complete outcome of a flow run.
+// RunResult is the complete outcome of a flow run. A returned result is
+// read-only: caches, job records and later reruns share it, and its
+// route artifacts (Artifacts.Routes) reference the same NetRoute values
+// as Router.Routes. Code that needs to edit a route copies it first, as
+// Rerun's splicing and eco-fast warm-starting do.
 type RunResult struct {
 	Mode    Mode
 	PinOpt  *PinOptReport // nil for baseline modes

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -12,6 +13,7 @@ import (
 	"cpr/internal/geom"
 	"cpr/internal/lagrange"
 	"cpr/internal/pipeline"
+	"cpr/internal/router"
 	"cpr/internal/synth"
 	"cpr/internal/tech"
 )
@@ -410,5 +412,121 @@ func TestPanelWorkerSplit(t *testing.T) {
 	}
 	if outer, inner := panelWorkerSplit(1, 5); outer != 1 || inner != 1 {
 		t.Errorf("split(1,5) = (%d,%d), want (1,1)", outer, inner)
+	}
+}
+
+// hashRoutes digests every net's route: its net ID, nodes, edges,
+// virtual nodes, routed flag and failure reason.
+func hashRoutes(routes []*router.NetRoute) [sha256.Size]byte {
+	h := sha256.New()
+	for netID, nr := range routes {
+		if nr == nil {
+			fmt.Fprintf(h, "net %d nil\n", netID)
+			continue
+		}
+		fmt.Fprintf(h, "net %d id=%d routed=%v fail=%q nodes %v edges %v virtual %v\n",
+			netID, nr.NetID, nr.Routed, nr.FailReason, nr.Nodes, nr.Edges, nr.Virtual)
+	}
+	var sum [sha256.Size]byte
+	h.Sum(sum[:0])
+	return sum
+}
+
+// clusteredDesign places nets in three pin clusters 300 columns apart,
+// beyond any search or DRC margin, so the router partitions the design
+// into one region per cluster.
+func clusteredDesign(t *testing.T) *design.Design {
+	t.Helper()
+	const pitch, clusterW, height = 300, 48, 20
+	rng := rand.New(rand.NewSource(7))
+	d := design.New("clustered", 2*pitch+clusterW, height, tech.Default())
+	used := make(map[[2]int]bool)
+	for c := 0; c < 3; c++ {
+		for n := 0; n < 10; n++ {
+			id := d.AddNet(fmt.Sprintf("c%dn%d", c, n))
+			for p := 0; p < 2+n%2; {
+				x, y := c*pitch+rng.Intn(clusterW), rng.Intn(height)
+				if used[[2]int{x, y}] {
+					continue
+				}
+				used[[2]int{x, y}] = true
+				d.AddPin(fmt.Sprintf("c%dn%d_p%d", c, n, p), id, geom.MakeRect(x, y, x, y))
+				p++
+			}
+		}
+	}
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestRerunLeavesBaseRoutesUntouched: a result is read-only once
+// returned, and its route artifacts share its routes rather than copy
+// them. A strict and an eco-fast rerun, both splicing from one base
+// result, must leave every route of that base as it was.
+func TestRerunLeavesBaseRoutesUntouched(t *testing.T) {
+	d := clusteredDesign(t)
+	base, err := Run(d, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if base.Artifacts == nil || len(base.Artifacts.Routes) < 2 {
+		t.Fatalf("base has %d route artifacts, want one per cluster", len(base.Artifacts.Routes))
+	}
+	for _, a := range base.Artifacts.Routes {
+		for i, netID := range a.Nets {
+			if a.Routes[i] != base.Router.Routes[netID] {
+				t.Fatalf("region %d: artifact route of net %d is a copy, want the result's own route", a.Region, netID)
+			}
+		}
+	}
+	before := hashRoutes(base.Router.Routes)
+
+	// Two edits, each dirtying one cluster's region while the other two
+	// are spliced: moving a pin of the first net, and deleting the last
+	// cluster's first net, which shifts the IDs of the nets after it, so
+	// eco-fast renumbers the routes it warm-starts.
+	var moved *design.Design
+	for _, dx := range []int{1, -1, 2, -2} {
+		pins := append([]design.Pin(nil), d.Pins...)
+		sh := pins[0].Shape
+		pins[0].Shape = geom.MakeRect(sh.X0+dx, sh.Y0, sh.X1+dx, sh.Y1)
+		if nd := rebuild(t, d, pins, d.Blockages); nd.Validate() == nil {
+			moved = nd
+			break
+		}
+	}
+	if moved == nil {
+		t.Fatal("no valid one-pin edit")
+	}
+	var kept []design.Pin
+	for _, p := range d.Pins {
+		if d.Nets[p.NetID].Name != "c2n0" {
+			kept = append(kept, p)
+		}
+	}
+	deleted := rebuild(t, d, kept, d.Blockages)
+	if err := deleted.Validate(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, edited := range []*design.Design{moved, deleted} {
+		for _, mode := range []RerunMode{RerunStrict, RerunEcoFast} {
+			res, err := Rerun(base, edited, Options{RerunMode: mode})
+			if err != nil {
+				t.Fatalf("%v rerun: %v", mode, err)
+			}
+			inc := res.Incremental
+			if inc == nil || inc.RegionsSpliced == 0 {
+				t.Fatalf("%v rerun spliced no region: %+v", mode, inc)
+			}
+			if mode == RerunEcoFast && inc.NetsWarm == 0 {
+				t.Fatalf("eco-fast rerun warm-started no net: %+v", inc)
+			}
+			if after := hashRoutes(base.Router.Routes); after != before {
+				t.Fatalf("%v rerun changed the base result's routes", mode)
+			}
+		}
 	}
 }

@@ -9,7 +9,9 @@
 package design
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"cpr/internal/geom"
@@ -124,6 +126,12 @@ func (d *Design) PinsInPanel(p int) []int {
 //   - each pin stays within a single panel,
 //   - no M2 blockage overlaps a pin shape (which would make the minimum
 //     pin access interval of Theorem 1 infeasible).
+//
+// It lists each track's pins once, sorted, and finds the pins under an
+// M2 blockage by binary search on its tracks, so no check costs
+// blockages × pins. It reports the same error for the same design every
+// time: the first failing check in the order above, overlapping pins on
+// the lowest track, and an M2 blockage's lowest-ID pin.
 func (d *Design) Validate() error {
 	if d.Tech == nil {
 		return fmt.Errorf("design %q: nil technology", d.Name)
@@ -155,7 +163,8 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("design %q: pin %q straddles panels", d.Name, p.Name)
 		}
 	}
-	if err := d.checkPinDisjointness(); err != nil {
+	pinsOnTrack := d.pinsOnTrack()
+	if err := d.checkPinDisjointness(pinsOnTrack); err != nil {
 		return err
 	}
 	for _, b := range d.Blockages {
@@ -169,46 +178,69 @@ func (d *Design) Validate() error {
 			return fmt.Errorf("design %q: blockage %v outside grid", d.Name, b.Shape)
 		}
 		if b.Layer == tech.M2 {
-			for i := range d.Pins {
-				if d.Pins[i].Shape.Overlaps(b.Shape) {
-					return fmt.Errorf("design %q: M2 blockage %v overlaps pin %q",
-						d.Name, b.Shape, d.Pins[i].Name)
-				}
+			if pin := d.lowestPinOverlapping(pinsOnTrack, b.Shape); pin >= 0 {
+				return fmt.Errorf("design %q: M2 blockage %v overlaps pin %q",
+					d.Name, b.Shape, d.Pins[pin].Name)
 			}
 		}
 	}
 	return nil
 }
 
-// checkPinDisjointness verifies pin shapes are pairwise disjoint using a
-// per-track sweep, which is near-linear for realistic designs.
-func (d *Design) checkPinDisjointness() error {
-	type span struct {
-		iv  geom.Interval
-		pin int
-	}
-	byTrack := make(map[int][]span)
+// pinsOnTrack lists, for each track, the IDs of the pins whose shape
+// overlaps it, sorted by X0, then ID. Shapes are clipped to the grid.
+func (d *Design) pinsOnTrack() [][]int {
+	tracks := make([][]int, d.Height)
 	for i := range d.Pins {
 		sh := d.Pins[i].Shape
-		for y := sh.Y0; y <= sh.Y1; y++ {
-			byTrack[y] = append(byTrack[y], span{sh.XSpan(), i})
+		for y := max(sh.Y0, 0); y <= min(sh.Y1, d.Height-1); y++ {
+			tracks[y] = append(tracks[y], i)
 		}
 	}
-	for y, spans := range byTrack {
-		sort.Slice(spans, func(a, b int) bool {
-			if spans[a].iv.Lo != spans[b].iv.Lo {
-				return spans[a].iv.Lo < spans[b].iv.Lo
-			}
-			return spans[a].pin < spans[b].pin
-		})
-		for i := 1; i < len(spans); i++ {
-			if spans[i].iv.Lo <= spans[i-1].iv.Hi {
+	// X0 ties, which only an invalid design has, fall back to pin ID,
+	// so Validate names the same overlapping pair every time.
+	byX0 := func(a, b int) int {
+		if c := cmp.Compare(d.Pins[a].Shape.X0, d.Pins[b].Shape.X0); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	}
+	for _, pins := range tracks {
+		slices.SortFunc(pins, byX0)
+	}
+	return tracks
+}
+
+// checkPinDisjointness verifies pin shapes are pairwise disjoint, track
+// by track in ascending order. Each track's pins are sorted by X0, so a
+// track holds an overlap exactly when two neighbouring pins overlap.
+func (d *Design) checkPinDisjointness(pinsOnTrack [][]int) error {
+	for y, pins := range pinsOnTrack {
+		for i := 1; i < len(pins); i++ {
+			if d.Pins[pins[i]].Shape.X0 <= d.Pins[pins[i-1]].Shape.X1 {
 				return fmt.Errorf("design %q: pins %q and %q overlap on track %d",
-					d.Name, d.Pins[spans[i-1].pin].Name, d.Pins[spans[i].pin].Name, y)
+					d.Name, d.Pins[pins[i-1]].Name, d.Pins[pins[i]].Name, y)
 			}
 		}
 	}
 	return nil
+}
+
+// lowestPinOverlapping returns the lowest ID of a pin overlapping r, or
+// -1. r must lie within the grid and the pins must be disjoint
+// (checkPinDisjointness), so on each track both ends of the pins' spans
+// ascend and a binary search finds the first pin that can reach r.
+func (d *Design) lowestPinOverlapping(pinsOnTrack [][]int, r geom.Rect) int {
+	lowest := -1
+	for _, pins := range pinsOnTrack[r.Y0 : r.Y1+1] {
+		i := sort.Search(len(pins), func(i int) bool { return d.Pins[pins[i]].Shape.X1 >= r.X0 })
+		for ; i < len(pins) && d.Pins[pins[i]].Shape.X0 <= r.X1; i++ {
+			if lowest < 0 || pins[i] < lowest {
+				lowest = pins[i]
+			}
+		}
+	}
+	return lowest
 }
 
 // TrackIndex accelerates per-track, per-panel and per-net queries: which
@@ -222,7 +254,7 @@ type TrackIndex struct {
 	pinsInPanel [][]int
 
 	// pinsOnTrack[y] lists pin IDs whose shape overlaps track y, sorted
-	// by the pin's X0.
+	// by the pin's X0, then ID.
 	pinsOnTrack [][]int
 
 	// blockedOnTrack[y] lists M2 blockage X spans on track y, sorted and
@@ -238,7 +270,7 @@ func (d *Design) BuildTrackIndex() *TrackIndex {
 	idx := &TrackIndex{
 		design:         d,
 		pinsInPanel:    make([][]int, d.NumPanels()),
-		pinsOnTrack:    make([][]int, d.Height),
+		pinsOnTrack:    d.pinsOnTrack(),
 		blockedOnTrack: make([][]geom.Interval, d.Height),
 		netBoxes:       make([]geom.Rect, len(d.Nets)),
 	}
@@ -249,28 +281,12 @@ func (d *Design) BuildTrackIndex() *TrackIndex {
 		if p := d.Pins[i].Panel(d.Tech); p >= 0 && p < len(idx.pinsInPanel) {
 			idx.pinsInPanel[p] = append(idx.pinsInPanel[p], i)
 		}
-		sh := d.Pins[i].Shape
-		for y := sh.Y0; y <= sh.Y1 && y < d.Height; y++ {
-			if y < 0 {
-				continue
-			}
-			idx.pinsOnTrack[y] = append(idx.pinsOnTrack[y], i)
-		}
-	}
-	for y := range idx.pinsOnTrack {
-		pins := idx.pinsOnTrack[y]
-		sort.Slice(pins, func(a, b int) bool {
-			return d.Pins[pins[a]].Shape.X0 < d.Pins[pins[b]].Shape.X0
-		})
 	}
 	for _, b := range d.Blockages {
 		if b.Layer != tech.M2 {
 			continue
 		}
-		for y := b.Shape.Y0; y <= b.Shape.Y1 && y < d.Height; y++ {
-			if y < 0 {
-				continue
-			}
+		for y := max(b.Shape.Y0, 0); y <= min(b.Shape.Y1, d.Height-1); y++ {
 			idx.blockedOnTrack[y] = append(idx.blockedOnTrack[y], b.Shape.XSpan())
 		}
 	}
@@ -296,7 +312,8 @@ func (ti *TrackIndex) NetBBox(netID int) geom.Rect {
 	return ti.netBoxes[netID]
 }
 
-// PinsOnTrack returns the pin IDs overlapping track y, sorted by X0.
+// PinsOnTrack returns the pin IDs overlapping track y, sorted by X0,
+// then ID.
 // The returned slice must not be modified.
 func (ti *TrackIndex) PinsOnTrack(y int) []int {
 	if y < 0 || y >= len(ti.pinsOnTrack) {

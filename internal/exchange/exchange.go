@@ -97,6 +97,10 @@ func New(store blockstore.Store, fetcher Fetcher, reg *telemetry.Registry) *Serv
 // cannot fan a single miss out into a fetch storm).
 func (s *Service) Store() blockstore.Store { return s.store }
 
+// Durable reports whether the local store outlives the process; the
+// cache levels write blocks at Put time only when it does.
+func (s *Service) Durable() bool { return s.store.Durable() }
+
 // Put stores a block locally, making it servable to peers. Callers
 // (the cache layer) must only put keyed artifacts; keyless eco-fast
 // artifacts never reach a Put.

@@ -46,13 +46,14 @@ type ResultCache struct {
 // panel and route levels typically want a multiple of the design level,
 // since one design contributes many panels and regions. Misses fall
 // through to the content-addressed block store — and, when the source
-// has peers, to other daemons — and puts write blocks through, making
-// them durable and servable, so an entry the memory tier evicts is still
-// answered from the store. Decoded panel and route artifacts are
-// verified to carry the requested key before they are spliced;
-// design-level results don't carry their key (it covers the design
-// bytes, which the result does not retain), so they rely on the key's
-// collision resistance alone.
+// has peers, to other daemons. Blocks are written at Put over a durable
+// store and at eviction over an in-memory one (see cache.Backed), so an
+// entry the memory tier evicts is still answered from the store, and
+// Manager.Block serves peers the entries the memory tier holds. Decoded
+// panel and route artifacts are verified to carry the requested key
+// before they are spliced; design-level results don't carry their key
+// (it covers the design bytes, which the result does not retain), so
+// they rely on the key's collision resistance alone.
 func NewExchangedResultCache(designCap, panelCap, routeCap int, src cache.BlockSource) *ResultCache {
 	return &ResultCache{
 		Design: cache.NewBacked[*core.RunResult](designCap, src,
@@ -137,7 +138,9 @@ type Config struct {
 	// running (0 = no timeout).
 	JobTimeout time.Duration
 	// RetainJobs bounds how many finished jobs stay queryable by ID
-	// (default 4096); the oldest finished jobs are forgotten first.
+	// (default 4096); the oldest finished jobs are forgotten first. A
+	// retained job keeps its result, never its design or its base job's
+	// result: a job drops both when it finishes.
 	RetainJobs int
 	// Run overrides the job executor (default core.RunContext). cmd/cprd
 	// sets it to apply its -workers default.
@@ -208,9 +211,13 @@ type Job struct {
 	// Key.
 	BaseJobID string
 
+	// design and base are the run's inputs: the submitted design and,
+	// for incremental reruns, the base job's result. Both are nil once
+	// the job is terminal (and never set on a cached answer), so a
+	// retained job holds only its result.
 	design *design.Design
 	opts   core.Options
-	base   *core.RunResult // base job's result for incremental reruns
+	base   *core.RunResult
 
 	mu        sync.Mutex
 	state     State
@@ -571,7 +578,7 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 				m.cfg.Events.Publish("", "job_rejected", map[string]any{"cause": "draining"})
 				return nil, ErrDraining
 			}
-			job := m.newJobLocked(key, d, opts)
+			job := m.newJobLocked(key, nil, opts)
 			job.BaseJobID = baseJobID
 			now := time.Now()
 			job.state = StateDone
@@ -659,6 +666,21 @@ func (m *Manager) retainLocked(id string) {
 // Metrics returns the manager's registry: Config.Metrics, or the private
 // one New created. The daemon serves it at GET /metrics.
 func (m *Manager) Metrics() *telemetry.Registry { return m.cfg.Metrics }
+
+// Block encodes the entry a cache level holds in memory under key,
+// without touching counters or recency (cache.Backed.Block); keys are
+// domain-separated, so at most one level holds a key. The daemon's
+// block endpoint falls back to it when the local store lacks a key.
+func (m *Manager) Block(key string) ([]byte, bool) {
+	for _, block := range []func(string) ([]byte, bool){
+		m.cache.Design.Block, m.cache.Panel.Block, m.cache.Route.Block,
+	} {
+		if data, ok := block(key); ok {
+			return data, true
+		}
+	}
+	return nil, false
+}
 
 // Get returns a job by ID.
 func (m *Manager) Get(id string) (*Job, bool) {
@@ -809,6 +831,7 @@ func (m *Manager) finish(job *Job, queueWait, runTime time.Duration, ran bool) {
 	job.mu.Lock()
 	state := job.state
 	errMsg := job.errMsg
+	job.design, job.base = nil, nil
 	job.mu.Unlock()
 
 	// The terminal event goes out before job.done closes, so an SSE

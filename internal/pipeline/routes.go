@@ -186,9 +186,12 @@ func NetSignature(d *design.Design, rt *router.Router, netID int) string {
 }
 
 // BuildRouteArtifacts bundles a finished run's routes into per-region
-// artifacts for the run's plan. cacheable=false (eco-fast reruns) leaves
-// every Key empty, so the bundles can still warm-start future eco-fast
-// reruns but are never spliced verbatim into a strict one.
+// artifacts for the run's plan. The artifacts reference res.Routes'
+// entries, not copies: a finished result is read-only, and every
+// consumer that edits routes (splicing, warm-starting) copies them on
+// the way in. cacheable=false (eco-fast reruns) leaves every Key empty,
+// so the bundles can still warm-start future eco-fast reruns but are
+// never spliced verbatim into a strict one.
 func BuildRouteArtifacts(d *design.Design, rt *router.Router, plan *router.Plan,
 	res *router.Result, cacheable bool) []*RouteArtifact {
 
@@ -208,7 +211,7 @@ func BuildRouteArtifacts(d *design.Design, rt *router.Router, plan *router.Plan,
 		for i, netID := range rg.Nets {
 			a.Names[i] = d.Nets[netID].Name
 			a.Sigs[i] = NetSignature(d, rt, netID)
-			a.Routes[i] = res.Routes[netID].Clone()
+			a.Routes[i] = res.Routes[netID]
 		}
 		arts = append(arts, a)
 	}

@@ -338,8 +338,13 @@ func TestEcoFastFailsWithoutSpliceSeeding(t *testing.T) {
 	run := func(skip bool) *router.Result {
 		g := grid.New(d)
 		r := router.New(d, g, router.Config{})
+		// The run owns its warm routes; each run gets its own copies.
+		owned := make(map[int]*router.NetRoute, len(warm))
+		for netID, nr := range warm {
+			owned[netID] = nr.Clone()
+		}
 		res := r.RunPlan(context.Background(), r.Partition(),
-			router.RunOpts{Warm: warm, SkipSpliceSeeding: skip})
+			router.RunOpts{Warm: owned, SkipSpliceSeeding: skip})
 		if res.WarmNets != len(warm) {
 			t.Fatalf("warm nets = %d, want %d", res.WarmNets, len(warm))
 		}

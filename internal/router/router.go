@@ -399,8 +399,10 @@ type RunOpts struct {
 	// reruns): usable warm routes are installed and occupied before the
 	// independent routing stage, which then routes only the remaining
 	// nets; negotiation covers everything, so stale warm routes are
-	// ripped up normally. Routes are deep-copied; a route that is no
-	// longer enterable on the current grid is silently dropped.
+	// ripped up normally. The run takes the routes over and may rewrite
+	// them, so the caller passes routes it owns (eco-fast clones each
+	// one); a route that is no longer enterable on the current grid is
+	// silently dropped.
 	Warm map[int]*NetRoute
 	// SkipSpliceSeeding disables replaying spliced and warm routes'
 	// occupancy onto the grid. Fault-injection knob for the equivalence
@@ -484,7 +486,7 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 					if sh.warm == nil {
 						sh.warm = make(map[int]*NetRoute)
 					}
-					sh.warm[netID] = w.Clone()
+					sh.warm[netID] = w
 				}
 			}
 		}

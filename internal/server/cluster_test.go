@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -13,10 +15,13 @@ import (
 
 	"cpr/client"
 	"cpr/internal/blockstore"
+	"cpr/internal/cache"
+	"cpr/internal/core"
 	"cpr/internal/design"
 	"cpr/internal/designio"
 	"cpr/internal/exchange"
 	"cpr/internal/jobs"
+	"cpr/internal/pipeline"
 	"cpr/internal/synth"
 	"cpr/internal/telemetry"
 )
@@ -26,6 +31,7 @@ import (
 // misses from peer daemons, serving /v1/blocks from the local store.
 type clusterNode struct {
 	mgr    *jobs.Manager
+	cache  *jobs.ResultCache
 	exch   *exchange.Service
 	client *client.Client
 	url    string
@@ -57,7 +63,8 @@ func newObservedClusterNode(t *testing.T, store blockstore.Store, peers []string
 		fetcher = exchange.NewHTTPFetcher(peers, hopts)
 	}
 	exch := exchange.New(store, fetcher, reg)
-	mgr := jobs.New(cfg, jobs.NewExchangedResultCache(64, 256, 256, exch))
+	rc := jobs.NewExchangedResultCache(64, 256, 256, exch)
+	mgr := jobs.New(cfg, rc)
 	srv := New(mgr)
 	srv.SetExchange(exch, peers)
 	if node != "" {
@@ -65,7 +72,7 @@ func newObservedClusterNode(t *testing.T, store blockstore.Store, peers []string
 		srv.SetNode(node)
 	}
 	ts := httptest.NewServer(srv.Handler())
-	n := &clusterNode{mgr: mgr, exch: exch, client: client.New(ts.URL), url: ts.URL, close: ts.Close}
+	n := &clusterNode{mgr: mgr, cache: rc, exch: exch, client: client.New(ts.URL), url: ts.URL, close: ts.Close}
 	t.Cleanup(ts.Close)
 	return n
 }
@@ -314,6 +321,116 @@ func TestBlocksEndpointServesLocalOnly(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("GET malformed key = %d, want 400", resp.StatusCode)
+	}
+}
+
+// fetchBlock requests one block with method (GET or HEAD) and returns
+// the status and body.
+func fetchBlock(t *testing.T, method, url, key string) (int, []byte) {
+	t.Helper()
+	req, err := http.NewRequest(method, url+exchange.BlockPath+key, nil)
+	if err != nil {
+		t.Fatalf("%s block: %v", method, err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatalf("%s block: %v", method, err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("%s block body: %v", method, err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestBlocksEndpointServesTypedTier: over an in-memory blockstore the
+// cache levels write no block until they evict an entry, so the block
+// endpoint answers GET and HEAD from the typed tier, with bytes that
+// encode the entry. A keyless entry, which the encoder rejects, is
+// absent to both.
+func TestBlocksEndpointServesTypedTier(t *testing.T) {
+	ctx := context.Background()
+	node := newClusterNode(t, blockstore.NewMem(0), nil)
+	wire, err := node.client.Submit(ctx, client.SubmitRequest{Spec: &smallSpec, Wait: true})
+	if err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	if wire.State != "done" || wire.Key == "" {
+		t.Fatalf("job = %+v, want a done, keyed job", wire)
+	}
+	if st := node.exch.Store().Stats(); st.Puts != 0 || st.Blocks != 0 {
+		t.Fatalf("blockstore = %+v, want no block while the typed tier holds every entry", st)
+	}
+	job, ok := node.mgr.Get(wire.ID)
+	if !ok {
+		t.Fatalf("job %s not retained", wire.ID)
+	}
+	res := job.Snapshot().Result
+	if res.Artifacts == nil || len(res.Artifacts.Panels) == 0 || len(res.Artifacts.Routes) == 0 {
+		t.Fatalf("result carries no panel or route artifacts: %+v", res.Artifacts)
+	}
+
+	want, err := core.EncodeResult(res)
+	if err != nil {
+		t.Fatalf("encode result: %v", err)
+	}
+	panel, route := res.Artifacts.Panels[0], res.Artifacts.Routes[0]
+	for _, tc := range []struct {
+		name, key string
+		check     func(body []byte) error
+	}{
+		{"design", wire.Key, func(body []byte) error {
+			if !bytes.Equal(body, want) {
+				return fmt.Errorf("%d bytes, want the %d-byte encoding of the cached result", len(body), len(want))
+			}
+			_, err := core.DecodeResult(body)
+			return err
+		}},
+		{"panel", panel.Key, func(body []byte) error {
+			a, err := pipeline.UnmarshalPanelArtifact(body)
+			if err == nil && a.Key != panel.Key {
+				err = fmt.Errorf("decodes to key %s", a.Key)
+			}
+			return err
+		}},
+		{"route", route.Key, func(body []byte) error {
+			a, err := pipeline.UnmarshalRouteArtifact(body)
+			if err == nil && (a.Key != route.Key || len(a.Routes) != len(route.Routes)) {
+				err = fmt.Errorf("decodes to key %s with %d routes", a.Key, len(a.Routes))
+			}
+			return err
+		}},
+	} {
+		status, body := fetchBlock(t, http.MethodGet, node.url, tc.key)
+		if status != http.StatusOK {
+			t.Fatalf("GET %s block = %d, want 200 from the typed tier", tc.name, status)
+		}
+		if err := tc.check(body); err != nil {
+			t.Errorf("GET %s block: %v", tc.name, err)
+		}
+		if status, _ := fetchBlock(t, http.MethodHead, node.url, tc.key); status != http.StatusOK {
+			t.Errorf("HEAD %s block = %d, want 200", tc.name, status)
+		}
+	}
+
+	// A keyless route artifact in the typed tier is never served.
+	keyless := cache.RouteKey("keyless", "fp")
+	node.cache.Route.Put(keyless, &pipeline.RouteArtifact{Region: 7})
+	if !node.cache.Route.Contains(keyless) {
+		t.Fatal("test setup: the keyless entry is not in the typed tier")
+	}
+	for _, method := range []string{http.MethodGet, http.MethodHead} {
+		if status, _ := fetchBlock(t, method, node.url, keyless); status != http.StatusNotFound {
+			t.Errorf("%s keyless entry = %d, want 404", method, status)
+		}
+	}
+	// Serving read the typed tier without counting lookups.
+	if st := node.cache.Design.Stats(); st.Hits != 0 || st.Misses != 1 {
+		t.Errorf("design level = %+v, want only the submission's miss", st)
+	}
+	if st := node.exch.Store().Stats(); st.Puts != 0 {
+		t.Errorf("serving blocks wrote %d blocks to the store", st.Puts)
 	}
 }
 

@@ -4,7 +4,7 @@
 //	POST /v1/jobs             submit a design (inline or synthesized from a spec)
 //	GET  /v1/jobs/{id}        job status / result / error
 //	GET  /v1/jobs/{id}/trace  per-job span trace (Chrome trace_event or JSON)
-//	GET  /v1/blocks/{key}     one content-addressed block from the local store (HEAD: presence)
+//	GET  /v1/blocks/{key}     one content-addressed block this node holds (HEAD: presence)
 //	GET  /v1/healthz          liveness and drain state
 //	GET  /v1/stats            queue depth, cache hit rates, latency histograms, block-layer counters
 //	GET  /metrics             Prometheus text exposition of the manager's registry
@@ -71,10 +71,11 @@ func New(mgr *jobs.Manager) *Server {
 }
 
 // SetExchange attaches the block exchange service. The server then
-// serves GET/HEAD /v1/blocks/{key} from the service's local store —
-// never by fetching from its own peers, so one cluster-wide miss costs
-// each node at most one fan-out instead of a fetch storm — and includes
-// blockstore and exchange counters in /v1/stats. peers is the
+// serves GET/HEAD /v1/blocks/{key} from the service's local store, or
+// from the manager's in-memory cache levels when the store lacks the
+// key — never by fetching from its own peers, so one cluster-wide miss
+// costs each node at most one fan-out instead of a fetch storm — and
+// includes blockstore and exchange counters in /v1/stats. peers is the
 // configured peer list, echoed in stats for operability.
 func (s *Server) SetExchange(svc *exchange.Service, peers []string) {
 	s.exch = svc
@@ -223,10 +224,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.mgr.Metrics().WritePrometheus(w)
 }
 
-// handleGetBlock serves one content-addressed block from the local
-// store. Strictly observational: a node answers only with blocks it
-// already holds (404 otherwise) and never computes or forwards on a
-// peer's behalf. HEAD reports presence without the body.
+// handleGetBlock serves one content-addressed block this node holds:
+// from the local store, or else encoded from the entry a cache level
+// holds in memory (over an in-memory store a level writes a block only
+// when it evicts the entry). Strictly observational: a node answers
+// only with what it already holds (404 otherwise, also for an entry the
+// encoder rejects) and never computes or forwards on a peer's behalf.
+// HEAD reports presence without the body. It runs GET's lookup, so for
+// an entry only a cache level holds it pays the encode (about 5 ms for
+// a design result) that decides whether the entry is servable; peers
+// fetch with GET alone.
 func (s *Server) handleGetBlock(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
 	if s.exch == nil {
@@ -239,6 +246,9 @@ func (s *Server) handleGetBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	if r.Method == http.MethodHead {
 		ok, err := s.exch.Has(key)
+		if err == nil && !ok {
+			_, ok = s.mgr.Block(key)
+		}
 		if err != nil || !ok {
 			w.WriteHeader(http.StatusNotFound)
 			return
@@ -249,6 +259,11 @@ func (s *Server) handleGetBlock(w http.ResponseWriter, r *http.Request) {
 	}
 	t0 := time.Now()
 	data, err := s.exch.Store().Get(key)
+	if errors.Is(err, blockstore.ErrNotFound) {
+		if cached, ok := s.mgr.Block(key); ok {
+			data, err = cached, nil
+		}
+	}
 	switch {
 	case errors.Is(err, blockstore.ErrNotFound):
 		writeError(w, http.StatusNotFound, fmt.Errorf("no block for key %s", key))

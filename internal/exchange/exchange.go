@@ -41,7 +41,8 @@ type Fetcher interface {
 type Stats struct {
 	// Local counts keys answered from the local blockstore.
 	Local int64 `json:"local"`
-	// Peer counts keys fetched from a peer (and written back locally).
+	// Peer counts keys fetched from a peer (and, over a durable store,
+	// written back locally).
 	Peer int64 `json:"peer"`
 	// Miss counts keys nobody had; the caller recomputes.
 	Miss int64 `json:"miss"`
@@ -55,9 +56,11 @@ type flight struct {
 }
 
 // Service answers "give me the block for this key" by checking the
-// local store first and falling back to peers. Peer-fetched blocks are
-// written through to the local store so each block crosses the network
-// once per node. Concurrent requests for the same missing key are
+// local store first and falling back to peers. Over a durable store,
+// peer-fetched blocks are written through so each block crosses the
+// network once per node; over a memory store the caller's typed cache
+// tier keeps the decoded value, and writing the bytes too would hold it
+// twice. Concurrent requests for the same missing key are
 // deduplicated into a single peer fetch.
 //
 // A Service with a nil Fetcher is a valid single-node configuration:
@@ -114,9 +117,9 @@ func (s *Service) Has(key string) (bool, error) {
 }
 
 // GetBlock resolves key: local store, then peers (one fetch per key at
-// a time; concurrent callers share the result). Peer-fetched blocks
-// are written back to the local store before returning. A miss from
-// everyone returns ErrNotFound.
+// a time; concurrent callers share the result). Over a durable store,
+// peer-fetched blocks are written back to it before returning. A miss
+// from everyone returns ErrNotFound.
 func (s *Service) GetBlock(ctx context.Context, key string) ([]byte, error) {
 	data, err := s.store.Get(key)
 	switch {
@@ -168,10 +171,15 @@ func (s *Service) fetchAndStore(ctx context.Context, key string) ([]byte, error)
 		em.Emit("block_fetch", map[string]any{"key": key, "source": "miss"})
 		return nil, ErrNotFound
 	}
-	// Write through so this node serves the block from now on. A failing
-	// local store only loses the write-through: the fetched bytes are
-	// still returned to the caller.
-	_ = s.store.Put(key, data)
+	// Over a durable store, write through so this node serves the block
+	// from now on, restarts included. A memory store gets nothing: the
+	// cache level that asked keeps the decoded value, re-serves it to
+	// peers from its typed tier and writes the block when it evicts the
+	// entry. A failing local store only loses the write-through: the
+	// fetched bytes are still returned to the caller.
+	if s.store.Durable() {
+		_ = s.store.Put(key, data)
+	}
 	s.ctrPeer.Inc()
 	sp.SetAttr("source", "peer")
 	em.Emit("block_fetch", map[string]any{"key": key, "source": "peer"})

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -41,55 +42,81 @@ func blockPeer(t *testing.T, blocks map[string][]byte, hits *atomic.Int64) *http
 	return srv
 }
 
+// TestGetBlockLocalThenPeerThenMiss resolves a local key, a peer key
+// twice and a key nobody has. Over a disk store the peer's block is
+// written through, so the second read is local; over a memory store
+// nothing is written (the caller's typed cache tier holds the value), so
+// the second read goes to the peer again.
 func TestGetBlockLocalThenPeerThenMiss(t *testing.T) {
-	remote := map[string][]byte{k("remote"): []byte("peer-block")}
-	peer := blockPeer(t, remote, nil)
-	reg := telemetry.NewRegistry()
-	store := blockstore.NewMem(0)
-	svc := New(store, NewHTTPFetcher([]string{peer.URL}, HTTPOptions{}), reg)
-
-	// Local hit.
-	if err := store.Put(k("local"), []byte("local-block")); err != nil {
-		t.Fatal(err)
-	}
-	data, err := svc.GetBlock(context.Background(), k("local"))
-	if err != nil || string(data) != "local-block" {
-		t.Fatalf("local GetBlock = %q, %v", data, err)
-	}
-
-	// Peer hit, then the write-through makes the second read local.
-	data, err = svc.GetBlock(context.Background(), k("remote"))
-	if err != nil || string(data) != "peer-block" {
-		t.Fatalf("peer GetBlock = %q, %v", data, err)
-	}
-	if ok, _ := store.Has(k("remote")); !ok {
-		t.Fatal("peer-fetched block not written through to the local store")
-	}
-	if _, err := svc.GetBlock(context.Background(), k("remote")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Miss everywhere.
-	if _, err := svc.GetBlock(context.Background(), k("nowhere")); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("miss GetBlock err = %v, want ErrNotFound", err)
-	}
-
-	st := svc.Stats()
-	if st.Local != 2 || st.Peer != 1 || st.Miss != 1 {
-		t.Fatalf("Stats = %+v, want local=2 peer=1 miss=1", st)
-	}
-	var sb strings.Builder
-	if err := reg.WritePrometheus(&sb); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`cpr_blocks_total{source="local"} 2`,
-		`cpr_blocks_total{source="peer"} 1`,
-		`cpr_blocks_total{source="miss"} 1`,
+	for _, tc := range []struct {
+		name              string
+		open              func(t *testing.T) blockstore.Store
+		writeThrough      bool
+		local, peer, miss int64
+	}{
+		{"disk", func(t *testing.T) blockstore.Store {
+			d, err := blockstore.OpenDisk(t.TempDir(), blockstore.DiskOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return d
+		}, true, 2, 1, 1},
+		{"mem", func(*testing.T) blockstore.Store { return blockstore.NewMem(0) }, false, 1, 2, 1},
 	} {
-		if !strings.Contains(sb.String(), want) {
-			t.Fatalf("metrics missing %q in:\n%s", want, sb.String())
-		}
+		t.Run(tc.name, func(t *testing.T) {
+			remote := map[string][]byte{k("remote"): []byte("peer-block")}
+			peer := blockPeer(t, remote, nil)
+			reg := telemetry.NewRegistry()
+			store := tc.open(t)
+			svc := New(store, NewHTTPFetcher([]string{peer.URL}, HTTPOptions{}), reg)
+
+			// Local hit.
+			if err := store.Put(k("local"), []byte("local-block")); err != nil {
+				t.Fatal(err)
+			}
+			data, err := svc.GetBlock(context.Background(), k("local"))
+			if err != nil || string(data) != "local-block" {
+				t.Fatalf("local GetBlock = %q, %v", data, err)
+			}
+
+			// Peer hit, written through only to the durable store.
+			data, err = svc.GetBlock(context.Background(), k("remote"))
+			if err != nil || string(data) != "peer-block" {
+				t.Fatalf("peer GetBlock = %q, %v", data, err)
+			}
+			if ok, _ := store.Has(k("remote")); ok != tc.writeThrough {
+				t.Fatalf("peer-fetched block in the local store: %v, want %v", ok, tc.writeThrough)
+			}
+			if data, err := svc.GetBlock(context.Background(), k("remote")); err != nil || string(data) != "peer-block" {
+				t.Fatalf("second peer-key GetBlock = %q, %v", data, err)
+			}
+			if st := store.Stats(); !tc.writeThrough && (st.Blocks != 1 || st.Bytes != int64(len("local-block"))) {
+				t.Fatalf("memory store stats = %+v, want only the local block", st)
+			}
+
+			// Miss everywhere.
+			if _, err := svc.GetBlock(context.Background(), k("nowhere")); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("miss GetBlock err = %v, want ErrNotFound", err)
+			}
+
+			st := svc.Stats()
+			if st.Local != tc.local || st.Peer != tc.peer || st.Miss != tc.miss {
+				t.Fatalf("Stats = %+v, want local=%d peer=%d miss=%d", st, tc.local, tc.peer, tc.miss)
+			}
+			var sb strings.Builder
+			if err := reg.WritePrometheus(&sb); err != nil {
+				t.Fatal(err)
+			}
+			for _, want := range []string{
+				fmt.Sprintf(`cpr_blocks_total{source="local"} %d`, tc.local),
+				fmt.Sprintf(`cpr_blocks_total{source="peer"} %d`, tc.peer),
+				fmt.Sprintf(`cpr_blocks_total{source="miss"} %d`, tc.miss),
+			} {
+				if !strings.Contains(sb.String(), want) {
+					t.Fatalf("metrics missing %q in:\n%s", want, sb.String())
+				}
+			}
+		})
 	}
 }
 

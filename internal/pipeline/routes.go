@@ -1,13 +1,15 @@
 package pipeline
 
 import (
-	"fmt"
 	"io"
+	"slices"
 	"sort"
+	"strconv"
 
 	"cpr/internal/cache"
 	"cpr/internal/design"
 	"cpr/internal/geom"
+	"cpr/internal/grid"
 	"cpr/internal/router"
 	"cpr/internal/tech"
 )
@@ -52,12 +54,44 @@ type RouteArtifact struct {
 //keypurity:encoder stage
 func RouterFingerprint(cfg router.Config) string {
 	c := cfg.Normalized()
-	return fmt.Sprintf("route-v1 order=%s iters=%d pres=%s,%s hist=%s win=%d,%d,%d stall=%d skipdrc=%t",
-		c.Order, c.MaxNegotiationIters,
-		formatFloat(c.PresentCostBase), formatFloat(c.PresentCostGrowth),
-		formatFloat(c.HistoryIncrement),
-		c.WindowMargin, c.WindowGrowth, c.MaxWindowMargin,
-		c.StallRounds, c.SkipDRC)
+	b := make([]byte, 0, 128)
+	b = append(b, "route-v1 order="...)
+	b = append(b, c.Order.String()...)
+	b = append(b, " iters="...)
+	b = strconv.AppendInt(b, int64(c.MaxNegotiationIters), 10)
+	b = append(b, " pres="...)
+	b = appendFloat(b, c.PresentCostBase)
+	b = append(b, ',')
+	b = appendFloat(b, c.PresentCostGrowth)
+	b = append(b, " hist="...)
+	b = appendFloat(b, c.HistoryIncrement)
+	b = append(b, " win="...)
+	b = strconv.AppendInt(b, int64(c.WindowMargin), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(c.WindowGrowth), 10)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(c.MaxWindowMargin), 10)
+	b = append(b, " stall="...)
+	b = strconv.AppendInt(b, int64(c.StallRounds), 10)
+	b = append(b, " skipdrc="...)
+	b = strconv.AppendBool(b, c.SkipDRC)
+	return string(b)
+}
+
+// appendFloat appends f as formatFloat renders it.
+func appendFloat(b []byte, f float64) []byte { return strconv.AppendFloat(b, f, 'g', -1, 64) }
+
+// appendSeeds appends a "seeds [c1 c2 ...]" record, as the format verb
+// "seeds %v" renders the cells.
+func appendSeeds(b []byte, seeds []grid.NodeID) []byte {
+	b = append(b, "seeds ["...)
+	for i, id := range seeds {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(id), 10)
+	}
+	return append(b, "]\n"...)
 }
 
 // WriteRegionInputs writes the canonical encoding of every input that can
@@ -84,53 +118,56 @@ func RouterFingerprint(cfg router.Config) string {
 //
 //keypurity:encoder stage
 func WriteRegionInputs(w io.Writer, d *design.Design, rt *router.Router, rg *router.Region) error {
+	// The records are appended to one buffer and written once.
+	b := make([]byte, 0, 256+128*len(rg.Nets))
 	t := d.Tech
-	if _, err := fmt.Fprintf(w, "region-inputs v1\ngrid %d %d\ntech %d %d %d %d %d %d %d\n",
-		d.Width, d.Height,
-		t.TracksPerPanel, t.BaseCost, t.ViaCost, t.ForbiddenViaCost,
-		t.LineEndExtension, t.MinLineLen, t.LineEndSpacing); err != nil {
-		return err
-	}
+	b = append(b, "region-inputs v1\ngrid"...)
+	b = appendInts(b, d.Width, d.Height)
+	b = append(b, "\ntech"...)
+	b = appendInts(b, t.TracksPerPanel, t.BaseCost, t.ViaCost, t.ForbiddenViaCost,
+		t.LineEndExtension, t.MinLineLen, t.LineEndSpacing)
+	b = append(b, '\n')
 	if t.Patterning != (tech.Patterning{}) {
-		if _, err := fmt.Fprintf(w, "rule-engine %s\n", t.Patterning.Spec()); err != nil {
-			return err
-		}
+		b = append(b, "rule-engine "...)
+		b = append(b, t.Patterning.Spec()...)
+		b = append(b, '\n')
 	}
+	var pins []int
 	for i, netID := range rg.Nets {
 		rc := rg.Rects[i]
-		if _, err := fmt.Fprintf(w, "net %d rect %d %d %d %d\n",
-			netID, rc.X0, rc.Y0, rc.X1, rc.Y1); err != nil {
-			return err
-		}
-		pins := append([]int(nil), d.Nets[netID].PinIDs...)
-		sort.Ints(pins)
+		b = append(b, "net"...)
+		b = appendInts(b, netID)
+		b = append(b, " rect"...)
+		b = appendInts(b, rc.X0, rc.Y0, rc.X1, rc.Y1)
+		b = append(b, '\n')
+		pins = append(pins[:0], d.Nets[netID].PinIDs...)
+		slices.Sort(pins)
 		for _, pid := range pins {
 			sh := d.Pins[pid].Shape
-			if _, err := fmt.Fprintf(w, "pin %d shape %d %d %d %d\n",
-				pid, sh.X0, sh.Y0, sh.X1, sh.Y1); err != nil {
-				return err
-			}
+			b = append(b, "pin"...)
+			b = appendInts(b, pid)
+			b = append(b, " shape"...)
+			b = appendInts(b, sh.X0, sh.Y0, sh.X1, sh.Y1)
+			b = append(b, '\n')
 		}
 		if seeds := rt.SeededCells(netID); len(seeds) > 0 {
-			if _, err := fmt.Fprintf(w, "seeds %v\n", seeds); err != nil {
-				return err
-			}
+			b = appendSeeds(b, seeds)
 		}
 	}
 	// Blockages within reach of the region, clipped so far-away edits to
 	// the same blockage rect cannot dirty the region.
 	bounds := rg.Bounds().Expand(1)
-	for _, b := range d.Blockages {
-		clip := b.Shape.Intersect(bounds)
+	for _, bl := range d.Blockages {
+		clip := bl.Shape.Intersect(bounds)
 		if clip.Empty() {
 			continue
 		}
-		if _, err := fmt.Fprintf(w, "blk %d %d %d %d %d\n",
-			b.Layer, clip.X0, clip.Y0, clip.X1, clip.Y1); err != nil {
-			return err
-		}
+		b = append(b, "blk"...)
+		b = appendInts(b, bl.Layer, clip.X0, clip.Y0, clip.X1, clip.Y1)
+		b = append(b, '\n')
 	}
-	return nil
+	_, err := w.Write(b)
+	return err
 }
 
 // RegionHash returns the hex SHA-256 of the region's canonical input
@@ -158,32 +195,39 @@ func RouteKeyFor(d *design.Design, rt *router.Router, rg *router.Region) string 
 // enterability and negotiation fixes the rest.
 func NetSignature(d *design.Design, rt *router.Router, netID int) string {
 	return hashOf(func(w io.Writer) error {
-		if _, err := fmt.Fprintf(w, "netsig v1 grid %d %d\n", d.Width, d.Height); err != nil {
-			return err
-		}
-		shapes := make([]geom.Rect, 0, len(d.Nets[netID].PinIDs))
+		b := make([]byte, 0, 64+48*len(d.Nets[netID].PinIDs))
+		b = append(b, "netsig v1 grid"...)
+		b = appendInts(b, d.Width, d.Height)
+		b = append(b, '\n')
+		shapes := make(byX0Y0, 0, len(d.Nets[netID].PinIDs))
 		for _, pid := range d.Nets[netID].PinIDs {
 			shapes = append(shapes, d.Pins[pid].Shape)
 		}
-		sort.Slice(shapes, func(a, b int) bool {
-			if shapes[a].X0 != shapes[b].X0 {
-				return shapes[a].X0 < shapes[b].X0
-			}
-			return shapes[a].Y0 < shapes[b].Y0
-		})
+		sort.Sort(shapes)
 		for _, sh := range shapes {
-			if _, err := fmt.Fprintf(w, "pin %d %d %d %d\n", sh.X0, sh.Y0, sh.X1, sh.Y1); err != nil {
-				return err
-			}
+			b = append(b, "pin"...)
+			b = appendInts(b, sh.X0, sh.Y0, sh.X1, sh.Y1)
+			b = append(b, '\n')
 		}
 		if seeds := rt.SeededCells(netID); len(seeds) > 0 {
-			if _, err := fmt.Fprintf(w, "seeds %v\n", seeds); err != nil {
-				return err
-			}
+			b = appendSeeds(b, seeds)
 		}
-		return nil
+		_, err := w.Write(b)
+		return err
 	})
 }
+
+// byX0Y0 orders pin shapes by X0, then Y0.
+type byX0Y0 []geom.Rect
+
+func (x byX0Y0) Len() int { return len(x) }
+func (x byX0Y0) Less(a, b int) bool {
+	if x[a].X0 != x[b].X0 {
+		return x[a].X0 < x[b].X0
+	}
+	return x[a].Y0 < x[b].Y0
+}
+func (x byX0Y0) Swap(a, b int) { x[a], x[b] = x[b], x[a] }
 
 // BuildRouteArtifacts bundles a finished run's routes into per-region
 // artifacts for the run's plan. The artifacts reference res.Routes'

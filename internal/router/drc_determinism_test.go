@@ -44,7 +44,7 @@ func TestSegmentsOfNodeOrderInvariant(t *testing.T) {
 		nodes = append(nodes, g.ID(9, y, tech.M3))
 	}
 
-	base := r.segmentsOf(&NetRoute{NetID: id, Nodes: nodes})
+	base := r.wholeShard(nil).segmentsOf(nil, &NetRoute{NetID: id, Nodes: nodes})
 	if len(base) != 5 {
 		t.Fatalf("expected 5 segments, got %d: %+v", len(base), base)
 	}
@@ -54,7 +54,7 @@ func TestSegmentsOfNodeOrderInvariant(t *testing.T) {
 		rng.Shuffle(len(shuffled), func(i, j int) {
 			shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
 		})
-		got := r.segmentsOf(&NetRoute{NetID: id, Nodes: shuffled})
+		got := r.wholeShard(nil).segmentsOf(nil, &NetRoute{NetID: id, Nodes: shuffled})
 		if !reflect.DeepEqual(got, base) {
 			t.Fatalf("trial %d: segment order depends on node order:\nbase %+v\ngot  %+v",
 				trial, base, got)

@@ -1,6 +1,7 @@
 package router
 
 import (
+	"slices"
 	"sort"
 
 	"cpr/internal/geom"
@@ -191,7 +192,7 @@ func (r *Router) SeededCells(netID int) []grid.NodeID {
 		return nil
 	}
 	out := append([]grid.NodeID(nil), seeds...)
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
+	slices.Sort(out)
 	return out
 }
 

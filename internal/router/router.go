@@ -23,9 +23,11 @@
 package router
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -320,9 +322,10 @@ type Router struct {
 	g   *grid.Graph
 	cfg Config
 
-	// seeded interval cells per net (for release/bookkeeping). Read-only
-	// once routing starts, so concurrent region shards may share it.
-	seededNodes map[int][]grid.NodeID
+	// seeded interval cells per net, indexed by net ID (for
+	// release/bookkeeping). Read-only once routing starts, so concurrent
+	// region shards may share it.
+	seededNodes [][]grid.NodeID
 }
 
 // New creates a router over a validated design and its grid. The
@@ -331,32 +334,44 @@ func New(d *design.Design, g *grid.Graph, cfg Config) *Router {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Router{d: d, g: g, cfg: cfg.withDefaults(), seededNodes: make(map[int][]grid.NodeID)}
+	return &Router{d: d, g: g, cfg: cfg.withDefaults(), seededNodes: make([][]grid.NodeID, len(d.Nets))}
 }
 
 // SeedAssignment reserves the assigned pin access intervals on the grid as
 // net-owned partial routes. The assignment must be conflict-free (the
 // output of the ILP or LR optimizer); overlapping reservations panic.
 func (r *Router) SeedAssignment(set *pinaccess.Set, sol *assign.Solution) {
-	// Reserve intervals in sorted ID order: seededNodes order seeds the
-	// path search, so map iteration order must not reach it.
-	seen := make(map[int]bool)
-	var ivIDs []int
+	// Reserve each net's intervals in ascending ID order: seededNodes
+	// order seeds the path search, so map iteration order must not reach
+	// it. Sorting by (net, ID) groups a net's intervals, so its cell list
+	// grows once per call.
+	ivIDs := make([]int, 0, len(sol.ByPin))
 	for _, ivID := range sol.ByPin {
-		if seen[ivID] {
-			continue
-		}
-		seen[ivID] = true
 		ivIDs = append(ivIDs, ivID)
 	}
-	sort.Ints(ivIDs)
-	for _, ivID := range ivIDs {
-		iv := &set.Intervals[ivID]
-		for x := iv.Span.Lo; x <= iv.Span.Hi; x++ {
-			id := r.g.ID(x, iv.Track, tech.M2)
-			r.g.SetOwner(id, iv.NetID)
-			r.seededNodes[iv.NetID] = append(r.seededNodes[iv.NetID], id)
+	slices.SortFunc(ivIDs, func(a, b int) int {
+		if na, nb := set.Intervals[a].NetID, set.Intervals[b].NetID; na != nb {
+			return cmp.Compare(na, nb)
 		}
+		return cmp.Compare(a, b)
+	})
+	ivIDs = slices.Compact(ivIDs)
+	for i := 0; i < len(ivIDs); {
+		netID, cells, j := set.Intervals[ivIDs[i]].NetID, 0, i
+		for ; j < len(ivIDs) && set.Intervals[ivIDs[j]].NetID == netID; j++ {
+			cells += set.Intervals[ivIDs[j]].Span.Len()
+		}
+		seeds := slices.Grow(r.seededNodes[netID], cells)
+		for _, ivID := range ivIDs[i:j] {
+			iv := &set.Intervals[ivID]
+			for x := iv.Span.Lo; x <= iv.Span.Hi; x++ {
+				id := r.g.ID(x, iv.Track, tech.M2)
+				r.g.SetOwner(id, netID)
+				seeds = append(seeds, id)
+			}
+		}
+		r.seededNodes[netID] = seeds
+		i = j
 	}
 }
 
@@ -438,6 +453,7 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 	// copies carry the congestion seed for any neighbouring recomputation
 	// — though by construction no computed region can reach them.
 	var computed []*Region
+	var seedSet nodeSet // trimSeeds' set for spliced routes
 	for _, rg := range plan.Regions {
 		sp := opts.Spliced[rg.ID]
 		if sp == nil {
@@ -456,7 +472,7 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 			}
 			res.Routes[netID] = nr
 			if !opts.SkipSpliceSeeding {
-				r.occupy(nr)
+				r.occupy(nr, &seedSet)
 			}
 		}
 		res.RegionSummaries[rg.ID] = sp.Summary
@@ -477,6 +493,7 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 		sh := &shard{
 			Router:  r,
 			region:  rg,
+			box:     rectWindow(rg.Bounds()),
 			routes:  res.Routes,
 			seedOcc: !opts.SkipSpliceSeeding,
 		}
@@ -542,30 +559,58 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 // negotiation flow restricted to one region's member nets. Shards of
 // different regions share the grid but have provably disjoint read/write
 // footprints, so they run concurrently without synchronization.
+//
+// A shard reserves its scratch once and reuses it for every net and
+// round, so routing a net allocates only the route it returns.
 type shard struct {
 	*Router
 	region *Region
+	// box is the region's bounds. It contains every search window, route
+	// node, clearance cell and seeded cell of the member nets, so it
+	// sizes both node sets.
+	box searchWindow
 	// routes is the run's global route table; the shard reads and writes
 	// only its member indices.
 	routes []*NetRoute
 	// avoid holds temporarily forbidden nodes during DRC-aware reroutes
 	// (other nets' extended line-end clearance zones); empty outside
-	// them. Also carries the sequential baseline's clearance zones. It
-	// is sized to the region's bounds, which contain every search
-	// window of the region.
+	// them. Also carries the sequential baseline's clearance zones.
 	avoid nodeSet
+	// nodes is the general node set: routeNet's tree and clearance
+	// cells, trimSeeds' route, and the nodes a count or a congestion
+	// drop has visited.
+	nodes nodeSet
 	// warm maps member net IDs to deep-copied previous routes to
 	// warm-start from.
 	warm map[int]*NetRoute
 	// seedOcc replays warm routes' occupancy (false only under the
 	// RunOpts.SkipSpliceSeeding fault injection).
 	seedOcc bool
+	// rulesOf is the rule engine and its parameters (see engine).
+	rulesOf shardRules
 	// scratch is the shard's reusable path search state and work
-	// counters.
-	scratch searchScratch
-	// overusedSeen is overusedCount's node set, reused across
-	// negotiation rounds.
-	overusedSeen map[grid.NodeID]struct{}
+	// counters, sized for windows of scratchMargin (fitScratch).
+	scratch       searchScratch
+	scratchMargin int
+	// build holds routeNet's buffers; cong and drc hold stage 3's and
+	// stage 4's.
+	build routeBuffers
+	cong  congestionBuffers
+	drc   lineEndBuffers
+}
+
+// routeBuffers are the buffers routeNet builds a route in; it copies
+// each output slice out once, at its exact length.
+type routeBuffers struct {
+	pins  []int
+	cells []grid.NodeID
+	tree  []grid.NodeID
+	edges []grid.Edge
+	virt  []grid.NodeID
+	// keys are segmentsOf's sort keys; segs hold one route's strips for
+	// computeVirtual and the sequential baseline's clearance zones.
+	keys []uint64
+	segs []metalSegment
 }
 
 // wholeShard wraps the router in a single shard spanning every net
@@ -578,7 +623,7 @@ func (r *Router) wholeShard(routes []*NetRoute) *shard {
 		rg.Nets[i] = i
 		rg.Rects[i] = all
 	}
-	return &shard{Router: r, region: rg, routes: routes, seedOcc: true}
+	return &shard{Router: r, region: rg, box: rectWindow(all), routes: routes, seedOcc: true}
 }
 
 // run executes the four routing stages region-locally. Its output is
@@ -609,7 +654,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 		if w := s.warm[netID]; w != nil && s.warmUsable(w) {
 			s.routes[netID] = w
 			if s.seedOcc {
-				s.occupy(w)
+				s.occupy(w, &s.nodes)
 			}
 			oc.warm++
 			if s.seedOcc {
@@ -623,7 +668,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 		}
 		nr := s.routeNet(netID, initPres, s.cfg.WindowMargin)
 		s.routes[netID] = nr
-		s.occupy(nr)
+		s.occupy(nr, &s.nodes)
 	}
 	oc.summary.InitialCongested, oc.summary.InitialCongestedByLayer = s.congestedCounts()
 	indSpan.SetAttr("nets", len(order))
@@ -693,7 +738,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 			ripups++
 			newRoute := s.routeNet(netID, presFac, margin)
 			s.routes[netID] = newRoute
-			s.occupy(newRoute)
+			s.occupy(newRoute, &s.nodes)
 		}
 		iterSpan.SetAttr("ripups", ripups)
 		iterSpan.End()
@@ -716,7 +761,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	// Stage 3: resolve residual congestion by unrouting offenders.
 	_, resSpan := telemetry.StartSpan(ctx, "route:resolve")
 	resSpan.SetAttr("region", s.region.ID)
-	oc.summary.CongestionUnrouted = s.resolveCongestion()
+	oc.summary.CongestionUnrouted = len(s.resolveCongestion())
 	resSpan.SetAttr("unrouted", oc.summary.CongestionUnrouted)
 	resSpan.End()
 	oc.stage[2] = since(t0)
@@ -726,7 +771,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 	_, drcSpan := telemetry.StartSpan(ctx, "route:drc")
 	drcSpan.SetAttr("region", s.region.ID)
 	if !s.cfg.SkipDRC {
-		oc.summary.DRCUnrouted = s.enforceLineEndRules()
+		oc.summary.DRCUnrouted = len(s.enforceLineEndRules())
 	}
 	drcSpan.SetAttr("unrouted", oc.summary.DRCUnrouted)
 	drcSpan.End()
@@ -737,14 +782,21 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 
 // warmUsable reports whether a previous route can be replayed on the
 // current grid: the net must still be allowed to enter every route node
-// (pins unchanged on M1, no new blockage, no foreign ownership). Virtual
-// cells carry no legality constraint — they are occupancy, not metal.
+// (pins unchanged on M1, no new blockage, no foreign ownership), and the
+// route and its clearance cells must lie inside the region's bounds,
+// which every shard structure relies on. Virtual cells carry no other
+// legality constraint — they are occupancy, not metal.
 func (s *shard) warmUsable(nr *NetRoute) bool {
 	if !nr.Routed {
 		return false
 	}
 	for _, id := range nr.Nodes {
-		if !s.g.Enterable(id, nr.NetID) {
+		if x, y, _ := s.g.Coords(id); !s.box.contains(x, y) || !s.g.Enterable(id, nr.NetID) {
+			return false
+		}
+	}
+	for _, id := range nr.Virtual {
+		if x, y, _ := s.g.Coords(id); !s.box.contains(x, y) {
 			return false
 		}
 	}
@@ -759,18 +811,14 @@ func (s *shard) warmUsable(nr *NetRoute) bool {
 func (s *shard) congestedCounts() (int, [tech.NumLayers]int) {
 	var byLayer [tech.NumLayers]int
 	total := 0
-	seen := make(map[grid.NodeID]struct{})
+	s.nodes.reset(s.box)
 	for _, netID := range s.region.Nets {
 		nr := s.routes[netID]
 		if nr == nil || !nr.Routed {
 			continue
 		}
 		for _, id := range nr.Nodes {
-			if _, ok := seen[id]; ok {
-				continue
-			}
-			seen[id] = struct{}{}
-			if s.g.MetalCongested(id) {
+			if s.nodes.insert(s.g, id) && s.g.MetalCongested(id) {
 				total++
 				_, _, z := s.g.Coords(id)
 				byLayer[z]++
@@ -785,30 +833,21 @@ func (s *shard) congestedCounts() (int, [tech.NumLayers]int) {
 // global grid scan when the region covers all routed nets.
 func (s *shard) overusedCount() int {
 	n := 0
-	if s.overusedSeen == nil {
-		s.overusedSeen = make(map[grid.NodeID]struct{})
-	}
-	seen := s.overusedSeen
-	clear(seen)
-	count := func(id grid.NodeID) {
-		if _, ok := seen[id]; ok {
-			return
-		}
-		seen[id] = struct{}{}
-		if s.g.Overused(id) {
-			n++
-		}
-	}
+	s.nodes.reset(s.box)
 	for _, netID := range s.region.Nets {
 		nr := s.routes[netID]
 		if nr == nil || !nr.Routed {
 			continue
 		}
 		for _, id := range nr.Nodes {
-			count(id)
+			if s.nodes.insert(s.g, id) && s.g.Overused(id) {
+				n++
+			}
 		}
 		for _, id := range nr.Virtual {
-			count(id)
+			if s.nodes.insert(s.g, id) && s.g.Overused(id) {
+				n++
+			}
 		}
 	}
 	return n
@@ -852,7 +891,9 @@ func (r *Router) netOrder() []int {
 
 // routeNet connects all pins of a net with sequential multi-source
 // shortest-path searches. presFac scales the congestion penalty; margin
-// expands the search window beyond the net bounding box.
+// expands the search window beyond the net bounding box. The route is
+// built in the shard's buffers, and the returned route's slices are
+// copies at their exact lengths.
 func (s *shard) routeNet(netID int, presFac float64, margin int) *NetRoute {
 	nr := &NetRoute{NetID: netID}
 	pins := s.d.Nets[netID].PinIDs
@@ -861,38 +902,39 @@ func (s *shard) routeNet(netID int, presFac float64, margin int) *NetRoute {
 		return nr
 	}
 
-	// Order pins left to right for a stable, roughly monotone build.
-	ordered := append([]int(nil), pins...)
-	sort.Slice(ordered, func(a, b int) bool {
-		pa, pb := &s.d.Pins[ordered[a]], &s.d.Pins[ordered[b]]
-		if pa.Shape.X0 != pb.Shape.X0 {
-			return pa.Shape.X0 < pb.Shape.X0
+	// Order pins left to right for a stable, roughly monotone build. Pins
+	// of one net never share (X0, Y0) on a validated design, so the order
+	// is strict and every sort gives the same result.
+	b := &s.build
+	b.pins = append(b.pins[:0], pins...)
+	slices.SortFunc(b.pins, func(a, c int) int {
+		pa, pc := &s.d.Pins[a].Shape, &s.d.Pins[c].Shape
+		if pa.X0 != pc.X0 {
+			return cmp.Compare(pa.X0, pc.X0)
 		}
-		return pa.Shape.Y0 < pb.Shape.Y0
+		return cmp.Compare(pa.Y0, pc.Y0)
 	})
 
 	s.restoreSeeds(netID)
 	win := s.window(netID, margin)
-	treeSet := make(map[grid.NodeID]bool)
-	addNode := func(id grid.NodeID) {
-		if !treeSet[id] {
-			treeSet[id] = true
-			nr.Nodes = append(nr.Nodes, id)
-		}
+	s.nodes.reset(s.box)
+	b.tree = b.tree[:0]
+	b.edges = b.edges[:0]
+	b.cells = s.appendPinCells(b.cells[:0], b.pins[0])
+	for _, cell := range b.cells {
+		s.addTreeNode(cell)
 	}
-	for _, cell := range s.pinCells(ordered[0]) {
-		addNode(cell)
-	}
-	if len(ordered) == 1 {
+	if len(b.pins) == 1 {
+		nr.Nodes = exactCopy(b.tree)
 		nr.Routed = true
 		return nr
 	}
 
-	for _, pid := range ordered[1:] {
-		targets := s.pinCells(pid)
+	for _, pid := range b.pins[1:] {
+		b.cells = s.appendPinCells(b.cells[:0], pid)
 		already := false
-		for _, cell := range targets {
-			if treeSet[cell] {
+		for _, cell := range b.cells {
+			if s.nodes.has(s.g.Coords(cell)) {
 				already = true
 				break
 			}
@@ -900,37 +942,55 @@ func (s *shard) routeNet(netID int, presFac float64, margin int) *NetRoute {
 		if already {
 			continue
 		}
-		path, ok := s.search(netID, nr.Nodes, targets, win, presFac)
+		s.fitScratch(margin)
+		path, ok := s.search(netID, b.tree, b.cells, win, presFac)
 		if !ok {
 			nr.Routed = false
 			nr.FailReason = "search"
-			nr.Nodes = nil
-			nr.Edges = nil
-			nr.Virtual = nil
 			return nr
 		}
 		for i, id := range path {
-			addNode(id)
+			s.addTreeNode(id)
 			if i > 0 {
-				nr.Edges = append(nr.Edges, grid.MakeEdge(path[i-1], id))
+				b.edges = append(b.edges, grid.MakeEdge(path[i-1], id))
 			}
 		}
 	}
+	nr.Nodes = exactCopy(b.tree)
+	nr.Edges = exactCopy(b.edges)
 	nr.Routed = true
 	s.computeVirtual(nr)
 	return nr
 }
 
-// pinCells returns the grid nodes of a pin's M1 shape.
-func (r *Router) pinCells(pid int) []grid.NodeID {
+// addTreeNode appends a node to the route tree under construction unless
+// the tree already holds it.
+func (s *shard) addTreeNode(id grid.NodeID) {
+	if s.nodes.insert(s.g, id) {
+		s.build.tree = append(s.build.tree, id)
+	}
+}
+
+// exactCopy returns a copy of xs at its exact length, or nil when xs is
+// empty, as an append-built route slice was.
+func exactCopy[T any](xs []T) []T {
+	if len(xs) == 0 {
+		return nil
+	}
+	out := make([]T, len(xs))
+	copy(out, xs)
+	return out
+}
+
+// appendPinCells appends the grid nodes of a pin's M1 shape to dst.
+func (r *Router) appendPinCells(dst []grid.NodeID, pid int) []grid.NodeID {
 	sh := r.d.Pins[pid].Shape
-	cells := make([]grid.NodeID, 0, sh.Area())
 	for y := sh.Y0; y <= sh.Y1; y++ {
 		for x := sh.X0; x <= sh.X1; x++ {
-			cells = append(cells, r.g.ID(x, y, tech.M1))
+			dst = append(dst, r.g.ID(x, y, tech.M1))
 		}
 	}
-	return cells
+	return dst
 }
 
 // window computes the clamped search window for a net.
@@ -946,7 +1006,8 @@ func rectWindow(box geom.Rect) searchWindow {
 // rules resolves the technology's multi-patterning rule engine. It is
 // resolved per call rather than cached on the Router so the engine
 // parameter reads stay inside every routing stage's static call graph
-// (the keypurity analyzer proves cache-key coverage from those reads).
+// (the keypurity analyzer proves cache-key coverage from those reads). A
+// shard resolves it once (shard.engine).
 func (r *Router) rules() tech.RuleEngine {
 	return tech.RulesFor(r.g.Tech)
 }
@@ -960,47 +1021,46 @@ func (r *Router) clearanceMargin() int {
 }
 
 // computeVirtual fills nr.Virtual with the clearance cells at every strip
-// end (skipping cells already part of the route).
-func (r *Router) computeVirtual(nr *NetRoute) {
-	nr.Virtual = nr.Virtual[:0]
-	margin := r.clearanceMargin()
+// end, skipping cells already part of the route. routeNet calls it last,
+// when the shard's node set holds exactly nr.Nodes.
+func (s *shard) computeVirtual(nr *NetRoute) {
+	margin := s.engine().clearance
 	if margin == 0 {
 		return
 	}
-	inRoute := make(map[grid.NodeID]bool, len(nr.Nodes))
-	for _, id := range nr.Nodes {
-		inRoute[id] = true
-	}
-	add := func(id grid.NodeID) {
-		if !inRoute[id] {
-			inRoute[id] = true
-			nr.Virtual = append(nr.Virtual, id)
-		}
-	}
-	for _, s := range r.segmentsOf(nr) {
-		limit := r.d.Width
-		if s.layer == tech.M3 {
-			limit = r.d.Height
-		}
+	b := &s.build
+	b.virt = b.virt[:0]
+	b.segs = s.segmentsOf(b.segs[:0], nr)
+	for _, sg := range b.segs {
+		limit := s.trackLimit(sg.layer)
 		for m := 1; m <= margin; m++ {
-			for _, c := range []int{s.span.Lo - m, s.span.Hi + m} {
-				if c < 0 || c > limit-1 {
-					continue
-				}
-				if s.layer == tech.M2 {
-					add(r.g.ID(c, s.track, tech.M2))
-				} else {
-					add(r.g.ID(s.track, c, tech.M3))
-				}
-			}
+			s.addVirtual(sg, sg.span.Lo-m, limit)
+			s.addVirtual(sg, sg.span.Hi+m, limit)
 		}
+	}
+	nr.Virtual = exactCopy(b.virt)
+}
+
+// addVirtual adds the cell at coordinate c along strip sg's track as a
+// clearance cell, unless it lies off the grid or the set holds it.
+func (s *shard) addVirtual(sg metalSegment, c, limit int) {
+	if c < 0 || c > limit-1 {
+		return
+	}
+	id := s.g.ID(c, sg.track, tech.M2)
+	if sg.layer == tech.M3 {
+		id = s.g.ID(sg.track, c, tech.M3)
+	}
+	if s.nodes.insert(s.g, id) {
+		s.build.virt = append(s.build.virt, id)
 	}
 }
 
 // occupy registers a routed net's nodes (and clearance cells) on the grid
 // and trims the net's unused interval reservation so other nets can use
 // the freed cells (the reservation is restored if the net is ripped up).
-func (r *Router) occupy(nr *NetRoute) {
+// set is trimSeeds' scratch set.
+func (r *Router) occupy(nr *NetRoute, set *nodeSet) {
 	if !nr.Routed {
 		return
 	}
@@ -1010,21 +1070,30 @@ func (r *Router) occupy(nr *NetRoute) {
 	for _, id := range nr.Virtual {
 		r.g.OccupyVirtual(id)
 	}
-	r.trimSeeds(nr)
+	r.trimSeeds(nr, set)
 }
 
 // trimSeeds releases seeded interval cells the final route does not use.
-func (r *Router) trimSeeds(nr *NetRoute) {
+// set is scratch: trimSeeds resets it to the seeds' bounding box and adds
+// the route's nodes inside it, so any caller's set serves and a route
+// node anywhere on the grid is handled.
+func (r *Router) trimSeeds(nr *NetRoute, set *nodeSet) {
 	seeds := r.seededNodes[nr.NetID]
 	if len(seeds) == 0 {
 		return
 	}
-	inRoute := make(map[grid.NodeID]bool, len(nr.Nodes))
+	x, y, _ := r.g.Coords(seeds[0])
+	box := geom.Rect{X0: x, Y0: y, X1: x, Y1: y}
+	for _, id := range seeds[1:] {
+		x, y, _ := r.g.Coords(id)
+		box = box.Union(geom.Rect{X0: x, Y0: y, X1: x, Y1: y})
+	}
+	set.reset(rectWindow(box))
 	for _, id := range nr.Nodes {
-		inRoute[id] = true
+		set.add(r.g.Coords(id))
 	}
 	for _, id := range seeds {
-		if !inRoute[id] && r.g.Owner(id) == nr.NetID {
+		if !set.has(r.g.Coords(id)) && r.g.Owner(id) == nr.NetID {
 			r.g.ClearOwner(id)
 		}
 	}
@@ -1089,52 +1158,91 @@ func (s *shard) chargeHistory() {
 	}
 }
 
+// congestionBuffers are stage 3's buffers.
+type congestionBuffers struct {
+	// touches lists every (node, member) occurrence in the routed member
+	// routes, sorted stably by node: each node's users form one run, in
+	// member order. A dropped member's touches turn to -1. spare is the
+	// sort's second buffer.
+	touches []nodeTouch
+	spare   []nodeTouch
+	// over marks an overused node on the first touch of its run.
+	over []bool
+	// cnt is each member's overused-touch count, by member index.
+	cnt []int
+	// dropped lists the nets stage 3 unrouted, in drop order.
+	dropped []int
+}
+
+// nodeTouch is one occurrence of a node in a member route's Nodes or
+// Virtual.
+type nodeTouch struct {
+	node   grid.NodeID
+	member int32 // index into the region's Nets; -1 once dropped
+}
+
 // resolveCongestion unroutes member nets until no region node is
 // overused: repeatedly drop the net crossing the most overused nodes
 // (ties broken by region net order). Rather than rescanning every route
 // per drop, it maintains the overused-node set and per-net overuse
 // counts incrementally — only the dropped net's nodes can change state,
 // since release touches no other usage. The drop sequence is identical
-// to the naive full-rescan formulation.
-func (s *shard) resolveCongestion() int {
-	// users indexes each touched node by the member nets touching it,
-	// one entry per route-slice occurrence; cnt mirrors the per-net
-	// overused-touch count the naive scan would compute.
-	users := make(map[grid.NodeID][]int)
-	cnt := make(map[int]int)
-	overSet := make(map[grid.NodeID]struct{})
-	touch := func(netID int, id grid.NodeID) {
-		users[id] = append(users[id], netID)
-		if s.g.Overused(id) {
-			overSet[id] = struct{}{}
-			cnt[netID]++
+// to the naive full-rescan formulation. It returns the dropped nets in
+// drop order, in a buffer the shard reuses.
+func (s *shard) resolveCongestion() []int {
+	nets := s.region.Nets
+	b := &s.cong
+	total := 0
+	for _, netID := range nets {
+		if nr := s.routes[netID]; nr.Routed {
+			total += len(nr.Nodes) + len(nr.Virtual)
 		}
 	}
-	for _, netID := range s.region.Nets {
+	b.touches = slices.Grow(b.touches[:0], total)
+	for i, netID := range nets {
 		nr := s.routes[netID]
 		if !nr.Routed {
 			continue
 		}
 		for _, id := range nr.Nodes {
-			touch(netID, id)
+			b.touches = append(b.touches, nodeTouch{id, int32(i)})
 		}
 		for _, id := range nr.Virtual {
-			touch(netID, id)
+			b.touches = append(b.touches, nodeTouch{id, int32(i)})
 		}
 	}
+	b.spare = slices.Grow(b.spare[:0], total)[:total]
+	b.touches, b.spare = sortTouches(b.touches, b.spare, grid.NodeID(s.g.NumNodes()-1))
 
-	dropped := 0
-	for len(overSet) > 0 {
+	// cnt mirrors the per-net overused-touch count the naive scan would
+	// compute; overN counts the overused nodes.
+	b.over = resize(b.over, len(b.touches))
+	b.cnt = resize(b.cnt, len(nets))
+	overN := 0
+	for lo := 0; lo < len(b.touches); {
+		hi := b.runEnd(lo)
+		if s.g.Overused(b.touches[lo].node) {
+			b.over[lo] = true
+			overN++
+			for _, t := range b.touches[lo:hi] {
+				b.cnt[t.member]++
+			}
+		}
+		lo = hi
+	}
+
+	b.dropped = b.dropped[:0]
+	for overN > 0 {
 		worst, worstCount := -1, 0
-		for _, netID := range s.region.Nets {
-			if c := cnt[netID]; c > worstCount {
-				worst, worstCount = netID, c
+		for i, c := range b.cnt {
+			if c > worstCount {
+				worst, worstCount = i, c
 			}
 		}
 		if worst < 0 {
 			break
 		}
-		nr := s.routes[worst]
+		nr := s.routes[nets[worst]]
 		nodes, virtual := nr.Nodes, nr.Virtual
 		s.release(nr)
 		nr.Routed = false
@@ -1142,53 +1250,102 @@ func (s *shard) resolveCongestion() int {
 		nr.Nodes = nil
 		nr.Edges = nil
 		nr.Virtual = nil
-		delete(cnt, worst)
-		dropped++
+		b.cnt[worst] = 0
+		b.dropped = append(b.dropped, nets[worst])
 
 		// Retract the dropped net's touches and re-derive the state of
-		// every node it covered: a node leaves the overused set when the
-		// release took its usage back under capacity, or when no routed
-		// member net touches it any more (foreign seeded occupancy alone
-		// never counts — the naive scan walks member routes only).
-		update := func(id grid.NodeID) {
-			us := users[id]
-			w := 0
-			for _, u := range us {
-				if u != worst {
-					us[w] = u
-					w++
-				}
-			}
-			us = us[:w]
-			if len(us) == 0 {
-				delete(users, id)
-			} else {
-				users[id] = us
-			}
-			if _, over := overSet[id]; !over {
-				return
-			}
-			if len(us) == 0 || !s.g.Overused(id) {
-				delete(overSet, id)
-				for _, u := range us {
-					cnt[u]--
-				}
-			}
-		}
-		seen := make(map[grid.NodeID]struct{}, len(nodes)+len(virtual))
-		once := func(id grid.NodeID) {
-			if _, ok := seen[id]; ok {
-				return
-			}
-			seen[id] = struct{}{}
-			update(id)
-		}
+		// every node it covered, once per node.
+		s.nodes.reset(s.box)
 		for _, id := range nodes {
-			once(id)
+			if s.nodes.insert(s.g, id) {
+				overN -= s.retract(id, int32(worst))
+			}
 		}
 		for _, id := range virtual {
-			once(id)
+			if s.nodes.insert(s.g, id) {
+				overN -= s.retract(id, int32(worst))
+			}
 		}
 	}
-	return dropped
+	return b.dropped
+}
+
+// sortTouches sorts ts stably by node with a least-significant-digit
+// radix sort, 11 bits of the node ID per pass, no node above maxNode. tmp
+// must be as long as ts. The passes alternate between the two buffers:
+// sortTouches returns the one holding the sorted touches, then the other.
+func sortTouches(ts, tmp []nodeTouch, maxNode grid.NodeID) (sorted, spare []nodeTouch) {
+	const bits = 11
+	var start [1 << bits]int
+	for shift := 0; maxNode>>shift > 0; shift += bits {
+		clear(start[:])
+		for _, t := range ts {
+			start[t.node>>shift&(1<<bits-1)]++
+		}
+		sum := 0
+		for d, c := range start {
+			start[d] = sum
+			sum += c
+		}
+		for _, t := range ts {
+			d := t.node >> shift & (1<<bits - 1)
+			tmp[start[d]] = t
+			start[d]++
+		}
+		ts, tmp = tmp, ts
+	}
+	return ts, tmp
+}
+
+// runEnd returns the end of the run of touches that starts at lo.
+func (b *congestionBuffers) runEnd(lo int) int {
+	hi := lo + 1
+	for hi < len(b.touches) && b.touches[hi].node == b.touches[lo].node {
+		hi++
+	}
+	return hi
+}
+
+// retract turns dropped member worst's touches of node id to -1 and
+// returns 1 when the node leaves the overused set: when the release took
+// its usage back under capacity, or when no routed member net touches it
+// any more (foreign seeded occupancy alone never counts — the naive scan
+// walks member routes only). The remaining users' counts fall with it.
+func (s *shard) retract(id grid.NodeID, worst int32) int {
+	b := &s.cong
+	lo, _ := slices.BinarySearchFunc(b.touches, id, func(t nodeTouch, id grid.NodeID) int {
+		return cmp.Compare(t.node, id)
+	})
+	run := b.touches[lo:b.runEnd(lo)]
+	users := 0
+	for k := range run {
+		switch run[k].member {
+		case worst:
+			run[k].member = -1
+		case -1:
+		default:
+			users++
+		}
+	}
+	if !b.over[lo] || (users > 0 && s.g.Overused(id)) {
+		return 0
+	}
+	b.over[lo] = false
+	for _, t := range run {
+		if t.member >= 0 {
+			b.cnt[t.member]--
+		}
+	}
+	return 1
+}
+
+// resize returns xs with length n and every element zero, reusing its
+// storage when it is large enough.
+func resize[T any](xs []T, n int) []T {
+	if cap(xs) < n {
+		return make([]T, n)
+	}
+	xs = xs[:n]
+	clear(xs)
+	return xs
 }

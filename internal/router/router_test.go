@@ -268,7 +268,7 @@ func TestSegmentsOfRuns(t *testing.T) {
 	for _, x := range []int{5, 1, 2, 3, 7, 8, 2} {
 		nodes = append(nodes, g.ID(x, 6, tech.M2))
 	}
-	got := r.segmentsOf(&NetRoute{NetID: 0, Nodes: nodes})
+	got := r.wholeShard(nil).segmentsOf(nil, &NetRoute{NetID: 0, Nodes: nodes})
 	want := []geom.Interval{{Lo: 1, Hi: 3}, {Lo: 5, Hi: 5}, {Lo: 7, Hi: 8}}
 	if len(got) != len(want) {
 		t.Fatalf("segments = %+v, want spans %v", got, want)
@@ -278,7 +278,7 @@ func TestSegmentsOfRuns(t *testing.T) {
 			t.Errorf("segment %d = %+v, want M2 track 6 span %v", i, got[i], want[i])
 		}
 	}
-	if segs := r.segmentsOf(&NetRoute{Nodes: []grid.NodeID{g.ID(3, 4, tech.M1)}}); len(segs) != 0 {
+	if segs := r.wholeShard(nil).segmentsOf(nil, &NetRoute{Nodes: []grid.NodeID{g.ID(3, 4, tech.M1)}}); len(segs) != 0 {
 		t.Errorf("M1-only route has segments %+v", segs)
 	}
 }

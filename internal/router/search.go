@@ -1,6 +1,8 @@
 package router
 
 import (
+	"fmt"
+
 	"cpr/internal/grid"
 	"cpr/internal/tech"
 )
@@ -142,8 +144,9 @@ type searchSlot struct {
 // does. Slots are window-local node indices. A slot's dist, prev and at
 // hold data only while its seen stamp equals gen, and a slot is a target
 // only while target[slot] equals gen, so starting a search clears
-// nothing: it bumps gen. The arrays grow geometrically to the largest window
-// searched, never past the grid's node count, and never shrink.
+// nothing: it bumps gen. routeNet sizes the arrays for the widest window
+// its margin allows (shard.fitScratch), so a stage's searches never
+// regrow them.
 //
 // Scratch belongs to one shard, never to the Router: regions search
 // concurrently on one Router.
@@ -152,27 +155,24 @@ type searchScratch struct {
 	target []uint32
 	gen    uint32
 	heap   searchHeap
-	work   SearchStats
-	// costs, wire, via and forbiddenVia hold the rule engine's search
-	// parameters, resolved by the shard's first search: resolving the
-	// engine allocates, and a via cost looked up through it is an
-	// interface call per relaxation.
-	costs        nodeCoster
-	wire         int
-	via          int
-	forbiddenVia int
+	// path holds the last path found; search returns it, valid until
+	// the shard's next search.
+	path []grid.NodeID
+	work SearchStats
 }
 
-// begin readies the scratch for a search over size slots. limit is the
-// grid's node count, which no window exceeds.
-func (sc *searchScratch) begin(size, limit int) {
+// reserve sizes the slot arrays for windows of up to n slots.
+func (sc *searchScratch) reserve(n int) {
+	sc.slots = make([]searchSlot, n)
+	sc.target = make([]uint32, n)
+}
+
+// begin readies the scratch for a search over size slots, sizing the
+// arrays to it if they are smaller (a search routeNet did not size them
+// for).
+func (sc *searchScratch) begin(size int) {
 	if size > len(sc.slots) {
-		n := min(2*len(sc.slots), limit)
-		if n < size {
-			n = size
-		}
-		sc.slots = make([]searchSlot, n)
-		sc.target = make([]uint32, n)
+		sc.reserve(size)
 	}
 	sc.gen++
 	if sc.gen == 0 { // wrapped: old stamps could alias the new generation
@@ -196,18 +196,58 @@ func (sc *searchScratch) push(li int32, at xyz, d float64, from int32) {
 	sc.work.Pushes++
 }
 
-// viaCost is the cost of the via at (x, y) between zLow and zLow+1.
-func (sc *searchScratch) viaCost(g *grid.Graph, x, y, zLow int) int {
-	if g.ForbiddenVia(x, y, zLow) {
-		return sc.forbiddenVia
+// shardRules is the rule engine a shard routes under and the parameters
+// its hot paths read. Resolving the engine allocates, and a parameter
+// read through it is an interface call per use, so a shard resolves
+// them once (shard.engine).
+type shardRules struct {
+	eng tech.RuleEngine
+	// clearance is the engine's ClearanceMargin: the line-end clearance
+	// cells computeVirtual adds and nodeCoster prices.
+	clearance    int
+	cRadius      int
+	cWeight      float64
+	wire         int
+	via          int
+	forbiddenVia int
+}
+
+// engine returns the shard's rules, resolving them on first use. Every
+// caller is in shard.run's call graph, so the keypurity analyzer still
+// sees each engine parameter the routing stages read.
+func (s *shard) engine() *shardRules {
+	if s.rulesOf.eng == nil {
+		rules := s.rules()
+		s.rulesOf = shardRules{
+			eng:          rules,
+			clearance:    rules.ClearanceMargin(),
+			cRadius:      rules.ConflictRadius(),
+			cWeight:      rules.ConflictWeight(),
+			wire:         rules.WireCost(),
+			via:          rules.ViaCost(false),
+			forbiddenVia: rules.ViaCost(true),
+		}
 	}
-	return sc.via
+	return &s.rulesOf
+}
+
+// viaCost is the cost of the via at (x, y) between zLow and zLow+1.
+func (p *shardRules) viaCost(g *grid.Graph, x, y, zLow int) int {
+	if g.ForbiddenVia(x, y, zLow) {
+		return p.forbiddenVia
+	}
+	return p.via
 }
 
 // nodeSet is a generation-stamped set of grid nodes inside a box: a node
 // is a member while its stamp equals gen, so adding one is a store and
-// clearing the set is a generation bump. Nodes outside the box are never
-// members, and a set that was never reset is empty.
+// clearing the set is a generation bump. Nodes are named by coordinates
+// or, through the grid, by ID. Nodes outside the box are never members,
+// and a set that was never reset is empty.
+//
+// A shard keeps two: the DRC avoid set and a general set that replaces
+// per-call node maps (a route tree under construction, the nodes a count
+// has visited). Each user of the general set resets it first.
 type nodeSet struct {
 	box   searchWindow
 	stamp []uint32
@@ -250,6 +290,22 @@ func (ns *nodeSet) remove(x, y, z int) {
 // has reports whether (x, y, z) is a member.
 func (ns *nodeSet) has(x, y, z int) bool {
 	return ns.box.contains(x, y) && ns.stamp[ns.box.local(x, y, z)] == ns.gen
+}
+
+// insert makes node id a member and reports whether it was not one
+// before. The node must lie inside the box: the set cannot tell whether
+// it saw an outside node, so one panics.
+func (ns *nodeSet) insert(g *grid.Graph, id grid.NodeID) bool {
+	x, y, z := g.Coords(id)
+	if !ns.box.contains(x, y) {
+		panic(fmt.Sprintf("router: node (%d,%d,L%d) outside the node set's box %+v", x, y, z, ns.box))
+	}
+	st := &ns.stamp[ns.box.local(x, y, z)]
+	if *st == ns.gen {
+		return false
+	}
+	*st = ns.gen
+	return true
 }
 
 // nodeCoster prices entering a node: the congestion-aware cost of the
@@ -343,8 +399,9 @@ func (nc *nodeCoster) cost(id grid.NodeID, x, y, z int) float64 {
 // node, restricted to the window and to nodes enterable by netID. The
 // node cost combines the technology edge cost with PathFinder history and
 // present congestion penalties. It returns the path from a source to the
-// reached target (inclusive). On the shard's warmed scratch the returned
-// path is the search's only allocation.
+// reached target (inclusive), held in the shard's scratch and valid until
+// its next search, so a search on the shard's warmed scratch allocates
+// nothing.
 func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	win searchWindow, presFac float64) ([]grid.NodeID, bool) {
 
@@ -353,7 +410,7 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	}
 	g := s.g
 	sc := &s.scratch
-	sc.begin(win.size(), g.NumNodes())
+	sc.begin(win.size())
 	for _, t := range targets {
 		if x, y, z := g.Coords(t); win.contains(x, y) {
 			sc.target[win.local(x, y, z)] = sc.gen
@@ -370,21 +427,9 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		sc.push(int32(win.local(x, y, z)), packXYZ(x, y, z), 0, -2)
 	}
 
-	if sc.costs.g == nil {
-		rules := s.rules()
-		sc.costs = nodeCoster{
-			g:       g,
-			margin:  rules.ClearanceMargin(),
-			cRadius: rules.ConflictRadius(),
-			cWeight: rules.ConflictWeight(),
-		}
-		sc.wire = rules.WireCost()
-		sc.via = rules.ViaCost(false)
-		sc.forbiddenVia = rules.ViaCost(true)
-	}
-	nc := sc.costs
-	nc.presFac = presFac
-	base := sc.wire
+	p := s.engine()
+	nc := nodeCoster{g: g, presFac: presFac, margin: p.clearance, cRadius: p.cRadius, cWeight: p.cWeight}
+	base := p.wire
 	// Neighbour slots are offsets from the popped slot: ±1 along x, ±row
 	// along y and ±plane across layers. A via neighbour shares the popped
 	// node's (x, y), so only wire steps can leave the window.
@@ -406,7 +451,7 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		x, y, z := sc.slots[li].at.unpack()
 		switch z {
 		case tech.M1:
-			s.relax(&nc, netID, item, li+plane, x, y, tech.M2, sc.viaCost(g, x, y, 0))
+			s.relax(&nc, netID, item, li+plane, x, y, tech.M2, p.viaCost(g, x, y, 0))
 		case tech.M2:
 			if x > win.x0 {
 				s.relax(&nc, netID, item, li-1, x-1, y, tech.M2, base)
@@ -414,8 +459,8 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 			if x < xLast {
 				s.relax(&nc, netID, item, li+1, x+1, y, tech.M2, base)
 			}
-			s.relax(&nc, netID, item, li-plane, x, y, tech.M1, sc.viaCost(g, x, y, 0))
-			s.relax(&nc, netID, item, li+plane, x, y, tech.M3, sc.viaCost(g, x, y, 1))
+			s.relax(&nc, netID, item, li-plane, x, y, tech.M1, p.viaCost(g, x, y, 0))
+			s.relax(&nc, netID, item, li+plane, x, y, tech.M3, p.viaCost(g, x, y, 1))
 		case tech.M3:
 			if y > win.y0 {
 				s.relax(&nc, netID, item, li-row, x, y-1, tech.M3, base)
@@ -423,7 +468,7 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 			if y < yLast {
 				s.relax(&nc, netID, item, li+row, x, y+1, tech.M3, base)
 			}
-			s.relax(&nc, netID, item, li-plane, x, y, tech.M2, sc.viaCost(g, x, y, 1))
+			s.relax(&nc, netID, item, li-plane, x, y, tech.M2, p.viaCost(g, x, y, 1))
 		}
 	}
 	if goal < 0 {
@@ -436,12 +481,34 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	for cur := goal; cur >= 0; cur = sc.slots[cur].prev {
 		n++
 	}
-	path := make([]grid.NodeID, n)
+	if cap(sc.path) < n {
+		sc.path = make([]grid.NodeID, n)
+	}
+	path := sc.path[:n]
 	for cur := goal; cur >= 0; cur = sc.slots[cur].prev {
 		n--
 		path[n] = g.ID(sc.slots[cur].at.unpack())
 	}
 	return path, true
+}
+
+// fitScratch sizes the search scratch for every member net's window at
+// the given margin, before routeNet searches with it. The first call
+// sizes it for the widest margin stages 1 and 2 use, so negotiation never
+// resizes it; only the DRC stage's wider reroute windows and the
+// sequential baseline's widening retries resize it, once per margin. The
+// region's bounds contain every such window but can be much larger.
+func (s *shard) fitScratch(margin int) {
+	if margin <= s.scratchMargin {
+		return
+	}
+	m := max(margin, s.cfg.WindowMargin, s.cfg.MaxWindowMargin)
+	n := 0
+	for _, netID := range s.region.Nets {
+		n = max(n, s.window(netID, m).size())
+	}
+	s.scratch.reserve(n)
+	s.scratchMargin = m
 }
 
 // relax offers the neighbour (nx, ny, nz) in window slot li of the

@@ -442,8 +442,8 @@ func diffSearches(t *testing.T, seed int64) {
 			continue
 		}
 		win := r.window(netID, rng.Intn(6))
-		sources := append(r.pinCells(pins[rng.Intn(len(pins))]), c.randomCells(win, 4)...)
-		targets := r.pinCells(pins[rng.Intn(len(pins))])
+		sources := append(r.appendPinCells(nil, pins[rng.Intn(len(pins))]), c.randomCells(win, 4)...)
+		targets := r.appendPinCells(nil, pins[rng.Intn(len(pins))])
 		if rng.Intn(4) == 0 {
 			targets = append(targets, c.randomCells(win, 3)...)
 		}

@@ -77,11 +77,11 @@ func FuzzSearchHeap(f *testing.F) {
 	})
 }
 
-// TestSearchAllocatesOnlyPath is the allocation contract of the search:
-// once a shard's scratch has grown to a window, a search over it
-// allocates the returned path and nothing else, with or without an
-// avoid set (the DRC stage's reroutes search with one).
-func TestSearchAllocatesOnlyPath(t *testing.T) {
+// TestSearchAllocatesNothing is the allocation contract of the search:
+// once a shard's scratch is sized, a search allocates nothing, with or
+// without an avoid set (the DRC stage's reroutes search with one). The
+// path it returns lives in the scratch.
+func TestSearchAllocatesNothing(t *testing.T) {
 	d := design.New("alloc", 40, 20, tech.Default())
 	n := d.AddNet("n")
 	d.AddPin("p0", n, geom.MakeRect(3, 4, 3, 5))
@@ -93,7 +93,7 @@ func TestSearchAllocatesOnlyPath(t *testing.T) {
 	g := grid.New(d)
 	r := New(d, g, Config{})
 	s := r.wholeShard(make([]*NetRoute, len(d.Nets)))
-	sources, targets := r.pinCells(0), r.pinCells(1)
+	sources, targets := r.appendPinCells(nil, 0), r.appendPinCells(nil, 1)
 	win := r.window(n, r.cfg.WindowMargin)
 	check := func(name string, presFac float64) []grid.NodeID {
 		t.Helper()
@@ -101,11 +101,15 @@ func TestSearchAllocatesOnlyPath(t *testing.T) {
 		if !ok || len(path) < 2 {
 			t.Fatalf("%s presFac %v: no path (ok=%v, %d nodes)", name, presFac, ok, len(path))
 		}
+		want := slices.Clone(path)
 		allocs := testing.AllocsPerRun(20, func() {
 			path, ok = s.search(n, sources, targets, win, presFac)
 		})
-		if allocs != 1 {
-			t.Errorf("%s presFac %v: warmed search allocates %v times, want 1 (the path)", name, presFac, allocs)
+		if allocs != 0 {
+			t.Errorf("%s presFac %v: warmed search allocates %v times, want 0", name, presFac, allocs)
+		}
+		if !ok || !slices.Equal(path, want) {
+			t.Fatalf("%s presFac %v: repeated search found %v, first %v", name, presFac, path, want)
 		}
 		return path
 	}
@@ -114,7 +118,7 @@ func TestSearchAllocatesOnlyPath(t *testing.T) {
 	}
 	// Avoid M2 at x = 20 except the top rows, as a DRC reroute avoids
 	// other nets' extended strips: the path must cross there.
-	s.avoid.reset(rectWindow(s.region.Bounds()))
+	s.avoid.reset(s.box)
 	for y := 0; y < d.Height-3; y++ {
 		s.avoid.add(20, y, tech.M2)
 	}

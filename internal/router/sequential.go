@@ -62,7 +62,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	// region decomposition): the shard carries the avoid set and the
 	// route table its search needs.
 	s := r.wholeShard(res.Routes)
-	s.avoid.reset(rectWindow(s.region.Bounds()))
+	s.avoid.reset(s.box)
 
 	// One-sided clearance: committed strips block later metal within the
 	// rule engine's full sequential distance (later nets' own extensions
@@ -94,7 +94,8 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	// clearanceCells calls cell for every cell of a route's line-end
 	// clearance zone.
 	clearanceCells := func(nr *NetRoute, cell func(x, y, z int)) {
-		for _, seg := range r.segmentsOf(nr) {
+		s.build.segs = s.segmentsOf(s.build.segs[:0], nr)
+		for _, seg := range s.build.segs {
 			limit := r.d.Width
 			if seg.layer == tech.M3 {
 				limit = r.d.Height
@@ -141,7 +142,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 				r.g.SetOwner(id, nr.NetID)
 			}
 		}
-		r.occupy(nr)
+		r.occupy(nr, &s.nodes)
 		addClearance(nr)
 	}
 
@@ -210,7 +211,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	tryRoute := func(netID, margin int) bool {
 		planned := s.planPinAccess(netID)
 		nr := s.routeNetSequential(netID, margin)
-		r.releasePlan(planned, nr)
+		s.releasePlan(planned, nr)
 		res.Routes[netID] = nr
 		if nr.Routed {
 			commit(nr)
@@ -357,14 +358,14 @@ func (s *shard) freeSpanOnGrid(netID, t int, seed, bbox geom.Interval) geom.Inte
 
 // releasePlan frees planned pin access cells that the final route does not
 // use, so later nets can claim them.
-func (r *Router) releasePlan(reserved []grid.NodeID, nr *NetRoute) {
-	used := make(map[grid.NodeID]bool, len(nr.Nodes))
+func (s *shard) releasePlan(reserved []grid.NodeID, nr *NetRoute) {
+	s.nodes.reset(s.box)
 	for _, id := range nr.Nodes {
-		used[id] = true
+		s.nodes.add(s.g.Coords(id))
 	}
 	for _, id := range reserved {
-		if !nr.Routed || !used[id] {
-			r.g.ClearOwner(id)
+		if !nr.Routed || !s.nodes.has(s.g.Coords(id)) {
+			s.g.ClearOwner(id)
 		}
 	}
 }

@@ -71,7 +71,7 @@ func TestSequentialIsLineEndClean(t *testing.T) {
 	res := r.RunSequential(SequentialConfig{})
 	// Verify rule cleanliness with the same checker the negotiated flow
 	// uses: zero nets must be dropped.
-	if dropped := r.wholeShard(res.Routes).enforceLineEndRules(); dropped != 0 {
+	if dropped := len(r.wholeShard(res.Routes).enforceLineEndRules()); dropped != 0 {
 		t.Errorf("sequential result violated line-end rules; %d nets dropped", dropped)
 	}
 }

@@ -107,7 +107,9 @@ func stripTiming(r *client.Result) {
 // end-to-end: node A computes a result cold; node B, configured with A
 // as a peer, serves the identical submission from A's blocks without
 // running the optimizer, and its exchange counters attribute the blocks
-// to the peer.
+// to the peer. Both nodes run on memory stores, so B writes no block: it
+// keeps the fetched values decoded in its typed cache tier and serves
+// them to peers from there.
 func TestTwoNodeClusterResolvesBlocksFromPeer(t *testing.T) {
 	ctx := context.Background()
 	nodeA := newClusterNode(t, blockstore.NewMem(0), nil)
@@ -149,8 +151,16 @@ func TestTwoNodeClusterResolvesBlocksFromPeer(t *testing.T) {
 	if st.Exchange == nil || st.Exchange.Peer == 0 {
 		t.Fatalf("wire stats exchange = %+v, want peer > 0", st.Exchange)
 	}
-	if st.Blockstore == nil || st.Blockstore.Blocks == 0 {
-		t.Fatalf("wire stats blockstore = %+v, want blocks > 0 (write-through)", st.Blockstore)
+	if st.Blockstore == nil || st.Blockstore.Blocks != 0 || st.Blockstore.Bytes != 0 {
+		t.Fatalf("wire stats blockstore = %+v, want no block (the typed tier holds the fetched values)", st.Blockstore)
+	}
+	// B still serves the fetched result's block, encoded from its typed
+	// tier, with A's bytes.
+	statusA, bodyA := fetchBlock(t, http.MethodGet, nodeA.url, first.Key)
+	statusB, bodyB := fetchBlock(t, http.MethodGet, nodeB.url, second.Key)
+	if statusA != http.StatusOK || statusB != http.StatusOK || second.Key != first.Key || !bytes.Equal(bodyA, bodyB) {
+		t.Fatalf("GET result block: A %d (%d bytes), B %d (%d bytes) for keys %s / %s, want equal 200 bodies",
+			statusA, len(bodyA), statusB, len(bodyB), first.Key, second.Key)
 	}
 	if len(st.Peers) != 1 || st.Peers[0] != nodeA.url {
 		t.Fatalf("wire stats peers = %v, want [%s]", st.Peers, nodeA.url)
@@ -166,8 +176,8 @@ func TestTwoNodeClusterResolvesBlocksFromPeer(t *testing.T) {
 		t.Fatalf("node A exchange stats = %+v, want no peer fetches", aSt)
 	}
 
-	// Node B re-serves the block-resolved result from its own store now:
-	// a third submission must not touch the peer again.
+	// Node B re-serves the block-resolved result from its own typed tier
+	// now: a third submission must not touch the peer again.
 	peerBefore := nodeB.exch.Stats().Peer
 	third, err := nodeB.client.Submit(ctx, client.SubmitRequest{Spec: &smallSpec, Wait: true})
 	if err != nil {

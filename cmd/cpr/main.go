@@ -90,10 +90,10 @@ func main() {
 	}
 
 	opts := core.Options{ILP: ilp.Config{TimeLimit: *ilpTimeout}, Workers: *workers, RuleEngine: *ruleEngine}
-	if opts.Mode, err = cliutil.ParseMode(*mode); err != nil {
+	if opts.Mode, err = core.ParseMode(*mode); err != nil {
 		fatal(err)
 	}
-	if opts.Optimizer, err = cliutil.ParseOptimizer(*optimizer); err != nil {
+	if opts.Optimizer, err = core.ParseOptimizer(*optimizer); err != nil {
 		fatal(err)
 	}
 	if opts.RerunMode, err = core.ParseRerunMode(*rerunMode); err != nil {

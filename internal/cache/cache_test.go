@@ -99,9 +99,9 @@ func TestCacheDefaultCapacity(t *testing.T) {
 	}
 }
 
-// TestContainsDoesNotTouchCounters: Contains is the re-warm probe used
-// by jobs.SubmitBase; it must not distort the hit/miss accounting that
-// /v1/stats reports.
+// TestContainsDoesNotTouchCounters: Contains is the probe
+// core.RerunContext uses before seeding a base result's artifacts; it
+// must not distort the hit/miss accounting that /v1/stats reports.
 func TestContainsDoesNotTouchCounters(t *testing.T) {
 	c := New[int](4)
 	c.Put("k", 1)

@@ -147,8 +147,9 @@ func (b *Backed[V]) store(key string, val V) {
 }
 
 // Contains reports presence in memory or the local block store. It
-// never asks peers and never touches counters or recency: the job
-// manager probes with Contains before re-warming a base job's artifacts.
+// never asks peers and never touches counters or recency:
+// core.RerunContext probes with Contains before seeding a base result's
+// artifacts, so a level never re-encodes or re-writes a block it holds.
 func (b *Backed[V]) Contains(key string) bool {
 	if b.mem.Contains(key) {
 		return true

@@ -11,7 +11,6 @@ import (
 	"os"
 	"time"
 
-	"cpr/internal/core"
 	"cpr/internal/design"
 	"cpr/internal/designio"
 	"cpr/internal/telemetry"
@@ -32,13 +31,13 @@ func Seed(def int64) *int64 {
 	return flag.Int64("seed", def, "deterministic generator seed")
 }
 
-// Mode registers the canonical -mode flag (parse with ParseMode).
+// Mode registers the canonical -mode flag (parse with core.ParseMode).
 func Mode() *string {
 	return flag.String("mode", "cpr", "routing flow: cpr, nopinopt, sequential")
 }
 
 // Optimizer registers the canonical -optimizer flag (parse with
-// ParseOptimizer).
+// core.ParseOptimizer).
 func Optimizer() *string {
 	return flag.String("optimizer", "lr", "pin access optimizer for cpr mode: lr, ilp")
 }
@@ -65,32 +64,6 @@ func RuleEngine() *string {
 // tool-specific default.
 func ILPTimeout(def time.Duration) *time.Duration {
 	return flag.Duration("ilp-timeout", def, "per-panel ILP time limit (0 = no cap)")
-}
-
-// ParseMode maps a -mode value onto core.Mode.
-func ParseMode(s string) (core.Mode, error) {
-	switch s {
-	case "cpr":
-		return core.ModeCPR, nil
-	case "nopinopt":
-		return core.ModeNoPinOpt, nil
-	case "sequential":
-		return core.ModeSequential, nil
-	default:
-		return 0, fmt.Errorf("unknown -mode %q (want cpr, nopinopt, sequential)", s)
-	}
-}
-
-// ParseOptimizer maps an -optimizer value onto core.Optimizer.
-func ParseOptimizer(s string) (core.Optimizer, error) {
-	switch s {
-	case "lr":
-		return core.OptLR, nil
-	case "ilp":
-		return core.OptILP, nil
-	default:
-		return 0, fmt.Errorf("unknown -optimizer %q (want lr, ilp)", s)
-	}
 }
 
 // Trace registers the canonical -trace flag: a file the run's span

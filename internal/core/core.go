@@ -6,13 +6,14 @@
 //
 // The optimization half is expressed as explicit per-panel stages over
 // internal/pipeline artifacts, each content-addressed by a per-panel key.
-// That staging is what enables incremental (ECO-style) re-optimization:
-// Rerun diffs the panel keys of an edited design against a previous
-// result and recomputes only the dirtied panels, and Options.PanelCache
-// lets a long-running service harvest the same reuse across independent
-// submissions. Both paths keep the hard invariant that a spliced run is
-// byte-identical to a cold full run of the edited design, for every
-// worker count.
+// That staging is what enables incremental (ECO-style) re-optimization.
+// The stages look for reusable artifacts in one place only, the run's
+// caches (Options.PanelCache and Options.RouteCache): a long-running
+// service passes its own to harvest reuse across independent
+// submissions, and Rerun seeds them with a previous result's artifacts,
+// so only the panels and regions an edit dirtied are recomputed. A
+// spliced run is byte-identical to a cold full run of the edited
+// design, for every worker count.
 //
 // It also runs the paper's two baselines on the same substrate: the
 // negotiation router without pin access optimization ([21]) and the
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	"cpr/internal/assign"
+	"cpr/internal/cache"
 	"cpr/internal/design"
 	"cpr/internal/grid"
 	"cpr/internal/ilp"
@@ -61,6 +63,21 @@ func (m Mode) String() string {
 		return "no-pinopt"
 	default:
 		return "sequential"
+	}
+}
+
+// ParseMode parses "cpr", "nopinopt" or "sequential", the spelling of
+// the -mode flag and the wire's mode option; "" means ModeCPR.
+func ParseMode(s string) (Mode, error) {
+	switch s {
+	case "", "cpr":
+		return ModeCPR, nil
+	case "nopinopt":
+		return ModeNoPinOpt, nil
+	case "sequential":
+		return ModeSequential, nil
+	default:
+		return ModeCPR, fmt.Errorf("unknown mode %q (want cpr, nopinopt, sequential)", s)
 	}
 }
 
@@ -120,25 +137,43 @@ func (o Optimizer) String() string {
 	return "lr"
 }
 
+// ParseOptimizer parses "lr" or "ilp"; "" means OptLR.
+func ParseOptimizer(s string) (Optimizer, error) {
+	switch s {
+	case "", "lr":
+		return OptLR, nil
+	case "ilp":
+		return OptILP, nil
+	default:
+		return OptLR, fmt.Errorf("unknown optimizer %q (want lr, ilp)", s)
+	}
+}
+
 // PanelCache is a panel-level artifact store the optimization pipeline
-// consults before solving a panel and updates after. Entries are
+// consults before solving a panel and updates after; it is the only
+// place the pipeline looks for a reusable panel. Entries are
 // content-addressed (pipeline.PanelKeyFor), so a cache can never change
-// a result — only skip recomputation. A *cache.Cache[*pipeline.PanelArtifact]
-// satisfies the interface.
+// a result — only skip recomputation. Contains reports presence without
+// counting a lookup; Rerun probes with it before seeding a base
+// result's artifacts. A *cache.Cache[*pipeline.PanelArtifact] satisfies
+// the interface.
 type PanelCache interface {
 	Get(key string) (*pipeline.PanelArtifact, bool)
 	Put(key string, a *pipeline.PanelArtifact)
+	Contains(key string) bool
 }
 
 // RouteCache is a region-level route artifact store the routing stage
-// consults before routing a region and updates after. Entries are
+// consults before routing a region and updates after; it is the only
+// place the routing stage looks for a region to splice. Entries are
 // content-addressed (pipeline.RouteKeyFor) — equal keys address
 // byte-identical route bundles — so a cache can never change a result,
-// only skip re-routing. A *cache.Cache[*pipeline.RouteArtifact] satisfies
-// the interface.
+// only skip re-routing. Contains is as for PanelCache. A
+// *cache.Cache[*pipeline.RouteArtifact] satisfies the interface.
 type RouteCache interface {
 	Get(key string) (*pipeline.RouteArtifact, bool)
 	Put(key string, a *pipeline.RouteArtifact)
+	Contains(key string) bool
 }
 
 // Options configures a run. Zero values give the paper's defaults
@@ -277,8 +312,8 @@ type PinOptReport struct {
 type IncrementalStats struct {
 	// Panels is the number of non-empty panels in the run.
 	Panels int
-	// Reused is the number of panels spliced from a previous result's
-	// artifacts or the panel cache.
+	// Reused is the number of panels the panel cache answered (Rerun
+	// seeds it with its base result's artifacts).
 	Reused int
 	// Recomputed lists the recomputed (dirty) panel indices, ascending.
 	Recomputed []int
@@ -310,8 +345,9 @@ type RunResult struct {
 	// ModeCPR run, so the result can serve as the baseline of a Rerun.
 	// Nil for baseline modes and uncacheable configurations.
 	Artifacts *pipeline.ArtifactSet
-	// Incremental is set when a reuse source (a Rerun baseline or a
-	// PanelCache) was available to the run; nil on plain cold runs.
+	// Incremental is set when the run had a panel or route cache (Rerun
+	// supplies them when the caller passes none); nil on plain cold
+	// runs.
 	Incremental *IncrementalStats
 }
 
@@ -330,7 +366,7 @@ func Run(d *design.Design, opts Options) (*RunResult, error) {
 //
 //keypurity:entry design
 func RunContext(ctx context.Context, d *design.Design, opts Options) (*RunResult, error) {
-	return runFlow(ctx, d, opts, reuseInputs{})
+	return runFlow(ctx, d, opts, nil)
 }
 
 // Rerun is the incremental (ECO) entry point: it re-optimizes an edited
@@ -351,35 +387,57 @@ func Rerun(prev *RunResult, edited *design.Design, opts Options) (*RunResult, er
 	return RerunContext(context.Background(), prev, edited, opts)
 }
 
-// RerunContext is Rerun with cancellation (see RunContext).
+// RerunContext is Rerun with cancellation (see RunContext). It puts
+// prev's keyed panel and route artifacts into opts.PanelCache and
+// opts.RouteCache, creating a plain level for each the caller left nil,
+// and the stages then splice whatever those caches answer. The keys
+// carry the solver and router fingerprints, so an artifact produced
+// under other options is never looked up.
 //
 //keypurity:entry design
 func RerunContext(ctx context.Context, prev *RunResult, edited *design.Design, opts Options) (*RunResult, error) {
-	var reuse reuseInputs
+	var warm map[string]*router.NetRoute
 	if prev != nil && prev.Artifacts != nil && opts.Mode == ModeCPR {
-		cfg := solverConfig(opts)
-		if cfg.Cacheable() && prev.Artifacts.Fingerprint == cfg.Fingerprint() {
-			reuse.panels = prev.Artifacts.ByKey()
-		}
-		// Routing reuse requires an unchanged router fingerprint; the
-		// region content keys carry the rest of the invalidation burden.
-		if prev.Artifacts.RouterFingerprint != "" &&
-			prev.Artifacts.RouterFingerprint == pipeline.RouterFingerprint(opts.Router) {
-			reuse.routes = prev.Artifacts.ByRouteKey()
-			if opts.RerunMode == RerunEcoFast {
-				reuse.warm = prev.Artifacts.WarmIndex()
-			}
+		seedCaches(&opts, prev.Artifacts, edited)
+		if opts.RerunMode == RerunEcoFast {
+			warm = prev.Artifacts.WarmIndex()
 		}
 	}
-	return runFlow(ctx, edited, opts, reuse)
+	return runFlow(ctx, edited, opts, warm)
 }
 
-// runFlow executes the selected flow, optionally splicing per-panel and
-// per-region artifacts from a previous run (reuse, keyed by content).
-// A telemetry tracer/registry in ctx records the run/pinopt/route span
-// tree and stage metrics; telemetry is strictly observational (§4e), so
-// results are byte-identical with it on or off.
-func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInputs) (*RunResult, error) {
+// seedCaches puts a base result's keyed artifacts into the run's caches.
+// An artifact a cache already holds is not put again, so a block-backed
+// level never re-encodes or re-writes a block it has. A level Rerun
+// creates itself is sized so that the run never evicts from it: the
+// base's artifacts, plus at most one artifact per non-empty panel (each
+// holds a pin) and per region (each holds a net) of the edited design.
+func seedCaches(opts *Options, arts *pipeline.ArtifactSet, edited *design.Design) {
+	if opts.PanelCache == nil {
+		opts.PanelCache = cache.New[*pipeline.PanelArtifact](len(arts.Panels) + len(edited.Pins))
+	}
+	if opts.RouteCache == nil {
+		opts.RouteCache = cache.New[*pipeline.RouteArtifact](len(arts.Routes) + len(edited.Nets))
+	}
+	for _, a := range arts.Panels {
+		if a.Key != "" && !opts.PanelCache.Contains(a.Key) {
+			opts.PanelCache.Put(a.Key, a)
+		}
+	}
+	for _, a := range arts.Routes {
+		if a.Key != "" && !opts.RouteCache.Contains(a.Key) {
+			opts.RouteCache.Put(a.Key, a)
+		}
+	}
+}
+
+// runFlow executes the selected flow. The stages reuse what
+// opts.PanelCache and opts.RouteCache answer; warm, set only by eco-fast
+// reruns, indexes the base's routes for warm-starting (see
+// routeIncremental). A telemetry tracer/registry in ctx records the
+// run/pinopt/route span tree and stage metrics; telemetry is strictly
+// observational (§4e), so results are byte-identical with it on or off.
+func runFlow(ctx context.Context, d *design.Design, opts Options, warm map[string]*router.NetRoute) (*RunResult, error) {
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
@@ -415,7 +473,7 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 
 	switch opts.Mode {
 	case ModeCPR:
-		report, seeds, arts, inc, err := optimizePanels(ctx, d, opts, reuse.panels)
+		report, seeds, arts, inc, err := optimizePanels(ctx, d, opts)
 		if err != nil {
 			return nil, err
 		}
@@ -428,7 +486,7 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, reuse reuseInp
 		for _, s := range seeds {
 			r.SeedAssignment(s.Set, s.Solution)
 		}
-		res.Router = routeIncremental(ctx, d, g, opts, r, seeds, reuse, res)
+		res.Router = routeIncremental(ctx, d, g, opts, r, seeds, warm, res)
 	case ModeNoPinOpt:
 		res.Router = runRouter(ctx, r, res)
 	case ModeSequential:
@@ -524,17 +582,16 @@ func OptimizePinAccessContext(ctx context.Context, d *design.Design, opts Option
 	if err := opts.LR.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	report, seeds, _, _, err := optimizePanels(ctx, d, opts, nil)
+	report, seeds, _, _, err := optimizePanels(ctx, d, opts)
 	return report, seeds, err
 }
 
 // optimizePanels runs the staged pipeline (generate → conflicts →
-// assign) over every non-empty panel. Reuse sources, in lookup order:
-// opts.PanelCache (so its counters account for every reused panel) and
-// the previous run's artifacts (prevArts). The ordered per-slot reduce
-// keeps report and seed order byte-identical for every worker count and
-// any mix of reused and recomputed panels.
-func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArts map[string]*pipeline.PanelArtifact) (*PinOptReport, []PanelSeed, *pipeline.ArtifactSet, *IncrementalStats, error) {
+// assign) over every non-empty panel, reusing what opts.PanelCache
+// answers. The ordered per-slot reduce keeps report and seed order
+// byte-identical for every worker count and any mix of reused and
+// recomputed panels.
+func optimizePanels(ctx context.Context, d *design.Design, opts Options) (*PinOptReport, []PanelSeed, *pipeline.ArtifactSet, *IncrementalStats, error) {
 	start := time.Now() //cprlint:nondeterm wall-clock Elapsed metric only; never reaches the routing result
 	idx := d.BuildTrackIndex()
 	cfg := solverConfig(opts)
@@ -580,10 +637,6 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 		if cacheable {
 			key = pipeline.PanelKeyFor(d, idx, panel, cfg)
 			sp.SetAttr("key", key)
-			// The cache is consulted before the previous run's artifacts
-			// so its hit counters account for every reused panel (the
-			// daemon's panel-level hit rate); equal keys address identical
-			// artifacts, so the lookup order cannot affect results.
 			if opts.PanelCache != nil {
 				if art, ok := panelCacheGet(pctx, opts.PanelCache, key); ok {
 					results[slot] = outcome{art: art, reused: true}
@@ -593,17 +646,6 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 						telemetry.L("source", "cache")).Inc()
 					return
 				}
-			}
-			if art, ok := prevArts[key]; ok {
-				results[slot] = outcome{art: art, reused: true}
-				if opts.PanelCache != nil {
-					opts.PanelCache.Put(key, art)
-				}
-				sp.SetAttr("reused", true)
-				sp.SetAttr("source", "prev")
-				reg.Counter("cpr_panels_total", "Panels processed by artifact source.",
-					telemetry.L("source", "prev")).Inc()
-				return
 			}
 		}
 		art, err := pipeline.SolvePanel(pctx, d, idx, panel, key, cfg, inner)
@@ -636,10 +678,10 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options, prevArt
 	var seeds []PanelSeed
 	var arts *pipeline.ArtifactSet
 	if cacheable {
-		arts = &pipeline.ArtifactSet{Fingerprint: cfg.Fingerprint()}
+		arts = &pipeline.ArtifactSet{}
 	}
 	var inc *IncrementalStats
-	if prevArts != nil || opts.PanelCache != nil {
+	if opts.PanelCache != nil {
 		inc = &IncrementalStats{Panels: len(panels)}
 	}
 	for slot, oc := range results {

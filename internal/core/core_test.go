@@ -292,3 +292,32 @@ func TestParallelPinOptMatchesSequential(t *testing.T) {
 		}
 	}
 }
+
+func TestParseMode(t *testing.T) {
+	cases := map[string]Mode{
+		"":           ModeCPR,
+		"cpr":        ModeCPR,
+		"nopinopt":   ModeNoPinOpt,
+		"sequential": ModeSequential,
+	}
+	for in, want := range cases {
+		got, err := ParseMode(in)
+		if err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseMode("warp"); err == nil {
+		t.Error("ParseMode accepted an unknown mode")
+	}
+}
+
+func TestParseOptimizer(t *testing.T) {
+	for in, want := range map[string]Optimizer{"": OptLR, "lr": OptLR, "ilp": OptILP} {
+		if got, err := ParseOptimizer(in); err != nil || got != want {
+			t.Errorf("ParseOptimizer(%q) = %v, %v; want %v", in, got, err, want)
+		}
+	}
+	if _, err := ParseOptimizer("sat"); err == nil {
+		t.Error("ParseOptimizer accepted an unknown optimizer")
+	}
+}

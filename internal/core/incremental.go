@@ -11,64 +11,32 @@ import (
 	"cpr/internal/verify"
 )
 
-// reuseInputs carries everything a rerun may splice from a previous
-// run's artifacts. All zero on cold runs.
-type reuseInputs struct {
-	// panels maps panel content key -> previous panel artifact.
-	panels map[string]*pipeline.PanelArtifact
-	// routes maps route content key -> previous region route bundle
-	// (strict splicing; exact by construction).
-	routes map[string]*pipeline.RouteArtifact
-	// warm maps net name+"\n"+signature -> previous route (eco-fast
-	// warm-starting; legal-but-divergent, verified after routing).
-	warm map[string]*router.NetRoute
-}
-
-// any reports whether any routing reuse source is present.
-func (ru reuseInputs) anyRouting(opts Options) bool {
-	return ru.routes != nil || ru.warm != nil || opts.RouteCache != nil
-}
-
 // routeIncremental runs the negotiation router for ModeCPR with region
 // splicing and warm-starting. The router must already be seeded. It
 // fills res.Artifacts' routing half, res.Incremental's routing fields,
-// and the cpr_router_nets_total provenance counters.
+// and the cpr_router_nets_total provenance counters. warmIndex maps a
+// net's name+"\n"+signature to a base route (eco-fast reruns only; see
+// pipeline.ArtifactSet.WarmIndex).
 //
 // Reuse never weakens the result contract:
 //
-//   - spliced regions are selected purely by route content key
-//     (pipeline.RouteKeyFor covers every routing input of the region),
-//     so splicing is byte-identical to re-routing — strict mode;
+//   - spliced regions are the ones opts.RouteCache answers by route
+//     content key (pipeline.RouteKeyFor covers every routing input of
+//     the region), so splicing is byte-identical to re-routing — strict
+//     mode;
 //   - warm-started runs (eco-fast) are re-verified with verify.Check,
 //     and fall back to a full cold run on any violation.
 func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts Options,
-	r *router.Router, seeds []PanelSeed, reuse reuseInputs, res *RunResult) *router.Result {
+	r *router.Router, seeds []PanelSeed, warmIndex map[string]*router.NetRoute, res *RunResult) *router.Result {
 
 	plan := r.Partition()
 	runOpts := router.RunOpts{Workers: opts.workers()}
 
-	// Strict region splicing, consulted cache-first so the route cache's
-	// hit counters account for every reused region (equal keys address
-	// identical bundles, so lookup order cannot affect results).
 	spliced := make(map[int]*router.SplicedRegion)
-	if reuse.routes != nil || opts.RouteCache != nil {
+	if opts.RouteCache != nil {
 		for _, rg := range plan.Regions {
-			key := pipeline.RouteKeyFor(d, r, rg)
-			var art *pipeline.RouteArtifact
-			if opts.RouteCache != nil {
-				if a, ok := routeCacheGet(ctx, opts.RouteCache, key); ok {
-					art = a
-				}
-			}
-			if art == nil && reuse.routes != nil {
-				if a, ok := reuse.routes[key]; ok {
-					art = a
-					if opts.RouteCache != nil {
-						opts.RouteCache.Put(key, a)
-					}
-				}
-			}
-			if art == nil || !sameInts(art.Nets, rg.Nets) {
+			art, ok := routeCacheGet(ctx, opts.RouteCache, pipeline.RouteKeyFor(d, r, rg))
+			if !ok || !sameInts(art.Nets, rg.Nets) {
 				continue
 			}
 			spliced[rg.ID] = &router.SplicedRegion{Routes: art.Routes, Summary: art.Summary}
@@ -79,13 +47,13 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 	// name plus routing signature (pin shapes, seeds, grid extents), so
 	// ID shifts from edits cannot mismatch routes.
 	var warm map[int]*router.NetRoute
-	if reuse.warm != nil {
+	if warmIndex != nil {
 		for netID := range d.Nets {
 			if _, ok := spliced[plan.NetRegion[netID]]; ok {
 				continue
 			}
 			sig := pipeline.NetSignature(d, r, netID)
-			if nr, ok := reuse.warm[d.Nets[netID].Name+"\n"+sig]; ok {
+			if nr, ok := warmIndex[d.Nets[netID].Name+"\n"+sig]; ok {
 				cp := nr.Clone()
 				cp.NetID = netID
 				if warm == nil {
@@ -149,7 +117,6 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 	// into a strict one.
 	if res.Artifacts != nil {
 		cacheable := rres.WarmNets == 0
-		res.Artifacts.RouterFingerprint = pipeline.RouterFingerprint(r.Configuration())
 		res.Artifacts.Routes = pipeline.BuildRouteArtifacts(d, r, plan, rres, cacheable)
 		if opts.RouteCache != nil {
 			for _, a := range res.Artifacts.Routes {
@@ -160,7 +127,7 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 		}
 	}
 
-	if reuse.anyRouting(opts) && res.Incremental == nil {
+	if opts.RouteCache != nil && res.Incremental == nil {
 		res.Incremental = &IncrementalStats{}
 	}
 	if res.Incremental != nil {

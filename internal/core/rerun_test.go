@@ -2,14 +2,18 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 
+	"cpr/internal/blockstore"
 	"cpr/internal/cache"
 	"cpr/internal/design"
 	"cpr/internal/designio"
+	"cpr/internal/exchange"
 	"cpr/internal/geom"
 	"cpr/internal/lagrange"
 	"cpr/internal/pipeline"
@@ -372,6 +376,121 @@ func TestRerunFallsBackOnOptionChanges(t *testing.T) {
 	if !bytes.Equal(dumpRunResult(t, d, res), dumpRunResult(t, d, cold)) {
 		t.Error("fallback rerun differs from cold run")
 	}
+}
+
+// backedLevels builds a panel and a route level the way cprd's job
+// manager does: typed LRUs over a block exchange.
+func backedLevels(panelCap int, src cache.BlockSource) (*cache.Backed[*pipeline.PanelArtifact], *cache.Backed[*pipeline.RouteArtifact]) {
+	return cache.NewBacked[*pipeline.PanelArtifact](panelCap, src,
+			pipeline.MarshalPanelArtifact, pipeline.UnmarshalPanelArtifact,
+			func(a *pipeline.PanelArtifact) string { return a.Key }),
+		cache.NewBacked[*pipeline.RouteArtifact](0, src,
+			pipeline.MarshalRouteArtifact, pipeline.UnmarshalRouteArtifact,
+			func(a *pipeline.RouteArtifact) string { return a.Key })
+}
+
+// TestRerunSeedsBackedCaches: RerunContext puts its base result's keyed
+// artifacts into the cache levels it is given before the run starts.
+// The context is canceled up front, so the run stops at once and the
+// levels show the seeding alone. Over the in-memory blockstore the
+// seeded artifacts live in the typed tier only; with a panel level
+// smaller than the base, the ones it evicts are written to the
+// blockstore under their content keys. Keyless artifacts are skipped,
+// and an artifact a level already holds is not put again.
+func TestRerunSeedsBackedCaches(t *testing.T) {
+	keys := []string{
+		cache.PanelKey("panel-0", "fp"),
+		cache.PanelKey("panel-1", "fp"),
+		cache.PanelKey("panel-2", "fp"),
+	}
+	routeKey := cache.RouteKey("region-0", "fp")
+	base := &RunResult{Artifacts: &pipeline.ArtifactSet{
+		Routes: []*pipeline.RouteArtifact{{Region: 0, Key: routeKey}, {Region: 1}},
+	}}
+	for i, k := range keys {
+		base.Artifacts.Panels = append(base.Artifacts.Panels, &pipeline.PanelArtifact{Panel: i, Key: k})
+	}
+	base.Artifacts.Panels = append(base.Artifacts.Panels, &pipeline.PanelArtifact{Panel: len(keys)})
+	d := mustGenerate(t, synth.Spec{Name: "seed", Nets: 10, Width: 60, Height: 20, Seed: 1})
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+
+	for _, panelCap := range []int{16, 2} {
+		t.Run(fmt.Sprintf("panel-cap=%d", panelCap), func(t *testing.T) {
+			store := blockstore.NewMem(0)
+			panels, routes := backedLevels(panelCap, exchange.New(store, nil, nil))
+			if _, err := RerunContext(ctx, base, d, Options{PanelCache: panels, RouteCache: routes}); !errors.Is(err, context.Canceled) {
+				t.Fatalf("RerunContext with a canceled context = %v, want context.Canceled", err)
+			}
+			inMemory := min(panelCap, len(keys))
+			if n := panels.Stats().Entries; n != inMemory {
+				t.Errorf("panel level holds %d entries, want %d (keyless artifact skipped)", n, inMemory)
+			}
+			if n := routes.Stats().Entries; n != 1 {
+				t.Errorf("route level holds %d entries, want 1 (keyless artifact skipped)", n)
+			}
+			if _, ok := routes.Block(routeKey); !ok {
+				t.Error("the keyed route artifact is not in the typed tier")
+			}
+			// Seeding runs in artifact order, so the last inMemory
+			// artifacts are in the typed tier and the earlier ones were
+			// evicted to the blockstore.
+			for i, k := range keys {
+				if !panels.Contains(k) {
+					t.Errorf("artifact %d was not seeded", i)
+				}
+				if i >= len(keys)-inMemory {
+					if _, ok := panels.Block(k); !ok {
+						t.Errorf("artifact %d is not in the typed tier", i)
+					}
+					if has, _ := store.Has(k); has {
+						t.Errorf("artifact %d was written to the blockstore while the typed tier holds it", i)
+					}
+					continue
+				}
+				if _, ok := panels.Block(k); ok {
+					t.Errorf("evicted artifact %d is still in the typed tier", i)
+				}
+				data, err := store.Get(k)
+				if err != nil {
+					t.Fatalf("evicted artifact %d not in the blockstore: %v", i, err)
+				}
+				if a, err := pipeline.UnmarshalPanelArtifact(data); err != nil || a.Key != k {
+					t.Errorf("block %s... decodes to %+v, %v; want the artifact keyed %s...", k[:8], a, err, k[:8])
+				}
+			}
+			if n := store.Stats().Blocks; n != len(keys)-inMemory {
+				t.Errorf("blockstore holds %d blocks, want the %d evicted artifacts", n, len(keys)-inMemory)
+			}
+		})
+	}
+
+	t.Run("already-held", func(t *testing.T) {
+		store := blockstore.NewMem(0)
+		panels, routes := backedLevels(16, exchange.New(store, nil, nil))
+		held := &pipeline.PanelArtifact{Panel: 1, Key: keys[1]}
+		panels.Put(keys[1], held)
+		evicted := &pipeline.PanelArtifact{Panel: 2, Key: keys[2]}
+		data, err := pipeline.MarshalPanelArtifact(evicted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Put(keys[2], data); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := RerunContext(ctx, base, d, Options{PanelCache: panels, RouteCache: routes}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("RerunContext with a canceled context = %v, want context.Canceled", err)
+		}
+		if got, _ := panels.Get(keys[1]); got != held {
+			t.Error("the artifact the typed tier held was put again")
+		}
+		if _, ok := panels.Block(keys[2]); ok {
+			t.Error("the artifact the blockstore held was put again")
+		}
+		if n := panels.Stats().Entries; n != 2 {
+			t.Errorf("panel level holds %d entries, want the held artifact and the one new key", n)
+		}
+	})
 }
 
 // TestPanelWorkerSplit is the regression test for worker

@@ -499,8 +499,9 @@ func (m *Manager) Submit(d *design.Design, opts core.Options) (*Job, error) {
 // the result — the hard invariant of core.Rerun is byte-identity with a
 // cold run — so the design-level cache key, the cached-answer fast
 // path, and coalescing all behave exactly as for Submit. The base job's
-// panel and route artifacts are re-warmed into their cache levels at
-// submission, so reuse survives earlier evictions.
+// result goes to the Rerun function when the job runs; core.RerunContext
+// then puts its panel and route artifacts into the panel and route
+// levels, so reuse survives earlier evictions.
 //
 // Eco-fast reruns with a baseline are the one exception: their result
 // is checked DRC-clean only, and its routes and routed nets may differ
@@ -519,18 +520,6 @@ func (m *Manager) SubmitBase(d *design.Design, opts core.Options, baseJobID stri
 			return nil, fmt.Errorf("%w: %q is %s", ErrBaseNotDone, baseJobID, snap.State)
 		}
 		base = snap.Result
-		if base.Artifacts != nil {
-			for _, a := range base.Artifacts.Panels {
-				if a.Key != "" && !m.cache.Panel.Contains(a.Key) {
-					m.cache.Panel.Put(a.Key, a)
-				}
-			}
-			for _, a := range base.Artifacts.Routes {
-				if a.Key != "" && !m.cache.Route.Contains(a.Key) {
-					m.cache.Route.Put(a.Key, a)
-				}
-			}
-		}
 	}
 
 	fp := Fingerprint(opts)

@@ -491,89 +491,6 @@ func TestSubmitBaseErrors(t *testing.T) {
 	waitTerminal(t, running)
 }
 
-// TestSubmitBaseRewarmsPanelCache: the base job's panel artifacts are
-// re-inserted into the panel cache at submission time, so incremental
-// reuse survives earlier panel-level evictions. Over the in-memory
-// blockstore the re-warmed artifacts live in the typed tier only; with
-// a panel level smaller than the re-warm set, the ones it evicts are
-// written to the blockstore under their content keys.
-func TestSubmitBaseRewarmsPanelCache(t *testing.T) {
-	keys := []string{
-		cache.PanelKey("panel-0", "fp"),
-		cache.PanelKey("panel-1", "fp"),
-		cache.PanelKey("panel-2", "fp"),
-	}
-	arts := &pipeline.ArtifactSet{Fingerprint: "fp"}
-	for i, k := range keys {
-		arts.Panels = append(arts.Panels, &pipeline.PanelArtifact{Panel: i, Key: k})
-	}
-	// Keyless artifacts must be skipped, not inserted.
-	arts.Panels = append(arts.Panels, &pipeline.PanelArtifact{Panel: len(keys)})
-
-	for _, panelCap := range []int{16, 2} {
-		t.Run(fmt.Sprintf("panel-cap=%d", panelCap), func(t *testing.T) {
-			store := blockstore.NewMem(0)
-			c := NewExchangedResultCache(16, panelCap, 0, exchange.New(store, nil, nil))
-			m := New(Config{
-				MaxConcurrent: 1,
-				Run: func(ctx context.Context, d *design.Design, o core.Options) (*core.RunResult, error) {
-					return &core.RunResult{Artifacts: arts}, nil
-				},
-				Rerun: func(ctx context.Context, prev *core.RunResult, d *design.Design, o core.Options) (*core.RunResult, error) {
-					return &core.RunResult{}, nil
-				},
-			}, c)
-			d := testDesign(t)
-
-			base, err := m.Submit(d, optsN(1))
-			if err != nil {
-				t.Fatalf("Submit: %v", err)
-			}
-			waitTerminal(t, base)
-			if c.Panel.Contains(keys[0]) {
-				t.Fatal("panel cache warmed before any incremental submission (stub Run bypasses it)")
-			}
-
-			inc, err := m.SubmitBase(d, optsN(2), base.ID)
-			if err != nil {
-				t.Fatalf("SubmitBase: %v", err)
-			}
-			waitTerminal(t, inc)
-			inMemory := min(panelCap, len(keys))
-			if n := c.Panel.Stats().Entries; n != inMemory {
-				t.Errorf("panel cache holds %d entries, want %d (keyless artifact skipped)", n, inMemory)
-			}
-			// Re-warming runs in artifact order, so the last inMemory
-			// artifacts are in the typed tier and the earlier ones were
-			// evicted to the blockstore.
-			for i, k := range keys {
-				if !c.Panel.Contains(k) {
-					t.Errorf("artifact %d was not re-warmed", i)
-				}
-				if i >= len(keys)-inMemory {
-					if _, ok := c.Panel.Block(k); !ok {
-						t.Errorf("artifact %d is not in the typed tier", i)
-					}
-					if has, _ := store.Has(k); has {
-						t.Errorf("artifact %d was written to the blockstore while the typed tier holds it", i)
-					}
-					continue
-				}
-				data, err := store.Get(k)
-				if err != nil {
-					t.Fatalf("evicted artifact %d not in the blockstore: %v", i, err)
-				}
-				if a, err := pipeline.UnmarshalPanelArtifact(data); err != nil || a.Key != k {
-					t.Errorf("block %s... decodes to %+v, %v; want the artifact keyed %s...", k[:8], a, err, k[:8])
-				}
-			}
-			if n := store.Stats().Blocks; n != len(keys)-inMemory {
-				t.Errorf("blockstore holds %d blocks, want the %d evicted artifacts", n, len(keys)-inMemory)
-			}
-		})
-	}
-}
-
 // TestFinishedJobsHoldNoInputs: a retained job keeps its result but not
 // the design it was submitted with nor its base job's result, whether
 // it was answered from cache, run cold, or rerun against a base.

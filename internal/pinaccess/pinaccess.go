@@ -116,14 +116,6 @@ func (s *Set) AnyMinInterval(pin int) int {
 
 // Options tunes interval generation.
 type Options struct {
-	// MaxSpanRadius, when positive, clips every pin's generation window
-	// to [pinCenter - r, pinCenter + r] instead of the full net bounding
-	// box — the paper's footnote 1: "we can constrain pin access
-	// interval generation for each pin using an estimated M2 routing
-	// bounding box for its corresponding net, instead of using the net
-	// bounding box", which keeps M2 strips short when M2 routing is not
-	// favoured for long nets.
-	MaxSpanRadius int
 	// Workers bounds the goroutines used for the per-track candidate
 	// enumeration phase (<= 1 is sequential). The generated Set is
 	// byte-identical for every value.
@@ -157,7 +149,7 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 		}
 	}()
 	parallel.ForEach(opts.Workers, len(shards), func(ti int) {
-		shards[ti].enumerate(d, idx, opts)
+		shards[ti].enumerate(d, idx)
 	})
 
 	// Phase 2 — deterministic ordered merge: replay candidates in the
@@ -348,11 +340,11 @@ func trackShards(d *design.Design, sortedPinIDs []int) (shards []trackShard, fir
 
 // enumerate lists the candidates of every pin of the shard. It only reads
 // the design and index, so shards are safe to enumerate concurrently.
-func (sh *trackShard) enumerate(d *design.Design, idx *design.TrackIndex, opts Options) {
+func (sh *trackShard) enumerate(d *design.Design, idx *design.TrackIndex) {
 	sh.start = append(sh.start[:0], 0)
 	sh.cands, sh.covered = sh.cands[:0], sh.covered[:0]
 	for _, pid := range sh.pins {
-		sh.enumeratePin(d, idx, pid, opts)
+		sh.enumeratePin(d, idx, pid)
 		sh.start = append(sh.start, int32(len(sh.cands)))
 	}
 }
@@ -360,7 +352,7 @@ func (sh *trackShard) enumerate(d *design.Design, idx *design.TrackIndex, opts O
 // enumeratePin appends pin pid's candidate intervals on the shard's track
 // in the canonical order: the minimum interval first (the Theorem 1
 // anchor), then the cut-line combinations left-to-right.
-func (sh *trackShard) enumeratePin(d *design.Design, idx *design.TrackIndex, pid int, opts Options) {
+func (sh *trackShard) enumeratePin(d *design.Design, idx *design.TrackIndex, pid int) {
 	t := sh.track
 	pin := &d.Pins[pid]
 	seed := pin.Shape.XSpan()
@@ -371,11 +363,6 @@ func (sh *trackShard) enumeratePin(d *design.Design, idx *design.TrackIndex, pid
 		return
 	}
 	bbox := idx.NetBBox(pin.NetID).XSpan()
-	if opts.MaxSpanRadius > 0 {
-		c := pin.Shape.CenterX()
-		window := geom.Interval{Lo: c - opts.MaxSpanRadius, Hi: c + opts.MaxSpanRadius}
-		bbox = bbox.Intersect(window).Union(seed)
-	}
 	maxSpan := free.Intersect(bbox)
 	if !maxSpan.ContainsInterval(seed) {
 		// Defensive: the bbox always contains the pin, so this only

@@ -279,57 +279,6 @@ func TestCutLinesOnLeftSide(t *testing.T) {
 	}
 }
 
-func TestMaxSpanRadiusClipsIntervals(t *testing.T) {
-	d, a1 := figure3aDesign(t)
-	idx := d.BuildTrackIndex()
-	set, err := GenerateWithOptions(d, idx, []int{a1}, Options{MaxSpanRadius: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pin a1 sits at x=8; the window is [5, 11]. Every interval must stay
-	// inside it.
-	for _, id := range set.ByPin[a1] {
-		iv := set.Intervals[id]
-		if iv.Span.Lo < 5 || iv.Span.Hi > 11 {
-			t.Errorf("interval %v escapes the clipped window [5,11]", iv.Span)
-		}
-	}
-	// The minimum interval must survive clipping (Theorem 1).
-	if set.AnyMinInterval(a1) < 0 {
-		t.Error("minimum interval lost under MaxSpanRadius")
-	}
-	// Clipping must reduce the candidate count vs the unclipped run.
-	full, err := Generate(d, idx, []int{a1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(set.ByPin[a1]) >= len(full.ByPin[a1]) {
-		t.Errorf("clipped run has %d intervals, full run %d; expected fewer",
-			len(set.ByPin[a1]), len(full.ByPin[a1]))
-	}
-}
-
-func TestMaxSpanRadiusAlwaysCoversSeed(t *testing.T) {
-	// Even a radius smaller than the pin span keeps the seed covered.
-	d := design.New("wide", 30, 10, tech.Default())
-	n := d.AddNet("n")
-	p := d.AddPin("wide", n, geom.MakeRect(10, 4, 14, 4))
-	d.AddPin("far", n, geom.MakeRect(28, 4, 28, 4))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	set, err := GenerateWithOptions(d, d.BuildTrackIndex(), []int{p}, Options{MaxSpanRadius: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seed := d.Pins[p].Shape.XSpan()
-	for _, id := range set.ByPin[p] {
-		if !set.Intervals[id].Span.ContainsInterval(seed) {
-			t.Errorf("interval %v does not cover the pin", set.Intervals[id].Span)
-		}
-	}
-}
-
 // TestArenaWindowsAreClipped checks that Interval.PinIDs and the ByPin
 // lists, windows of shared arenas, have no spare capacity: a consumer's
 // append must copy rather than overwrite the next list.

@@ -76,35 +76,17 @@ type PanelArtifact struct {
 	NumConflicts int
 }
 
-// ArtifactSet is the per-panel artifact collection of one full run,
-// retained on core.RunResult so a later Rerun can splice unchanged
-// panels.
+// ArtifactSet is the artifact collection of one full run, retained on
+// core.RunResult so a later Rerun can seed its caches with it. The
+// artifacts' keys carry the solver and router fingerprints they were
+// produced under.
 type ArtifactSet struct {
-	// Fingerprint is the solver fingerprint all artifacts were produced
-	// under (SolverConfig.Fingerprint).
-	Fingerprint string
 	// Panels holds one artifact per non-empty panel, ascending by panel
 	// index.
 	Panels []*PanelArtifact
-	// RouterFingerprint is the router fingerprint the route artifacts
-	// were produced under (RouterFingerprint); empty when the run did not
-	// retain routing artifacts.
-	RouterFingerprint string
 	// Routes holds one route artifact per region, ascending by region
 	// index.
 	Routes []*RouteArtifact
-}
-
-// ByKey indexes the artifacts by content key. Artifacts without a key
-// are skipped.
-func (s *ArtifactSet) ByKey() map[string]*PanelArtifact {
-	m := make(map[string]*PanelArtifact, len(s.Panels))
-	for _, a := range s.Panels {
-		if a.Key != "" {
-			m[a.Key] = a
-		}
-	}
-	return m
 }
 
 // EncodeIntervalSet writes the canonical text encoding of a stage-1

@@ -262,18 +262,6 @@ func BuildRouteArtifacts(d *design.Design, rt *router.Router, plan *router.Plan,
 	return arts
 }
 
-// ByRouteKey indexes the route artifacts by content key, skipping keyless
-// (non-spliceable) ones.
-func (s *ArtifactSet) ByRouteKey() map[string]*RouteArtifact {
-	m := make(map[string]*RouteArtifact, len(s.Routes))
-	for _, a := range s.Routes {
-		if a.Key != "" {
-			m[a.Key] = a
-		}
-	}
-	return m
-}
-
 // WarmIndex indexes the route artifacts' member routes by (name,
 // signature) for eco-fast warm-start matching. Unrouted entries are
 // indexed too: a baseline's failure verdict is as transferable as its

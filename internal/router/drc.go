@@ -63,29 +63,6 @@ func (s *shard) segmentsOf(dst []metalSegment, nr *NetRoute) []metalSegment {
 	return dst
 }
 
-// extend applies the SADP line-end extension and the minimum line length
-// rule, clamped to the grid extent limit (exclusive upper bound).
-func extendSegment(span geom.Interval, ext, minLen, limit int) geom.Interval {
-	span.Lo -= ext
-	span.Hi += ext
-	for span.Len() < minLen {
-		if span.Hi < limit-1 {
-			span.Hi++
-		} else if span.Lo > 0 {
-			span.Lo--
-		} else {
-			break
-		}
-	}
-	if span.Lo < 0 {
-		span.Lo = 0
-	}
-	if span.Hi > limit-1 {
-		span.Hi = limit - 1
-	}
-	return span
-}
-
 // lineEndBuffers are stage 4's buffers.
 type lineEndBuffers struct {
 	// strips holds the member nets' extended strips back to back: member

@@ -361,23 +361,12 @@ func buildOptions(wo *httpapi.Options, defaultEngine string) (core.Options, erro
 	if wo == nil {
 		return opts, nil
 	}
-	switch wo.Mode {
-	case "", "cpr":
-		opts.Mode = core.ModeCPR
-	case "nopinopt":
-		opts.Mode = core.ModeNoPinOpt
-	case "sequential":
-		opts.Mode = core.ModeSequential
-	default:
-		return opts, fmt.Errorf("unknown mode %q (want cpr, nopinopt, sequential)", wo.Mode)
+	var err error
+	if opts.Mode, err = core.ParseMode(wo.Mode); err != nil {
+		return opts, err
 	}
-	switch wo.Optimizer {
-	case "", "lr":
-		opts.Optimizer = core.OptLR
-	case "ilp":
-		opts.Optimizer = core.OptILP
-	default:
-		return opts, fmt.Errorf("unknown optimizer %q (want lr, ilp)", wo.Optimizer)
+	if opts.Optimizer, err = core.ParseOptimizer(wo.Optimizer); err != nil {
+		return opts, err
 	}
 	opts.Workers = wo.Workers
 	opts.LR.MaxIterations = wo.LRMaxIterations
@@ -395,11 +384,9 @@ func buildOptions(wo *httpapi.Options, defaultEngine string) (core.Options, erro
 		}
 		opts.RuleEngine = engine
 	}
-	mode, err := core.ParseRerunMode(wo.RerunMode)
-	if err != nil {
+	if opts.RerunMode, err = core.ParseRerunMode(wo.RerunMode); err != nil {
 		return opts, err
 	}
-	opts.RerunMode = mode
 	return opts, nil
 }
 

@@ -129,20 +129,24 @@ func engineFor(t *testing.T, p Patterning) RuleEngine {
 }
 
 func TestExtendSpan(t *testing.T) {
-	r := RulesFor(Default()) // ext 1, minLen 2
 	for _, tc := range []struct {
+		ext, minLen    int
 		lo, hi, limit  int
 		wantLo, wantHi int
 	}{
-		{5, 7, 20, 4, 8},     // plain extension
-		{0, 0, 20, 0, 1},     // clamp at lo, grow hi for min length
-		{19, 19, 20, 18, 19}, // clamp at hi, grow lo
-		{0, 19, 20, 0, 19},   // already spans the track
+		{1, 2, 5, 7, 20, 4, 8},     // plain extension (the default rules)
+		{1, 2, 0, 0, 20, 0, 1},     // clamp at lo, grow hi for min length
+		{1, 2, 19, 19, 20, 18, 19}, // clamp at hi, grow lo
+		{1, 2, 0, 19, 20, 0, 19},   // already spans the track
+		{0, 3, 4, 4, 20, 4, 6},     // no extension: min length alone grows hi
+		{0, 5, 0, 0, 3, 0, 2},      // a 3-cell track caps growth
 	} {
-		lo, hi := r.ExtendSpan(tc.lo, tc.hi, tc.limit)
+		tt := Default()
+		tt.LineEndExtension, tt.MinLineLen = tc.ext, tc.minLen
+		lo, hi := RulesFor(tt).ExtendSpan(tc.lo, tc.hi, tc.limit)
 		if lo != tc.wantLo || hi != tc.wantHi {
-			t.Errorf("ExtendSpan(%d, %d, %d) = (%d, %d), want (%d, %d)",
-				tc.lo, tc.hi, tc.limit, lo, hi, tc.wantLo, tc.wantHi)
+			t.Errorf("ext %d, minLen %d: ExtendSpan(%d, %d, %d) = (%d, %d), want (%d, %d)",
+				tc.ext, tc.minLen, tc.lo, tc.hi, tc.limit, lo, hi, tc.wantLo, tc.wantHi)
 		}
 	}
 }

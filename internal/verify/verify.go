@@ -8,8 +8,8 @@ import (
 	"fmt"
 	"sort"
 
+	"cpr/internal/cutmask"
 	"cpr/internal/design"
-	"cpr/internal/geom"
 	"cpr/internal/grid"
 	"cpr/internal/router"
 	"cpr/internal/tech"
@@ -206,44 +206,22 @@ func checkNet(d *design.Design, g *grid.Graph, netID int, nr *router.NetRoute,
 // and validates the technology rule engine's track-level tip rules. For
 // multi-mask engines it additionally runs the engine's mask legality
 // analysis (decomposition/coloring) over the raw routed segments and
-// reports its errors — e.g. uncolorable segments under TPL.
+// reports its errors — e.g. uncolorable segments under TPL. The raw
+// segments come from cutmask.Segments, which reads only the route
+// nodes, not the router's own strip bookkeeping.
 func checkLineEnds(d *design.Design, g *grid.Graph, res *router.Result, rep *Report) {
 	rules := g.Rules()
 	type stripKey struct{ layer, track int }
 	byTrack := make(map[stripKey][]tech.Seg)
-	var raw []tech.Seg
-
-	for netID, nr := range res.Routes {
-		if nr == nil || !nr.Routed {
-			continue
+	raw := cutmask.Segments(g, res)
+	for _, s := range raw {
+		limit := d.Width
+		if s.Layer == tech.M3 {
+			limit = d.Height
 		}
-		m2 := make(map[int][]int)
-		m3 := make(map[int][]int)
-		for _, id := range nr.Nodes {
-			x, y, z := g.Coords(id)
-			switch z {
-			case tech.M2:
-				m2[y] = append(m2[y], x)
-			case tech.M3:
-				m3[x] = append(m3[x], y)
-			}
-		}
-		for _, track := range sortedIntKeys(m2) {
-			for _, span := range cellRuns(m2[track]) {
-				raw = append(raw, tech.Seg{Net: netID, Layer: tech.M2, Track: track, Lo: span.Lo, Hi: span.Hi})
-				lo, hi := rules.ExtendSpan(span.Lo, span.Hi, d.Width)
-				byTrack[stripKey{tech.M2, track}] = append(byTrack[stripKey{tech.M2, track}],
-					tech.Seg{Net: netID, Layer: tech.M2, Track: track, Lo: lo, Hi: hi})
-			}
-		}
-		for _, track := range sortedIntKeys(m3) {
-			for _, span := range cellRuns(m3[track]) {
-				raw = append(raw, tech.Seg{Net: netID, Layer: tech.M3, Track: track, Lo: span.Lo, Hi: span.Hi})
-				lo, hi := rules.ExtendSpan(span.Lo, span.Hi, d.Height)
-				byTrack[stripKey{tech.M3, track}] = append(byTrack[stripKey{tech.M3, track}],
-					tech.Seg{Net: netID, Layer: tech.M3, Track: track, Lo: lo, Hi: hi})
-			}
-		}
+		s.Lo, s.Hi = rules.ExtendSpan(s.Lo, s.Hi, limit)
+		key := stripKey{s.Layer, s.Track}
+		byTrack[key] = append(byTrack[key], s)
 	}
 
 	// Visit tracks in (layer, track) order so violation messages land in
@@ -276,27 +254,6 @@ func checkLineEnds(d *design.Design, g *grid.Graph, res *router.Result, rep *Rep
 	}
 }
 
-func cellRuns(cells []int) []geom.Interval {
-	if len(cells) == 0 {
-		return nil
-	}
-	sort.Ints(cells)
-	var out []geom.Interval
-	cur := geom.Interval{Lo: cells[0], Hi: cells[0]}
-	for _, c := range cells[1:] {
-		switch {
-		case c == cur.Hi || c == cur.Hi+1:
-			if c > cur.Hi {
-				cur.Hi = c
-			}
-		default:
-			out = append(out, cur)
-			cur = geom.Interval{Lo: c, Hi: c}
-		}
-	}
-	return append(out, cur)
-}
-
 func pinCells(d *design.Design, g *grid.Graph, pid int) []grid.NodeID {
 	sh := d.Pins[pid].Shape
 	var cells []grid.NodeID
@@ -313,14 +270,4 @@ func abs(v int) int {
 		return -v
 	}
 	return v
-}
-
-// sortedIntKeys returns a map's integer keys in ascending order.
-func sortedIntKeys(m map[int][]int) []int {
-	keys := make([]int, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Ints(keys)
-	return keys
 }

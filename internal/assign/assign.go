@@ -20,6 +20,7 @@ package assign
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"cpr/internal/conflict"
@@ -65,20 +66,32 @@ func Build(set *pinaccess.Set, f ProfitFn) *Model {
 // function f must be safe for concurrent calls; the built-in profit
 // functions are pure.
 func BuildWorkers(set *pinaccess.Set, f ProfitFn, workers int) *Model {
-	m := &Model{
-		Set:         set,
-		Conflicts:   conflict.BuildMatrixWorkers(set.Intervals, workers),
-		Profits:     make([]float64, len(set.Intervals)),
-		BaseProfits: make([]float64, len(set.Intervals)),
+	m := new(Model)
+	m.Rebuild(set, f, workers)
+	return m
+}
+
+// Rebuild makes m the model BuildWorkers(set, f, workers) returns,
+// reusing the conflict matrix (conflict.Matrix.Rebuild) and profit
+// vectors an earlier Rebuild of m grew. The earlier Conflicts, Profits
+// and BaseProfits are overwritten, so the caller must hold nothing of
+// them.
+func (m *Model) Rebuild(set *pinaccess.Set, f ProfitFn, workers int) {
+	if m.Conflicts == nil {
+		m.Conflicts = new(conflict.Matrix)
 	}
-	parallel.ForEachChunk(workers, len(set.Intervals), func(lo, hi int) {
+	m.Set = set
+	m.Conflicts.Rebuild(set.Intervals, workers)
+	n := len(set.Intervals)
+	m.Profits = slices.Grow(m.Profits[:0], n)[:n]
+	m.BaseProfits = slices.Grow(m.BaseProfits[:0], n)[:n]
+	parallel.ForEachChunk(workers, n, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			base := f(set.Intervals[i].Span.Len())
 			m.BaseProfits[i] = base
 			m.Profits[i] = base * float64(len(set.Intervals[i].PinIDs))
 		}
 	})
-	return m
 }
 
 // NumIntervals returns the number of candidate intervals (ILP variables).
@@ -105,38 +118,73 @@ type Solution struct {
 // intervals take the lowest interval ID; unassigned pins are absent from
 // ByPin.
 func (m *Model) Evaluate(selected []bool) *Solution {
-	s := &Solution{
-		Selected: append([]bool(nil), selected...),
-		ByPin:    make(map[int]int, m.NumPins()),
-	}
+	s := new(Solution)
+	m.EvaluateInto(s, selected)
+	return s
+}
+
+// EvaluateInto makes s the Solution Evaluate(selected) returns, reusing
+// s's Selected slice and ByPin map.
+func (m *Model) EvaluateInto(s *Solution, selected []bool) {
+	s.Selected = append(s.Selected[:0], selected...)
+	s.ByPin = emptyMap(s.ByPin, m.NumPins())
+	s.Objective = 0
 	for i, sel := range selected {
 		if !sel {
 			continue
 		}
 		s.Objective += m.Profits[i]
 		for _, pid := range m.Set.Intervals[i].PinIDs {
-			if cur, ok := s.ByPin[pid]; !ok || i < cur {
-				s.ByPin[pid] = i
+			if _, ok := s.ByPin[pid]; !ok {
+				s.ByPin[pid] = i // the first selected interval has the lowest ID
 			}
 		}
 	}
 	s.Violations = m.Conflicts.Violations(selected)
+}
+
+// FromAssignment builds a Solution from an explicit pin-to-interval map:
+// the selection is the assigned intervals, ByPin a copy of the caller's
+// map, and the objective sums the selection in ascending interval order,
+// as Evaluate does.
+func (m *Model) FromAssignment(byPin map[int]int) *Solution {
+	s := new(Solution)
+	m.FromAssignmentInto(s, byPin)
 	return s
 }
 
-// FromAssignment builds a Solution from an explicit pin-to-interval map.
-func (m *Model) FromAssignment(byPin map[int]int) *Solution {
-	selected := make([]bool, m.NumIntervals())
-	for _, iv := range byPin {
-		selected[iv] = true
+// FromAssignmentInto makes s the Solution FromAssignment(byPin) returns,
+// reusing s's Selected slice and ByPin map; byPin must not be s.ByPin.
+func (m *Model) FromAssignmentInto(s *Solution, byPin map[int]int) {
+	n := m.NumIntervals()
+	if cap(s.Selected) < n {
+		s.Selected = make([]bool, n)
+	} else {
+		s.Selected = s.Selected[:n]
+		clear(s.Selected)
 	}
-	s := m.Evaluate(selected)
-	// Preserve the caller's assignment choices exactly.
-	s.ByPin = make(map[int]int, len(byPin))
+	s.ByPin = emptyMap(s.ByPin, len(byPin))
 	for p, iv := range byPin {
+		s.Selected[iv] = true
 		s.ByPin[p] = iv
 	}
-	return s
+	s.Objective = 0
+	for i, sel := range s.Selected {
+		if sel {
+			s.Objective += m.Profits[i]
+		}
+	}
+	s.Violations = m.Conflicts.Violations(s.Selected)
+}
+
+// emptyMap returns m cleared, or a new map sized for hint entries when m
+// is nil.
+func emptyMap(m map[int]int, hint int) map[int]int {
+	if m == nil {
+		return make(map[int]int, hint)
+	}
+	clear(m)
+	return m
 }
 
 // MinimumSolution returns the Theorem 1 feasible solution: every pin takes

@@ -2,6 +2,7 @@ package assign
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"cpr/internal/design"
@@ -152,6 +153,32 @@ func TestFromAssignmentRoundTrip(t *testing.T) {
 	s := m.FromAssignment(min.ByPin)
 	if s.Objective != min.Objective || s.Violations != min.Violations {
 		t.Errorf("round trip changed metrics: %+v vs %+v", s, min)
+	}
+}
+
+// TestIntoFormsOverwriteStaleSolution reuses one Solution for a run of
+// selections and assignments, each unlike the last, and requires every
+// in-place result to equal the allocating form's.
+func TestIntoFormsOverwriteStaleSolution(t *testing.T) {
+	_, set := contestedDesign(t)
+	m := Build(set, SqrtProfit)
+	n := m.NumIntervals()
+	all, none, alternate := make([]bool, n), make([]bool, n), make([]bool, n)
+	for i := range all {
+		all[i], alternate[i] = true, i%2 == 0
+	}
+	reused := new(Solution)
+	for _, sel := range [][]bool{all, none, alternate, all} {
+		m.EvaluateInto(reused, sel)
+		if want := m.Evaluate(sel); !reflect.DeepEqual(reused, want) {
+			t.Errorf("EvaluateInto = %+v, Evaluate %+v", reused, want)
+		}
+	}
+	for _, byPin := range []map[int]int{m.Evaluate(all).ByPin, m.MinimumSolution().ByPin, {}, m.Evaluate(alternate).ByPin} {
+		m.FromAssignmentInto(reused, byPin)
+		if want := m.FromAssignment(byPin); !reflect.DeepEqual(reused, want) {
+			t.Errorf("FromAssignmentInto = %+v, FromAssignment %+v", reused, want)
+		}
 	}
 }
 

@@ -147,9 +147,10 @@ func (b *Backed[V]) store(key string, val V) {
 }
 
 // Contains reports presence in memory or the local block store. It
-// never asks peers and never touches counters or recency:
-// core.RerunContext probes with Contains before seeding a base result's
-// artifacts, so a level never re-encodes or re-writes a block it holds.
+// never asks peers and never touches counters or recency: core probes
+// with Contains before seeding a base result's artifacts and before
+// putting a run's route artifacts, so a level never re-encodes or
+// re-writes a block it holds.
 func (b *Backed[V]) Contains(key string) bool {
 	if b.mem.Contains(key) {
 		return true

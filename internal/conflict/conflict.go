@@ -43,41 +43,55 @@ func Detect(intervals []pinaccess.Interval) []Set {
 // concatenated in ascending track order, so the result is byte-identical
 // for every worker count.
 func DetectWorkers(intervals []pinaccess.Interval, workers int) []Set {
-	// One allocation holds the entries and the radix sort's scratch.
-	buf := make([]sweepEntry, 2*len(intervals))
-	order := buf[:len(intervals)]
+	return new(matrixWork).detect(intervals, workers)
+}
+
+// detect is DetectWorkers over w's buffers. The one-goroutine path
+// sweeps into w's sweeper, so the returned sets live in w's storage
+// until the next call.
+func (w *matrixWork) detect(intervals []pinaccess.Interval, workers int) []Set {
+	// One buffer holds the entries and the radix sort's scratch; the
+	// loop and the sort overwrite every entry before it is read.
+	n := len(intervals)
+	w.buf = grow(w.buf, 2*n)
+	order := w.buf[:n]
 	for i := range intervals {
 		iv := &intervals[i]
 		order[i] = sweepEntry{track: iv.Track, lo: iv.Span.Lo, hi: iv.Span.Hi, id: i}
 	}
-	order = sortSweep(order, buf[len(intervals):])
+	order = sortSweep(order, w.buf[n:])
 	// runs[r]:runs[r+1] is the r-th track's range of order.
-	runs := []int{0}
+	runs := append(w.runs[:0], 0)
 	for i := 1; i < len(order); i++ {
 		if order[i].track != order[i-1].track {
 			runs = append(runs, i)
 		}
 	}
 	runs = append(runs, len(order))
+	w.runs = runs
 	numRuns := len(runs) - 1
 
-	// A few tracks stay on one goroutine. A chunk of runs writes its sets
-	// to the slot of its first run.
-	if numRuns < parallel.Threshold {
-		workers = 1
+	// A few tracks stay on one goroutine.
+	if workers <= 1 || numRuns < parallel.Threshold {
+		w.sw.reset(n)
+		w.sw.sweepRuns(order, runs, 0, numRuns)
+		return w.sw.finish()
 	}
+	// A chunk of runs writes its sets to the slot of its first run.
 	shards := make([][]Set, numRuns)
 	parallel.ForEachChunk(workers, numRuns, func(lo, hi int) {
-		sw := newSweeper(runs[hi] - runs[lo])
-		for r := lo; r < hi; r++ {
-			sw.sweep(order[runs[r]:runs[r+1]])
-		}
+		sw := new(sweeper)
+		sw.reset(runs[hi] - runs[lo])
+		sw.sweepRuns(order, runs, lo, hi)
 		shards[lo] = sw.finish()
 	})
-	if workers <= 1 {
-		return shards[0] // one chunk covered every run
-	}
 	return slices.Concat(shards...)
+}
+
+// grow returns s resized to n, reusing its array when it is large
+// enough; the elements are stale, so the caller overwrites every one.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
 }
 
 // sweepEntry is one interval in sweep order.
@@ -153,11 +167,19 @@ type sweeper struct {
 	active []sweepEntry
 }
 
-// newSweeper sizes a sweeper for n intervals. A sweep emits at most n
-// sets; on the Table 2 circuits they hold about 2.7 members per interval,
-// so the arena rarely grows.
-func newSweeper(n int) *sweeper {
-	return &sweeper{sets: make([]Set, 0, n), arena: make([]int, 0, 3*n)}
+// reset empties the sweeper and sizes it for n intervals. A sweep emits
+// at most n sets; on the Table 2 circuits they hold about 2.7 members
+// per interval, so the arena rarely grows.
+func (sw *sweeper) reset(n int) {
+	sw.sets = slices.Grow(sw.sets[:0], n)
+	sw.arena = slices.Grow(sw.arena[:0], 3*n)
+}
+
+// sweepRuns sweeps the track runs lo..hi-1 of order.
+func (sw *sweeper) sweepRuns(order []sweepEntry, runs []int, lo, hi int) {
+	for r := lo; r < hi; r++ {
+		sw.sweep(order[runs[r]:runs[r+1]])
+	}
 }
 
 // sweep runs the sweep on one track's entries, sorted by (lo, hi, id).
@@ -236,6 +258,19 @@ type Matrix struct {
 	Sets []Set
 	// MemberOf[i] lists indices into Sets for interval i.
 	MemberOf [][]int
+
+	// work is the storage Rebuild reuses: the sweep's scratch and the
+	// arenas behind Sets and MemberOf.
+	work *matrixWork
+}
+
+// matrixWork is a Matrix's reusable storage.
+type matrixWork struct {
+	buf     []sweepEntry // sweep entries, then the radix sort's scratch
+	runs    []int
+	sw      sweeper // the one-goroutine sweep's sets and member arena
+	counts  []int
+	members []int // the MemberOf arena
 }
 
 // BuildMatrix runs Detect and indexes membership for numIntervals
@@ -246,14 +281,32 @@ func BuildMatrix(intervals []pinaccess.Interval) *Matrix {
 
 // BuildMatrixWorkers is BuildMatrix with the sweep sharded across up to
 // workers goroutines. The membership index is derived serially from the
-// ordered set list, so it inherits the sweep's determinism.
+// ordered set list, so it inherits the sweep's determinism. The matrix
+// keeps only its sets and membership, not Rebuild's scratch.
 func BuildMatrixWorkers(intervals []pinaccess.Interval, workers int) *Matrix {
-	sets := DetectWorkers(intervals, workers)
-	m := &Matrix{Sets: sets, MemberOf: make([][]int, len(intervals))}
+	m := new(Matrix)
+	m.Rebuild(intervals, workers)
+	m.work = nil
+	return m
+}
+
+// Rebuild makes m the matrix BuildMatrixWorkers(intervals, workers)
+// returns, reusing the storage an earlier Rebuild of m grew; only a
+// multi-goroutine sweep allocates its sets afresh. The earlier Sets and
+// MemberOf are overwritten, so the caller must hold nothing of them.
+func (m *Matrix) Rebuild(intervals []pinaccess.Interval, workers int) {
+	if m.work == nil {
+		m.work = new(matrixWork)
+	}
+	w := m.work
+	sets := w.detect(intervals, workers)
+	m.Sets = sets
 	// Count each interval's memberships, then give every member interval
 	// an empty, capacity-clipped window of one arena and append the set
 	// indices in ascending order.
-	counts := make([]int, len(intervals))
+	w.counts = grow(w.counts, len(intervals))
+	counts := w.counts
+	clear(counts)
 	total := 0
 	for si := range sets {
 		for _, id := range sets[si].IDs {
@@ -261,11 +314,13 @@ func BuildMatrixWorkers(intervals []pinaccess.Interval, workers int) *Matrix {
 		}
 		total += len(sets[si].IDs)
 	}
-	arena := make([]int, total)
+	w.members = grow(w.members, total)
+	m.MemberOf = grow(m.MemberOf, len(intervals))
 	lo := 0
 	for id, n := range counts {
+		m.MemberOf[id] = nil
 		if n > 0 {
-			m.MemberOf[id] = arena[lo : lo : lo+n]
+			m.MemberOf[id] = w.members[lo : lo : lo+n]
 			lo += n
 		}
 	}
@@ -274,7 +329,6 @@ func BuildMatrixWorkers(intervals []pinaccess.Interval, workers int) *Matrix {
 			m.MemberOf[id] = append(m.MemberOf[id], si)
 		}
 	}
-	return m
 }
 
 // Violations counts the conflict sets with more than one selected interval.

@@ -114,13 +114,15 @@ func routeIncremental(ctx context.Context, d *design.Design, g *grid.Graph, opts
 	// the next rerun. A warm-started (eco-fast) result is legal but not
 	// byte-equal to a cold run, so its bundles carry no content keys:
 	// they can warm-start future eco-fast reruns but are never spliced
-	// into a strict one.
+	// into a strict one. A bundle the route cache already holds (a
+	// spliced region's) is not put again, so a block-backed level never
+	// re-encodes or re-writes its block.
 	if res.Artifacts != nil {
 		cacheable := rres.WarmNets == 0
 		res.Artifacts.Routes = pipeline.BuildRouteArtifacts(d, r, plan, rres, cacheable)
 		if opts.RouteCache != nil {
 			for _, a := range res.Artifacts.Routes {
-				if a.Key != "" {
+				if a.Key != "" && !opts.RouteCache.Contains(a.Key) {
 					opts.RouteCache.Put(a.Key, a)
 				}
 			}

@@ -3,10 +3,13 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"cpr/internal/design"
+	"cpr/internal/pipeline"
 	"cpr/internal/synth"
 )
 
@@ -90,6 +93,56 @@ func TestOptimizePinAccessDeterministicAcrossWorkers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// seedHashes hashes each panel seed's interval set and solution, so two
+// optimization runs compare by every byte of their artifacts.
+func seedHashes(seeds []PanelSeed) []string {
+	var out []string
+	for _, s := range seeds {
+		out = append(out, pipeline.HashIntervalSet(&pipeline.IntervalSet{Set: s.Set}),
+			pipeline.HashAssignment(&pipeline.Assignment{Solution: s.Solution}))
+	}
+	return out
+}
+
+// TestOptimizePinAccessConcurrentRunsSharePools runs OptimizePinAccess
+// at Workers 1, 2 and 8 at once, each on every determinism design in
+// turn, so the panel solves' pooled scratch passes between goroutines,
+// designs and panel sizes. Every run must equal a sequential Workers=1
+// run byte for byte; under the race detector this also checks that no
+// two solves share scratch.
+func TestOptimizePinAccessConcurrentRunsSharePools(t *testing.T) {
+	designs := make([]*design.Design, len(determinismSpecs))
+	wantRep := make([]PinOptReport, len(designs))
+	wantSeeds := make([][]string, len(designs))
+	for i, spec := range determinismSpecs {
+		designs[i] = mustGenerate(t, spec)
+		rep, seeds, err := OptimizePinAccess(designs[i], Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantRep[i], wantSeeds[i] = reportFingerprint(rep), seedHashes(seeds)
+	}
+	var wg sync.WaitGroup
+	for g, workers := range determinismWorkers {
+		wg.Add(1)
+		go func(g, workers int) {
+			defer wg.Done()
+			for k := range designs {
+				i := (g + k) % len(designs)
+				rep, seeds, err := OptimizePinAccess(designs[i], Options{Workers: workers})
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !reflect.DeepEqual(reportFingerprint(rep), wantRep[i]) || !slices.Equal(seedHashes(seeds), wantSeeds[i]) {
+					t.Errorf("workers=%d %s: concurrent run differs from the sequential one", workers, determinismSpecs[i].Name)
+				}
+			}
+		}(g, workers)
+	}
+	wg.Wait()
 }
 
 // TestRunDeterministicAcrossWorkers runs the full CPR flow (optimization

@@ -580,6 +580,70 @@ func clusteredDesign(t *testing.T) *design.Design {
 	return d
 }
 
+// moveFirstPin returns d with its first pin moved along its track by
+// the first of 1, -1, 2, -2 columns that keeps the design valid.
+func moveFirstPin(t *testing.T, d *design.Design) *design.Design {
+	t.Helper()
+	for _, dx := range []int{1, -1, 2, -2} {
+		pins := append([]design.Pin(nil), d.Pins...)
+		sh := pins[0].Shape
+		pins[0].Shape = geom.MakeRect(sh.X0+dx, sh.Y0, sh.X1+dx, sh.Y1)
+		if nd := rebuild(t, d, pins, d.Blockages); nd.Validate() == nil {
+			return nd
+		}
+	}
+	t.Fatal("no valid one-pin edit")
+	return nil
+}
+
+// TestRerunWritesOnlyRecomputedBlocks: over cache levels backed by a
+// disk blockstore, where every Put writes a block, a strict rerun puts
+// only what it recomputed. An unchanged rerun writes no block, and a
+// one-pin edit writes one block per recomputed panel and per re-routed
+// region: the panels and regions it splices are not written again.
+func TestRerunWritesOnlyRecomputedBlocks(t *testing.T) {
+	d := clusteredDesign(t)
+	store, err := blockstore.OpenDisk(t.TempDir(), blockstore.DiskOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	panels, routes := backedLevels(0, exchange.New(store, nil, nil))
+	opts := Options{PanelCache: panels, RouteCache: routes}
+	base, err := Run(d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	puts := store.Stats().Puts
+	if want := int64(len(base.Artifacts.Panels) + len(base.Artifacts.Routes)); puts != want {
+		t.Fatalf("cold run wrote %d blocks, want one per panel and region (%d)", puts, want)
+	}
+
+	res, err := RerunContext(context.Background(), base, d, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inc := res.Incremental; inc.Reused != inc.Panels || inc.RegionsSpliced != inc.Regions {
+		t.Fatalf("unchanged rerun recomputed work: %+v", inc)
+	}
+	if n := store.Stats().Puts - puts; n != 0 {
+		t.Errorf("unchanged rerun wrote %d blocks, want 0", n)
+	}
+
+	puts = store.Stats().Puts
+	res, err = RerunContext(context.Background(), base, moveFirstPin(t, d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inc := res.Incremental
+	if inc.RegionsSpliced == 0 || len(inc.Recomputed) == 0 {
+		t.Fatalf("one-pin edit spliced or recomputed nothing: %+v", inc)
+	}
+	if n, want := store.Stats().Puts-puts, int64(len(inc.Recomputed)+inc.Regions-inc.RegionsSpliced); n != want {
+		t.Errorf("one-pin edit wrote %d blocks, want %d (%d recomputed panels, %d re-routed regions)",
+			n, want, len(inc.Recomputed), inc.Regions-inc.RegionsSpliced)
+	}
+}
+
 // TestRerunLeavesBaseRoutesUntouched: a result is read-only once
 // returned, and its route artifacts share its routes rather than copy
 // them. A strict and an eco-fast rerun, both splicing from one base
@@ -606,19 +670,7 @@ func TestRerunLeavesBaseRoutesUntouched(t *testing.T) {
 	// are spliced: moving a pin of the first net, and deleting the last
 	// cluster's first net, which shifts the IDs of the nets after it, so
 	// eco-fast renumbers the routes it warm-starts.
-	var moved *design.Design
-	for _, dx := range []int{1, -1, 2, -2} {
-		pins := append([]design.Pin(nil), d.Pins...)
-		sh := pins[0].Shape
-		pins[0].Shape = geom.MakeRect(sh.X0+dx, sh.Y0, sh.X1+dx, sh.Y1)
-		if nd := rebuild(t, d, pins, d.Blockages); nd.Validate() == nil {
-			moved = nd
-			break
-		}
-	}
-	if moved == nil {
-		t.Fatal("no valid one-pin edit")
-	}
+	moved := moveFirstPin(t, d)
 	var kept []design.Pin
 	for _, p := range d.Pins {
 		if d.Nets[p.NetID].Name != "c2n0" {

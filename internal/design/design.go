@@ -190,13 +190,14 @@ func (d *Design) Validate() error {
 // pinsOnTrack lists, for each track, the IDs of the pins whose shape
 // overlaps it, sorted by X0, then ID. Shapes are clipped to the grid.
 func (d *Design) pinsOnTrack() [][]int {
-	tracks := make([][]int, d.Height)
-	for i := range d.Pins {
-		sh := d.Pins[i].Shape
-		for y := max(sh.Y0, 0); y <= min(sh.Y1, d.Height-1); y++ {
-			tracks[y] = append(tracks[y], i)
+	tracks := groupLists(d.Height, func(emit func(y, pin int)) {
+		for i := range d.Pins {
+			sh := d.Pins[i].Shape
+			for y := max(sh.Y0, 0); y <= min(sh.Y1, d.Height-1); y++ {
+				emit(y, i)
+			}
 		}
-	}
+	})
 	// X0 ties, which only an invalid design has, fall back to pin ID,
 	// so Validate names the same overlapping pair every time.
 	byX0 := func(a, b int) int {
@@ -209,6 +210,30 @@ func (d *Design) pinsOnTrack() [][]int {
 		slices.SortFunc(pins, byX0)
 	}
 	return tracks
+}
+
+// groupLists returns n lists, list k holding the values each emits for
+// k, in emission order; an empty list is nil. The lists are
+// capacity-clipped windows of one arena: each runs twice, once to count
+// and once to fill.
+func groupLists[T any](n int, each func(emit func(k int, v T))) [][]T {
+	counts := make([]int, n)
+	each(func(k int, _ T) { counts[k]++ })
+	total := 0
+	for _, c := range counts {
+		total += c
+	}
+	arena := make([]T, total)
+	lists := make([][]T, n)
+	lo := 0
+	for k, c := range counts {
+		if c > 0 {
+			lists[k] = arena[lo : lo : lo+c]
+			lo += c
+		}
+	}
+	each(func(k int, v T) { lists[k] = append(lists[k], v) })
+	return lists
 }
 
 // checkPinDisjointness verifies pin shapes are pairwise disjoint, track
@@ -267,31 +292,34 @@ type TrackIndex struct {
 
 // BuildTrackIndex constructs the per-track index.
 func (d *Design) BuildTrackIndex() *TrackIndex {
+	panels := d.NumPanels()
 	idx := &TrackIndex{
-		design:         d,
-		pinsInPanel:    make([][]int, d.NumPanels()),
-		pinsOnTrack:    d.pinsOnTrack(),
-		blockedOnTrack: make([][]geom.Interval, d.Height),
-		netBoxes:       make([]geom.Rect, len(d.Nets)),
+		design: d,
+		pinsInPanel: groupLists(panels, func(emit func(p, pin int)) {
+			for i := range d.Pins {
+				if p := d.Pins[i].Panel(d.Tech); p >= 0 && p < panels {
+					emit(p, i)
+				}
+			}
+		}),
+		pinsOnTrack: d.pinsOnTrack(),
+		blockedOnTrack: groupLists(d.Height, func(emit func(y int, span geom.Interval)) {
+			for _, b := range d.Blockages {
+				if b.Layer != tech.M2 {
+					continue
+				}
+				for y := max(b.Shape.Y0, 0); y <= min(b.Shape.Y1, d.Height-1); y++ {
+					emit(y, b.Shape.XSpan())
+				}
+			}
+		}),
+		netBoxes: make([]geom.Rect, len(d.Nets)),
 	}
 	for n := range d.Nets {
 		idx.netBoxes[n] = d.NetBBox(n)
 	}
-	for i := range d.Pins {
-		if p := d.Pins[i].Panel(d.Tech); p >= 0 && p < len(idx.pinsInPanel) {
-			idx.pinsInPanel[p] = append(idx.pinsInPanel[p], i)
-		}
-	}
-	for _, b := range d.Blockages {
-		if b.Layer != tech.M2 {
-			continue
-		}
-		for y := max(b.Shape.Y0, 0); y <= min(b.Shape.Y1, d.Height-1); y++ {
-			idx.blockedOnTrack[y] = append(idx.blockedOnTrack[y], b.Shape.XSpan())
-		}
-	}
-	for y := range idx.blockedOnTrack {
-		idx.blockedOnTrack[y] = MergeIntervals(idx.blockedOnTrack[y])
+	for y, spans := range idx.blockedOnTrack {
+		idx.blockedOnTrack[y] = mergeInPlace(spans)
 	}
 	return idx
 }
@@ -354,9 +382,17 @@ func (ti *TrackIndex) FreeSpanAround(y int, seed geom.Interval) geom.Interval {
 }
 
 // MergeIntervals sorts the given intervals and merges overlapping or
-// adjacent ones into a minimal disjoint set.
+// adjacent ones into a minimal disjoint set. ivs is left as it was.
 func MergeIntervals(ivs []geom.Interval) []geom.Interval {
-	var nonEmpty []geom.Interval
+	return mergeInPlace(slices.Clone(ivs))
+}
+
+// mergeInPlace is MergeIntervals in ivs' own storage: the result is a
+// capacity-clipped prefix of ivs, or nil when every interval is empty.
+// The merge keeps the largest end among equal starts, so the sort's
+// order among them does not matter.
+func mergeInPlace(ivs []geom.Interval) []geom.Interval {
+	nonEmpty := ivs[:0]
 	for _, iv := range ivs {
 		if !iv.Empty() {
 			nonEmpty = append(nonEmpty, iv)
@@ -365,7 +401,7 @@ func MergeIntervals(ivs []geom.Interval) []geom.Interval {
 	if len(nonEmpty) == 0 {
 		return nil
 	}
-	sort.Slice(nonEmpty, func(a, b int) bool { return nonEmpty[a].Lo < nonEmpty[b].Lo })
+	slices.SortFunc(nonEmpty, func(a, b geom.Interval) int { return cmp.Compare(a.Lo, b.Lo) })
 	out := nonEmpty[:1]
 	for _, iv := range nonEmpty[1:] {
 		last := &out[len(out)-1]
@@ -377,7 +413,7 @@ func MergeIntervals(ivs []geom.Interval) []geom.Interval {
 		}
 		out = append(out, iv)
 	}
-	return out
+	return out[:len(out):len(out)]
 }
 
 // Stats summarizes a design for reporting.

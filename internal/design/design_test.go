@@ -93,6 +93,38 @@ func TestTrackIndexPinsInPanel(t *testing.T) {
 	}
 }
 
+// TestTrackIndexListsAreClipped: the per-track pin and blocked-span
+// lists and the per-panel pin lists are windows of one arena with no
+// spare capacity, so a caller's append copies instead of overwriting the
+// next list.
+func TestTrackIndexListsAreClipped(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	d := New("clip", 30, 40, tech.Default())
+	n := d.AddNet("n")
+	for i := 0; i < 60; i++ {
+		x, y := rng.Intn(d.Width), rng.Intn(d.Height)
+		d.AddPin("p", n, geom.MakeRect(x, y, x, min(y+rng.Intn(3), d.Height-1)))
+	}
+	for i := 0; i < 40; i++ {
+		x, y := rng.Intn(d.Width), rng.Intn(d.Height)
+		d.AddBlockage(tech.M2, geom.MakeRect(x, y, min(x+rng.Intn(4), d.Width-1), min(y+rng.Intn(3), d.Height-1)))
+	}
+	idx := d.BuildTrackIndex()
+	for y := 0; y < d.Height; y++ {
+		if l := idx.PinsOnTrack(y); cap(l) != len(l) {
+			t.Errorf("track %d: list has len %d, cap %d", y, len(l), cap(l))
+		}
+		if l := idx.BlockedSpans(y); cap(l) != len(l) {
+			t.Errorf("track %d: blocked spans have len %d, cap %d", y, len(l), cap(l))
+		}
+	}
+	for p := 0; p < d.NumPanels(); p++ {
+		if l := idx.PinsInPanel(p); cap(l) != len(l) {
+			t.Errorf("panel %d: list has len %d, cap %d", p, len(l), cap(l))
+		}
+	}
+}
+
 func TestNumPanelsPartialRow(t *testing.T) {
 	d := New("partial", 10, 15, tech.Default())
 	if d.NumPanels() != 2 {

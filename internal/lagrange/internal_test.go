@@ -3,6 +3,7 @@ package lagrange
 import (
 	"math"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 
 	"cpr/internal/assign"
@@ -48,7 +49,7 @@ func TestMaxGainsPicksHighestGain(t *testing.T) {
 	})
 	gains := append([]float64(nil), m.Profits...)
 	selected := make([]bool, 2)
-	newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
+	new(workspace).newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
 	if !selected[0] || selected[1] {
 		t.Errorf("selected = %v, want the long interval only", selected)
 	}
@@ -64,7 +65,7 @@ func TestMaxGainsSameNetTieBreak(t *testing.T) {
 	// Force equal gains manually.
 	gains := []float64{1, 1, 0.5}
 	selected := make([]bool, 3)
-	newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
+	new(workspace).newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
 	if !selected[1] {
 		t.Errorf("selected = %v, want the shared interval via tie-break", selected)
 	}
@@ -82,7 +83,7 @@ func TestMaxGainsSkipsAssignedPins(t *testing.T) {
 	})
 	gains := append([]float64(nil), m.Profits...)
 	selected := make([]bool, 2)
-	newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
+	new(workspace).newSubproblem(m, Config{}.withDefaults()).maxGains(gains, selected)
 	if !selected[0] || selected[1] {
 		t.Errorf("selected = %v", selected)
 	}
@@ -99,7 +100,7 @@ func TestPenalizeRaisesLambdaOnViolation(t *testing.T) {
 	lambda := make([]float64, 1)
 	penalties := make([]float64, 2)
 	gains := append([]float64(nil), m.Profits...)
-	sub := newSubproblem(m, Config{}.withDefaults())
+	sub := new(workspace).newSubproblem(m, Config{}.withDefaults())
 	selected := make([]bool, 2)
 	selectOnly(sub, selected, []bool{true, true})
 	vio := penalize(m, sub, gains, lambda, penalties, 1, Config{}.withDefaults())
@@ -137,7 +138,7 @@ func TestPenalizeViolationOnlyLeavesSatisfiedSetsAlone(t *testing.T) {
 	lambda := []float64{5}
 	penalties := []float64{5, 5}
 	gains := []float64{m.Profits[0] - 5, m.Profits[1] - 5}
-	sub := newSubproblem(m, Config{}.withDefaults())
+	sub := new(workspace).newSubproblem(m, Config{}.withDefaults())
 	selected := make([]bool, 2)
 	selectOnly(sub, selected, []bool{true, false}) // satisfied
 	if vio := penalize(m, sub, gains, lambda, penalties, 3, Config{}.withDefaults()); vio != 0 {
@@ -176,6 +177,17 @@ func TestPostImprovePreservesLegality(t *testing.T) {
 	}
 }
 
+// TestSolveReleasesModel: a workspace back in the pool holds nothing of
+// the model it solved. GC is off so the pool keeps the workspace.
+func TestSolveReleasesModel(t *testing.T) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	m := buildModel(t, randomPanel(t, rand.New(rand.NewSource(3)), 24, 12))
+	Solve(m, Config{})
+	if ws := workspacePool.Get().(*workspace); ws.sub.memberOf != nil {
+		t.Error("the pooled workspace still holds the model's conflict membership")
+	}
+}
+
 func TestRefineTerminatesOnAdversarialSelection(t *testing.T) {
 	// Start from the all-max selection (every conflict violated) and
 	// check refine reaches a legal state.
@@ -195,7 +207,7 @@ func TestRefineTerminatesOnAdversarialSelection(t *testing.T) {
 			byPin[pid] = best
 		}
 		sol := m.FromAssignment(byPin)
-		refine(m, sol)
+		new(workspace).refine(m, sol.ByPin)
 		final := m.FromAssignment(sol.ByPin)
 		if final.Violations != 0 {
 			t.Fatalf("trial %d: refine left %d violations", trial, final.Violations)

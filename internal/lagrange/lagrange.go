@@ -29,7 +29,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
-	"sort"
+	"sync"
 
 	"cpr/internal/assign"
 )
@@ -145,9 +145,16 @@ type Result struct {
 	ImprovedPins int
 }
 
-// Solve runs Algorithm 2 on the model.
+// Solve runs Algorithm 2 on the model. Its scratch comes from a pooled
+// workspace, so a solve allocates little beyond the Solution it returns.
 func Solve(m *assign.Model, cfg Config) Result {
-	cfg = cfg.withDefaults()
+	ws := workspacePool.Get().(*workspace)
+	defer ws.release()
+	return ws.solve(m, cfg.withDefaults())
+}
+
+// solve is Solve on ws's storage.
+func (ws *workspace) solve(m *assign.Model, cfg Config) Result {
 	n := m.NumIntervals()
 
 	// Penalties accumulate per interval as the sum of its conflict sets'
@@ -155,13 +162,15 @@ func Solve(m *assign.Model, cfg Config) Result {
 	// interval's gain at its profit minus its penalty and marks the pin
 	// groups whose gains moved, so maxGains re-solves only those. The
 	// subproblem keeps the per-set selection counts penalize reads.
-	penalties := make([]float64, n)
-	lambda := make([]float64, len(m.Conflicts.Sets))
-	sub := newSubproblem(m, cfg)
-	gains := append([]float64(nil), m.Profits...)
-	selected := make([]bool, n)
+	ws.penalties = cleared(ws.penalties, n)
+	ws.lambda = cleared(ws.lambda, len(m.Conflicts.Sets))
+	penalties, lambda := ws.penalties, ws.lambda
+	sub := ws.newSubproblem(m, cfg)
+	ws.gains = append(ws.gains[:0], m.Profits...)
+	ws.selected = cleared(ws.selected, n)
+	gains, selected := ws.gains, ws.selected
 
-	var best []bool
+	best := ws.best[:0]
 	minVio := math.MaxInt
 	iters := 0
 	for k := 1; k <= cfg.MaxIterations && minVio > 0; k++ {
@@ -200,14 +209,19 @@ func Solve(m *assign.Model, cfg Config) Result {
 			})
 		}
 	}
-	var sol *assign.Solution
+	ws.best = best
+
+	// sol is a working solution until the last step, which builds the
+	// returned Solution afresh: from best when sol is still best's
+	// evaluation, from sol's assignment otherwise.
+	sol, fromBest := &ws.sols[0], iters > 0
 	if iters == 0 {
 		// No iteration ran (Stop fired at once): start from Theorem 1's
 		// minimum solution, which is conflict free.
 		sol = m.MinimumSolution()
 		minVio = sol.Violations
 	} else {
-		sol = m.Evaluate(best)
+		m.EvaluateInto(sol, best)
 	}
 	res := Result{
 		Iterations:     iters,
@@ -215,36 +229,91 @@ func Solve(m *assign.Model, cfg Config) Result {
 		Converged:      iters > 0 && minVio == 0,
 	}
 	if !cfg.SkipRefinement && sol.Violations > 0 {
-		res.ShrunkPins = refine(m, sol)
-		sol = m.FromAssignment(sol.ByPin)
+		res.ShrunkPins = ws.refine(m, sol.ByPin)
+		m.FromAssignmentInto(&ws.sols[1], sol.ByPin)
+		sol, fromBest = &ws.sols[1], false
 	}
 	if !cfg.SkipPostImprove && sol.Violations == 0 {
-		res.ImprovedPins = postImprove(m, sol)
-		sol = m.FromAssignment(sol.ByPin)
+		res.ImprovedPins = ws.postImprove(m, sol.ByPin)
+		fromBest = false
 	}
-	res.Solution = sol
+	if fromBest {
+		res.Solution = m.Evaluate(best)
+	} else {
+		res.Solution = m.FromAssignment(sol.ByPin)
+	}
 	return res
+}
+
+// workspace is everything a Solve builds and discards: the subproblem's
+// index, the iteration state, the working solutions, and the scratch of
+// refine and postImprove. Solve takes one from workspacePool. Every
+// slice is resized and overwritten or cleared before it is read, and a
+// workspace back in the pool holds nothing of a model: its own maps and
+// slices hold only numbers.
+type workspace struct {
+	sub subproblem
+	// Solve's iteration state.
+	penalties, lambda, gains []float64
+	selected, best           []bool
+	// sols are Solve's working solutions.
+	sols [2]assign.Solution
+	// newSubproblem's pin numbering, union-find parents, group numbers
+	// and group sizes.
+	dense                    map[int]int32
+	parent, groupOf, ivCount []int32
+	// refine's and postImprove's selection, a conflict set's selected
+	// members, pins per interval and per-set selection counts.
+	assigned  []bool
+	members   []int
+	users     []int32
+	setCounts []int32
+}
+
+// workspacePool recycles workspaces across solves.
+var workspacePool = sync.Pool{New: func() any { return new(workspace) }}
+
+// release drops the workspace's reference to the model's conflict
+// membership and returns it to the pool.
+func (ws *workspace) release() {
+	ws.sub.memberOf = nil
+	workspacePool.Put(ws)
+}
+
+// grow returns s resized to n, reusing its array when it is large
+// enough; the elements are stale, so the caller overwrites every one.
+func grow[T any](s []T, n int) []T {
+	return slices.Grow(s[:0], n)[:n]
+}
+
+// cleared is grow with every element zeroed.
+func cleared[T any](s []T, n int) []T {
+	s = grow(s, n)
+	clear(s)
+	return s
 }
 
 // postImprove greedily upgrades pins to more profitable intervals while
 // preserving legality. Only moves that are trivially legal are made: the
 // pin's current interval must serve no other pin, and the candidate must
 // cover exactly this pin and sit in conflict sets with no other selected
-// member. Returns the number of upgrades.
+// member. byPin is updated in place. Returns the number of upgrades.
 //
 // Every conflict set's selected members are counted once, and the counts
 // follow each move, so a candidate is tested in time proportional to its
 // own memberships (see onlyCur).
-func postImprove(m *assign.Model, sol *assign.Solution) int {
+func (ws *workspace) postImprove(m *assign.Model, byPin map[int]int) int {
 	n := m.NumIntervals()
 	memberOf := m.Conflicts.MemberOf
-	selected := make([]bool, n)
-	users := make([]int32, n) // interval -> #pins assigned to it
-	for _, iv := range sol.ByPin {
+	ws.assigned = cleared(ws.assigned, n)
+	ws.users = cleared(ws.users, n) // interval -> #pins assigned to it
+	selected, users := ws.assigned, ws.users
+	for _, iv := range byPin {
 		selected[iv] = true
 		users[iv]++
 	}
-	counts := make([]int32, len(m.Conflicts.Sets))
+	ws.setCounts = cleared(ws.setCounts, len(m.Conflicts.Sets))
+	counts := ws.setCounts
 	for i, sel := range selected {
 		if sel {
 			for _, si := range memberOf[i] {
@@ -258,7 +327,7 @@ func postImprove(m *assign.Model, sol *assign.Solution) int {
 		// Set.PinIDs may repeat a pin, so its interval is read on every
 		// visit.
 		for _, pid := range m.Set.PinIDs {
-			cur := sol.ByPin[pid]
+			cur := byPin[pid]
 			if users[cur] != 1 {
 				continue // shared interval: the pin cannot leave legally
 			}
@@ -286,7 +355,7 @@ func postImprove(m *assign.Model, sol *assign.Solution) int {
 				for _, si := range memberOf[best] {
 					counts[si]++
 				}
-				sol.ByPin[pid] = best
+				byPin[pid] = best
 				improved++
 				changed = true
 			}
@@ -364,12 +433,21 @@ type subproblem struct {
 }
 
 // newSubproblem joins the model's pins into groups with a union-find
-// over every interval's pins and lists each group's intervals.
-func newSubproblem(m *assign.Model, cfg Config) *subproblem {
+// over every interval's pins and lists each group's intervals. It
+// rebuilds ws.sub in place, reusing the storage an earlier solve grew.
+func (ws *workspace) newSubproblem(m *assign.Model, cfg Config) *subproblem {
 	ivs := m.Set.Intervals
 	n := len(ivs)
-	s := &subproblem{tieBreak: !cfg.DisableSameNetTieBreak, ivPinStart: make([]int32, n+1)}
-	dense := make(map[int]int32, m.NumPins())
+	s := &ws.sub
+	s.tieBreak = !cfg.DisableSameNetTieBreak
+	s.ivPinStart = grow(s.ivPinStart, n+1)
+	s.ivPinStart[0] = 0
+	s.ivPins = s.ivPins[:0]
+	if ws.dense == nil {
+		ws.dense = make(map[int]int32, m.NumPins())
+	}
+	dense := ws.dense
+	clear(dense)
 	for i := range ivs {
 		for _, pid := range ivs[i].PinIDs {
 			d, ok := dense[pid]
@@ -382,7 +460,8 @@ func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 		s.ivPinStart[i+1] = int32(len(s.ivPins))
 	}
 
-	parent := make([]int32, len(dense))
+	ws.parent = grow(ws.parent, len(dense))
+	parent := ws.parent
 	for p := range parent {
 		parent[p] = int32(p)
 	}
@@ -404,13 +483,15 @@ func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 
 	// Number the groups by their lowest interval and count their
 	// intervals; then lay the intervals out group by group.
-	groupOf := make([]int32, len(dense)) // root pin -> group + 1
-	ivGroup := make([]int32, n)          // interval -> group, -1 if pinless
-	var counts []int32
+	ws.groupOf = cleared(ws.groupOf, len(dense)) // root pin -> group + 1
+	groupOf := ws.groupOf
+	s.ivGroup = grow(s.ivGroup, n) // interval -> group, -1 if pinless
+	counts := ws.ivCount[:0]
+	s.single = s.single[:0]
 	for i := 0; i < n; i++ {
 		pins := s.pins(int32(i))
 		if len(pins) == 0 {
-			ivGroup[i] = -1
+			s.ivGroup[i] = -1
 			continue
 		}
 		r := find(pins[0])
@@ -420,33 +501,36 @@ func newSubproblem(m *assign.Model, cfg Config) *subproblem {
 			groupOf[r] = int32(len(counts))
 		}
 		g := groupOf[r] - 1
-		ivGroup[i] = g
+		s.ivGroup[i] = g
 		counts[g]++
 		if len(pins) != 1 {
 			s.single[g] = false
 		}
 	}
-	s.groupStart = make([]int32, len(counts)+1)
+	ws.ivCount = counts
+	s.groupStart = grow(s.groupStart, len(counts)+1)
+	s.groupStart[0] = 0
 	for g, c := range counts {
 		s.groupStart[g+1] = s.groupStart[g] + c
 	}
 	next := counts // reused as each group's fill cursor
 	copy(next, s.groupStart)
-	s.groupIvs = make([]int32, s.groupStart[len(counts)])
-	for i, g := range ivGroup {
+	s.groupIvs = grow(s.groupIvs, int(s.groupStart[len(counts)]))
+	for i, g := range s.ivGroup {
 		if g >= 0 {
 			s.groupIvs[next[g]] = int32(i)
 			next[g]++
 		}
 	}
-	s.stamp = make([]uint32, len(dense))
-	s.ivGroup = ivGroup
+	s.stamp = cleared(s.stamp, len(dense))
+	s.gen = 0
 	nsets := len(m.Conflicts.Sets)
 	s.memberOf = m.Conflicts.MemberOf
-	s.setCount = make([]int32, nsets)
-	s.over = make([]uint64, (nsets+63)/64)
+	s.setCount = cleared(s.setCount, nsets)
+	s.over = cleared(s.over, (nsets+63)/64)
+	s.violated = 0
 	// The first call solves every group.
-	s.dirty = make([]bool, len(counts))
+	s.dirty = grow(s.dirty, len(counts))
 	for g := range s.dirty {
 		s.dirty[g] = true
 	}
@@ -644,35 +728,27 @@ func penalize(m *assign.Model, sub *subproblem, gains, lambda, penalties []float
 // pairwise disjoint, the process strictly reduces the number of non-minimum
 // assignments and terminates in a conflict-free state.
 //
-// The solution's ByPin map is updated in place; Selected/metrics must be
-// recomputed by the caller. Returns the number of pin demotions.
-func refine(m *assign.Model, sol *assign.Solution) int {
+// byPin is updated in place; the caller recomputes the selection and its
+// metrics. Returns the number of pin demotions.
+func (ws *workspace) refine(m *assign.Model, byPin map[int]int) int {
 	shrunk := 0
 	set := m.Set
 	for pass := 0; pass <= m.NumPins()+1; pass++ {
-		selected := make([]bool, m.NumIntervals())
-		users := make(map[int][]int) // interval -> pins using it
-		// Sorted pin order keeps users[iv] (and thus demote order)
-		// independent of map iteration order.
-		pids := make([]int, 0, len(sol.ByPin))
-		for pid := range sol.ByPin {
-			pids = append(pids, pid)
-		}
-		sort.Ints(pids)
-		for _, pid := range pids {
-			iv := sol.ByPin[pid]
+		ws.assigned = cleared(ws.assigned, m.NumIntervals())
+		selected := ws.assigned
+		for _, iv := range byPin {
 			selected[iv] = true
-			users[iv] = append(users[iv], pid)
 		}
 		changed := false
 		for si := range m.Conflicts.Sets {
 			cs := &m.Conflicts.Sets[si]
-			var sel []int
+			sel := ws.members[:0]
 			for _, id := range cs.IDs {
 				if selected[id] {
 					sel = append(sel, id)
 				}
 			}
+			ws.members = sel
 			if len(sel) < 2 {
 				continue
 			}
@@ -690,13 +766,13 @@ func refine(m *assign.Model, sol *assign.Solution) int {
 				if id == keep || set.Intervals[id].MinForPin >= 0 {
 					continue
 				}
-				shrunk += demote(m, sol, id, users[id])
+				shrunk += demote(m, byPin, id)
 				selected[id] = false
 				any = true
 				changed = true
 			}
 			if !any && set.Intervals[keep].MinForPin < 0 {
-				shrunk += demote(m, sol, keep, users[keep])
+				shrunk += demote(m, byPin, keep)
 				selected[keep] = false
 				changed = true
 			}
@@ -709,12 +785,15 @@ func refine(m *assign.Model, sol *assign.Solution) int {
 }
 
 // demote reassigns every pin using interval id to its minimum interval on
-// the same track (falling back to any minimum interval).
-func demote(m *assign.Model, sol *assign.Solution, id int, pins []int) int {
+// the same track (falling back to any minimum interval), in ascending pin
+// order. A pin can use only an interval that covers it, and demotion
+// moves pins only onto minimum intervals, which are never demoted, so
+// id's covered pins assigned to it are exactly its users.
+func demote(m *assign.Model, byPin map[int]int, id int) int {
 	track := m.Set.Intervals[id].Track
 	n := 0
-	for _, pid := range pins {
-		if sol.ByPin[pid] != id {
+	for _, pid := range m.Set.Intervals[id].PinIDs {
+		if iv, ok := byPin[pid]; !ok || iv != id {
 			continue
 		}
 		min := m.Set.MinInterval(pid, track)
@@ -722,7 +801,7 @@ func demote(m *assign.Model, sol *assign.Solution, id int, pins []int) int {
 			min = m.Set.AnyMinInterval(pid)
 		}
 		if min >= 0 && min != id {
-			sol.ByPin[pid] = min
+			byPin[pid] = min
 			n++
 		}
 	}

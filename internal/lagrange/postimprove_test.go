@@ -78,7 +78,7 @@ func checkPostImprove(t *testing.T, m *assign.Model, cfg Config) int {
 	cfg.SkipPostImprove = true
 	start := Solve(m, cfg).Solution.ByPin
 	got, want := maps.Clone(start), maps.Clone(start)
-	n := postImprove(m, &assign.Solution{ByPin: got})
+	n := new(workspace).postImprove(m, got)
 	if wantN := refPostImprove(m, &assign.Solution{ByPin: want}); n != wantN || !maps.Equal(got, want) {
 		t.Fatalf("%+v: %d upgrades to %v, reference %d to %v", cfg, n, got, wantN, want)
 	}

@@ -99,16 +99,23 @@ func decodeGreedyCase(t *testing.T, data []byte) (*assign.Model, []float64) {
 // instance under both tie-break settings, reusing each subproblem for a
 // second call with the gains reversed. Only the intervals whose gain the
 // reversal changed are marked, so the second call re-solves just their
-// groups and keeps the rest of the first call's selection.
+// groups and keeps the rest of the first call's selection. Each
+// subproblem is rebuilt in a workspace that last ran a whole solve of a
+// larger instance (the case without its first record, then the case)
+// or the other tie-break setting's calls, so stale state would show.
 func checkGreedyCase(t *testing.T, data []byte) {
 	m, base := decodeGreedyCase(t, data)
 	if m == nil {
 		return
 	}
+	ws := new(workspace)
+	if other, _ := decodeGreedyCase(t, slices.Concat(data[3:], data)); other != nil {
+		ws.solve(other, Config{}.withDefaults())
+	}
 	n := m.NumIntervals()
 	got, want, order := make([]bool, n), make([]bool, n), make([]int, n)
 	for _, cfg := range []Config{{}, {DisableSameNetTieBreak: true}} {
-		sub := newSubproblem(m, cfg)
+		sub := ws.newSubproblem(m, cfg)
 		gains := slices.Clone(base)
 		clear(got)
 		for pass := 0; pass < 2; pass++ {
@@ -204,7 +211,7 @@ func lrTrajectory(t *testing.T, m *assign.Model, cfg Config) int {
 	t.Helper()
 	cfg = cfg.withDefaults()
 	n := m.NumIntervals()
-	sub := newSubproblem(m, cfg)
+	sub := new(workspace).newSubproblem(m, cfg)
 	penalties, refPenalties := make([]float64, n), make([]float64, n)
 	lambda, refLambda := make([]float64, len(m.Conflicts.Sets)), make([]float64, len(m.Conflicts.Sets))
 	gains := slices.Clone(m.Profits)
@@ -304,7 +311,7 @@ func TestMaxGainsMatchesReferenceOnPanels(t *testing.T) {
 // allocates nothing, on a panel with one-pin and multi-pin groups.
 func TestMaxGainsAllocatesNothing(t *testing.T) {
 	m := buildModel(t, randomPanel(t, rand.New(rand.NewSource(3)), 40, 60))
-	sub := newSubproblem(m, Config{})
+	sub := new(workspace).newSubproblem(m, Config{})
 	if !slices.Contains(sub.single, false) || !slices.Contains(sub.single, true) {
 		t.Fatalf("panel lacks one-pin or multi-pin groups: %v", sub.single)
 	}

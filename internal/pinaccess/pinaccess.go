@@ -21,14 +21,15 @@
 // Generation is track-sharded: candidate enumeration — the O(m*n) cut-line
 // work plus covered-pin scans — is independent per routing track and runs
 // on Options.Workers goroutines. Each track's shard keeps its candidates
-// and their covered pins in flat buffers, pooled across calls, and a
-// candidate tests only the same-net pins on its track, listed once per
-// (pin, track). Interval IDs are assigned by a serial merge that replays
-// the candidates in canonical (pin, track) order, one cursor per track,
-// deduplicating on (net, track, span): a candidate covers exactly the
-// same-net pins inside its span, so a duplicate can only contribute its
-// minimum-interval mark. The produced Set is therefore byte-identical for
-// every worker count, including the fully sequential Workers <= 1 path.
+// and their covered pins in flat buffers, pooled across calls with the
+// merge's scratch, and a candidate tests only the same-net pins on its
+// track, listed once per (pin, track). Interval IDs are assigned by a
+// serial merge that replays the candidates in canonical (pin, track)
+// order, one cursor per track, deduplicating on (net, track, span): a
+// candidate covers exactly the same-net pins inside its span, so a
+// duplicate can only contribute its minimum-interval mark. The produced
+// Set is therefore byte-identical for every worker count, including the
+// fully sequential Workers <= 1 path.
 // Interval.PinIDs and the ByPin lists are capacity-clipped windows of two
 // set-wide arenas, so a caller's append copies instead of overwriting a
 // neighbouring list.
@@ -142,12 +143,10 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	// Each track is an independent job: candidate spans depend only on the
 	// read-only design and track index, and every job writes to its own
 	// shard.
-	shards, first := trackShards(d, s.PinIDs)
-	defer func() {
-		for i := range shards {
-			shardPool.Put(shards[i].shardBufs)
-		}
-	}()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	first := sc.trackShards(d, s.PinIDs)
+	shards := sc.shards
 	parallel.ForEach(opts.Workers, len(shards), func(ti int) {
 		shards[ti].enumerate(d, idx)
 	})
@@ -157,9 +156,8 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	// same interval IDs as a fully sequential enumeration would. Every
 	// shard lists its pins ascending, so one cursor per shard walks it in
 	// step with the merge. The candidate count bounds the deduplicated
-	// interval count, so it sizes the interval slice and the dedup map;
-	// the shards' covered-pin counts bound the set's pin arena the same
-	// way.
+	// interval count, so it sizes the interval slice; the shards'
+	// covered-pin counts bound the set's pin arena the same way.
 	numCands, numCovered := 0, 0
 	for ti := range shards {
 		numCands += len(shards[ti].cands)
@@ -170,10 +168,11 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	// Deduplicate on (net, track, span). A candidate covers exactly the
 	// same-net pins on its track inside its span, so equal keys cover
 	// equal pins and only the minimum-interval mark can merge.
-	type key struct {
-		net, track, lo, hi int
+	if sc.seen == nil {
+		sc.seen = make(map[dedupKey]int, numCands)
 	}
-	seen := make(map[key]int, numCands)
+	seen := sc.seen
+	clear(seen)
 	prev := -1
 	for _, pid := range s.PinIDs {
 		if pid == prev {
@@ -186,7 +185,7 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 			cands := sh.cands[sh.start[sh.cursor]:sh.start[sh.cursor+1]]
 			sh.cursor++
 			for _, c := range cands {
-				k := key{pin.NetID, t, c.span.Lo, c.span.Hi}
+				k := dedupKey{pin.NetID, t, c.span.Lo, c.span.Hi}
 				if id, ok := seen[k]; ok {
 					if iv := &s.Intervals[id]; c.minFor >= 0 && iv.MinForPin < 0 {
 						iv.MinForPin = c.minFor
@@ -208,7 +207,7 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 			}
 		}
 	}
-	s.ByPin = indexByPin(s.Intervals, len(s.PinIDs))
+	s.ByPin = sc.indexByPin(s.Intervals, len(s.PinIDs))
 
 	// Every requested pin must have at least one interval (its minimum);
 	// otherwise the panel is unroutable and Theorem 1 is violated.
@@ -223,16 +222,21 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 
 // indexByPin builds S_j: for every covered pin, the IDs of the intervals
 // covering it, ascending. The lists are capacity-clipped windows of one
-// arena, filled in ascending interval order.
-func indexByPin(ivs []Interval, numPins int) map[int][]int {
+// arena, filled in ascending interval order; the map and the arena are
+// the only storage that outlives the call.
+func (sc *scratch) indexByPin(ivs []Interval, numPins int) map[int][]int {
 	total := 0
 	for i := range ivs {
 		total += len(ivs[i].PinIDs)
 	}
-	dense := make(map[int]int32, numPins) // pin -> index into pins and ends
-	pins := make([]int, 0, numPins)
-	ends := make([]int, 0, numPins)
-	entries := make([]int32, 0, total) // each covering's dense pin index, in interval order
+	if sc.dense == nil {
+		sc.dense = make(map[int]int32, numPins)
+	}
+	dense := sc.dense // pin -> index into pins and ends
+	clear(dense)
+	pins := sc.pins[:0]
+	ends := sc.ends[:0]
+	entries := slices.Grow(sc.entries[:0], total) // each covering's dense pin index, in interval order
 	for i := range ivs {
 		for _, pid := range ivs[i].PinIDs {
 			k, ok := dense[pid]
@@ -262,6 +266,7 @@ func indexByPin(ivs []Interval, numPins int) map[int][]int {
 			e++
 		}
 	}
+	sc.pins, sc.ends, sc.entries = pins, ends, entries
 	byPin := make(map[int][]int, len(pins))
 	lo := 0
 	for k, pid := range pins {
@@ -280,18 +285,12 @@ type candidate struct {
 }
 
 // trackShard is one track's enumeration job. Its candidates and their
-// covered pins live in flat buffers the shard borrows from shardPool for
-// one generation: the candidates of pins[i] are
-// cands[start[i]:start[i+1]].
+// covered pins live in flat buffers the shard keeps across generations:
+// the candidates of pins[i] are cands[start[i]:start[i+1]].
 type trackShard struct {
 	track int
-	*shardBufs
 	// cursor is the merge's next index into pins.
-	cursor int
-}
-
-// shardBufs are a track shard's flat buffers.
-type shardBufs struct {
+	cursor  int
 	pins    []int // requested pins overlapping the track, ascending
 	start   []int32
 	cands   []candidate
@@ -300,29 +299,48 @@ type shardBufs struct {
 	lefts, rights, same []int
 }
 
-// shardPool recycles shard buffers across generations. A generation
-// returns its shards' buffers once the merge has copied the covered pins
-// into the set's own arena, so nothing it returns aliases them.
-var shardPool = sync.Pool{New: func() any { return new(shardBufs) }}
+// dedupKey identifies a deduplicated interval: equal keys cover equal
+// pins (see GenerateWithOptions).
+type dedupKey struct {
+	net, track, lo, hi int
+}
 
-// trackShards groups the requested pins by the tracks their shapes overlap:
-// one shard per track from the lowest to the highest one overlapped,
-// shard i holding track first+i, each shard's pins ascending and
-// deduplicated.
-func trackShards(d *design.Design, sortedPinIDs []int) (shards []trackShard, first int) {
+// scratch is everything one generation builds and discards: the track
+// shards, the merge's dedup map and indexByPin's dense numbering. It
+// holds only integers, so the set a generation returns never aliases it.
+type scratch struct {
+	shards  []trackShard
+	seen    map[dedupKey]int
+	dense   map[int]int32
+	pins    []int
+	ends    []int
+	entries []int32
+}
+
+// scratchPool recycles scratch across generations. A generation returns
+// its scratch once the merge has copied the covered pins into the set's
+// own arena and indexByPin has filled the set's own lists.
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// trackShards groups the requested pins by the tracks their shapes
+// overlap into sc.shards: one shard per track from the lowest to the
+// highest one overlapped, shard i holding track first+i, each shard's
+// pins ascending and deduplicated. Shards keep the buffers an earlier
+// generation grew, unless the shard slice itself must grow.
+func (sc *scratch) trackShards(d *design.Design, sortedPinIDs []int) (first int) {
 	first, last := math.MaxInt, math.MinInt
 	for _, pid := range sortedPinIDs {
 		sh := d.Pins[pid].Shape
 		first, last = min(first, sh.Y0), max(last, sh.Y1)
 	}
 	if last < first {
-		return nil, 0 // no pins, or only empty shapes: no track to enumerate
+		sc.shards = sc.shards[:0]
+		return 0 // no pins, or only empty shapes: no track to enumerate
 	}
-	shards = make([]trackShard, last-first+1)
+	sc.shards = slices.Grow(sc.shards[:0], last-first+1)[:last-first+1]
+	shards := sc.shards
 	for i := range shards {
-		shards[i].track = first + i
-		shards[i].shardBufs = shardPool.Get().(*shardBufs)
-		shards[i].pins = shards[i].pins[:0]
+		shards[i].track, shards[i].cursor, shards[i].pins = first+i, 0, shards[i].pins[:0]
 	}
 	prev := -1
 	for _, pid := range sortedPinIDs {
@@ -335,7 +353,7 @@ func trackShards(d *design.Design, sortedPinIDs []int) (shards []trackShard, fir
 			shards[t-first].pins = append(shards[t-first].pins, pid)
 		}
 	}
-	return shards, first
+	return first
 }
 
 // enumerate lists the candidates of every pin of the shard. It only reads

@@ -27,6 +27,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"sync"
 
 	"cpr/internal/assign"
 	"cpr/internal/design"
@@ -208,9 +209,11 @@ func formatFloat(f float64) string { return strconv.FormatFloat(f, 'g', -1, 64) 
 //keypurity:encoder stage
 func WritePanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, panel int) error {
 	pins := idx.PinsInPanel(panel)
-	// The records are appended to one buffer, roughly sized for the pin
-	// and net-bbox lines, and written once.
-	b := make([]byte, 0, 256+80*len(pins))
+	// The records are appended to one pooled buffer, roughly sized for
+	// the pin and net-bbox lines, and written once; a Writer retains none
+	// of it (io.Writer's contract).
+	buf := inputsPool.Get().(*inputsBuf)
+	b := slices.Grow(buf.b[:0], 256+80*len(pins))
 	t := d.Tech
 	b = append(b, "panel-inputs v1\ngrid"...)
 	b = appendInts(b, d.Width, d.Height)
@@ -233,7 +236,7 @@ func WritePanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, pan
 	b = appendInts(b, lo, hi)
 	b = append(b, '\n')
 
-	nets := make([]int, 0, len(pins))
+	nets := buf.nets[:0]
 	for _, pid := range pins {
 		p := &d.Pins[pid]
 		nets = append(nets, p.NetID)
@@ -260,8 +263,19 @@ func WritePanelInputs(w io.Writer, d *design.Design, idx *design.TrackIndex, pan
 		}
 	}
 	_, err := w.Write(b)
+	buf.b, buf.nets = b, nets
+	inputsPool.Put(buf)
 	return err
 }
+
+// inputsBuf is WritePanelInputs' encoding buffer and net list.
+type inputsBuf struct {
+	b    []byte
+	nets []int
+}
+
+// inputsPool recycles WritePanelInputs' buffers across calls.
+var inputsPool = sync.Pool{New: func() any { return new(inputsBuf) }}
 
 // appendInts appends each value in decimal after a space, as the format
 // verb " %d" would.

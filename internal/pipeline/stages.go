@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"strings"
+	"sync"
 	"time"
 
 	"cpr/internal/assign"
@@ -234,15 +235,28 @@ func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, p
 		genSpan.End()
 		return nil, err
 	}
-	genSpan.SetAttr("pins", len(pinIDs))
-	genSpan.SetAttr("intervals", len(set.Set.Intervals))
+	if genSpan != nil { // boxing an attribute allocates, even for a nil span
+		genSpan.SetAttr("pins", len(pinIDs))
+		genSpan.SetAttr("intervals", len(set.Set.Intervals))
+	}
 	genSpan.End()
 	observe("generate", genStart)
 
+	// The model dies with the panel, so it is rebuilt in place in a
+	// pooled one (ConflictStage's result, reusing storage) and returned
+	// to the pool holding no reference to the set.
 	_, confSpan := telemetry.StartSpan(ctx, "conflicts")
 	confStart := time.Now() //cprlint:keypurity stage-latency metric only; never reaches the artifact or its key
-	model := ConflictStage(set, cfg, workers)
-	confSpan.SetAttr("conflict_sets", len(model.Model.Conflicts.Sets))
+	model := modelPool.Get().(*ConflictModel)
+	defer func() {
+		model.Model.Set = nil
+		modelPool.Put(model)
+	}()
+	model.Model.Rebuild(set.Set, cfg.profit(), workers)
+	numConflicts := len(model.Model.Conflicts.Sets)
+	if confSpan != nil {
+		confSpan.SetAttr("conflict_sets", numConflicts)
+	}
 	confSpan.End()
 	observe("conflicts", confStart)
 
@@ -260,6 +274,11 @@ func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, p
 		Key:          key,
 		Intervals:    set,
 		Assignment:   sol,
-		NumConflicts: len(model.Model.Conflicts.Sets),
+		NumConflicts: numConflicts,
 	}, nil
 }
+
+// modelPool recycles SolvePanel's conflict models. Every Solution the
+// assignment stage returns is freshly allocated, so no artifact aliases
+// a pooled model.
+var modelPool = sync.Pool{New: func() any { return &ConflictModel{Model: new(assign.Model)} }}

@@ -48,12 +48,17 @@ func Key(designHash, optionsFingerprint string) string {
 // keeps the panel keyspace disjoint from design-level keys even if the
 // two hash inputs ever collide in content.
 func PanelKey(panelHash, solverFingerprint string) string {
-	h := sha256.New()
-	h.Write([]byte("panel\n"))
-	h.Write([]byte(panelHash))
-	h.Write([]byte{'\n'})
-	h.Write([]byte(solverFingerprint))
-	return hex.EncodeToString(h.Sum(nil))
+	// One key per panel: the input is assembled and hex-encoded in stack
+	// buffers (a longer input, from a warm-started ILP, spills to the
+	// heap), so the key string is the one allocation.
+	var in [256]byte
+	b := append(in[:0], "panel\n"...)
+	b = append(b, panelHash...)
+	b = append(b, '\n')
+	b = append(b, solverFingerprint...)
+	sum := sha256.Sum256(b)
+	var out [2 * sha256.Size]byte
+	return string(hex.AppendEncode(out[:0], sum[:]))
 }
 
 // RouteKey derives the content address for one routing region's artifact:

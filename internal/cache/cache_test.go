@@ -1,6 +1,11 @@
 package cache
 
-import "testing"
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"strings"
+	"testing"
+)
 
 func TestKeyStability(t *testing.T) {
 	k1 := Key("deadbeef", "v1 mode=cpr")
@@ -35,6 +40,18 @@ func TestRouteKeyDomainSeparation(t *testing.T) {
 	}
 	if RouteKey("hash", "fp") != k3 {
 		t.Fatal("RouteKey is not stable")
+	}
+}
+
+// TestPanelKeyDefinition pins PanelKey to its definition, the hex SHA-256
+// of "panel\n", the panel hash, "\n" and the fingerprint, also for a
+// fingerprint longer than the key's stack buffer.
+func TestPanelKeyDefinition(t *testing.T) {
+	for _, fp := range []string{"fp", strings.Repeat(" warm=8:ff", 40)} {
+		sum := sha256.Sum256([]byte("panel\nhash\n" + fp))
+		if got, want := PanelKey("hash", fp), hex.EncodeToString(sum[:]); got != want {
+			t.Errorf("PanelKey(hash, %d-byte fingerprint) = %s, want %s", len(fp), got, want)
+		}
 	}
 }
 

@@ -473,7 +473,7 @@ func runFlow(ctx context.Context, d *design.Design, opts Options, warm map[strin
 
 	switch opts.Mode {
 	case ModeCPR:
-		report, seeds, arts, inc, err := optimizePanels(ctx, d, opts)
+		report, seeds, arts, inc, err := optimizePanels(ctx, d, opts, true)
 		if err != nil {
 			return nil, err
 		}
@@ -582,7 +582,7 @@ func OptimizePinAccessContext(ctx context.Context, d *design.Design, opts Option
 	if err := opts.LR.Validate(); err != nil {
 		return nil, nil, fmt.Errorf("core: %w", err)
 	}
-	report, seeds, _, _, err := optimizePanels(ctx, d, opts)
+	report, seeds, _, _, err := optimizePanels(ctx, d, opts, false)
 	return report, seeds, err
 }
 
@@ -590,12 +590,18 @@ func OptimizePinAccessContext(ctx context.Context, d *design.Design, opts Option
 // assign) over every non-empty panel, reusing what opts.PanelCache
 // answers. The ordered per-slot reduce keeps report and seed order
 // byte-identical for every worker count and any mix of reused and
-// recomputed panels.
-func optimizePanels(ctx context.Context, d *design.Design, opts Options) (*PinOptReport, []PanelSeed, *pipeline.ArtifactSet, *IncrementalStats, error) {
+// recomputed panels. A panel is keyed only when its key is read: by
+// opts.PanelCache, or in the ArtifactSet returned when withArtifacts is
+// set and the config is cacheable.
+func optimizePanels(ctx context.Context, d *design.Design, opts Options, withArtifacts bool) (*PinOptReport, []PanelSeed, *pipeline.ArtifactSet, *IncrementalStats, error) {
 	start := time.Now() //cprlint:nondeterm wall-clock Elapsed metric only; never reaches the routing result
 	idx := d.BuildTrackIndex()
 	cfg := solverConfig(opts)
-	cacheable := cfg.Cacheable()
+	keyed := cfg.Cacheable() && (withArtifacts || opts.PanelCache != nil)
+	var fingerprint string
+	if keyed {
+		fingerprint = cfg.Fingerprint()
+	}
 
 	var panels []int
 	for panel := 0; panel < d.NumPanels(); panel++ {
@@ -624,24 +630,31 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options) (*PinOp
 	results := make([]outcome, len(panels))
 	solve := func(slot, panel int) {
 		// Lanes are keyed by slot, not scheduling order, so the trace
-		// layout is deterministic for every worker count.
+		// layout is deterministic for every worker count. Attributes wait
+		// for a span: boxing one allocates even for a nil span.
 		pctx, sp := telemetry.StartSpan(ctx, "panel")
 		defer sp.End()
 		sp.SetLane(slot + 1)
-		sp.SetAttr("panel", panel)
+		if sp != nil {
+			sp.SetAttr("panel", panel)
+		}
 		if err := ctx.Err(); err != nil {
 			results[slot].err = fmt.Errorf("core: panel %d: %w", panel, err)
 			return
 		}
 		var key string
-		if cacheable {
-			key = pipeline.PanelKeyFor(d, idx, panel, cfg)
-			sp.SetAttr("key", key)
+		if keyed {
+			key = pipeline.PanelKeyWith(d, idx, panel, fingerprint)
+			if sp != nil {
+				sp.SetAttr("key", key)
+			}
 			if opts.PanelCache != nil {
 				if art, ok := panelCacheGet(pctx, opts.PanelCache, key); ok {
 					results[slot] = outcome{art: art, reused: true}
-					sp.SetAttr("reused", true)
-					sp.SetAttr("source", "cache")
+					if sp != nil {
+						sp.SetAttr("reused", true)
+						sp.SetAttr("source", "cache")
+					}
 					reg.Counter("cpr_panels_total", "Panels processed by artifact source.",
 						telemetry.L("source", "cache")).Inc()
 					return
@@ -653,17 +666,19 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options) (*PinOp
 			results[slot].err = fmt.Errorf("core: panel %d: %w", panel, err)
 			return
 		}
-		if cacheable && opts.PanelCache != nil {
+		if keyed && opts.PanelCache != nil {
 			opts.PanelCache.Put(key, art)
 		}
 		results[slot] = outcome{art: art}
-		sp.SetAttr("reused", false)
-		sp.SetAttr("source", "computed")
-		sp.SetAttr("pins", len(art.Intervals.Set.PinIDs))
-		sp.SetAttr("intervals", len(art.Intervals.Set.Intervals))
-		sp.SetAttr("conflicts", art.NumConflicts)
-		sp.SetAttr("objective", art.Assignment.Solution.Objective)
-		sp.SetAttr("converged", art.Assignment.Converged)
+		if sp != nil {
+			sp.SetAttr("reused", false)
+			sp.SetAttr("source", "computed")
+			sp.SetAttr("pins", len(art.Intervals.Set.PinIDs))
+			sp.SetAttr("intervals", len(art.Intervals.Set.Intervals))
+			sp.SetAttr("conflicts", art.NumConflicts)
+			sp.SetAttr("objective", art.Assignment.Solution.Objective)
+			sp.SetAttr("converged", art.Assignment.Converged)
+		}
 		reg.Counter("cpr_panels_total", "Panels processed by artifact source.",
 			telemetry.L("source", "computed")).Inc()
 	}
@@ -677,7 +692,7 @@ func optimizePanels(ctx context.Context, d *design.Design, opts Options) (*PinOp
 	report := &PinOptReport{}
 	var seeds []PanelSeed
 	var arts *pipeline.ArtifactSet
-	if cacheable {
+	if keyed {
 		arts = &pipeline.ArtifactSet{}
 	}
 	var inc *IncrementalStats

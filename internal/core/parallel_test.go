@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"slices"
@@ -143,6 +144,80 @@ func TestOptimizePinAccessConcurrentRunsSharePools(t *testing.T) {
 		}(g, workers)
 	}
 	wg.Wait()
+}
+
+// countingPanelCache is a PanelCache that records the key of every
+// lookup and answers none, so every panel is solved.
+type countingPanelCache struct {
+	mu   sync.Mutex
+	gets []string
+}
+
+func (c *countingPanelCache) Get(key string) (*pipeline.PanelArtifact, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.gets = append(c.gets, key)
+	return nil, false
+}
+
+func (c *countingPanelCache) Put(string, *pipeline.PanelArtifact) {}
+
+func (c *countingPanelCache) Contains(string) bool { return false }
+
+// TestPanelKeysOnlyWhenRead checks that keying a panel only when its key
+// is read changes no result. OptimizePinAccess, which reads no key, the
+// same call with a panel cache, and Run's pin-opt stage, which returns
+// the keyed artifacts, give identical reports and seeds at every worker
+// count; the cache sees one lookup per non-empty panel, and Run's
+// artifacts carry the keys, each the one PanelKeyFor gives.
+func TestPanelKeysOnlyWhenRead(t *testing.T) {
+	d := mustGenerate(t, determinismSpecs[1])
+	idx := d.BuildTrackIndex()
+	var wantKeys []string
+	for p := 0; p < d.NumPanels(); p++ {
+		if len(idx.PinsInPanel(p)) > 0 {
+			wantKeys = append(wantKeys, pipeline.PanelKeyFor(d, idx, p, solverConfig(Options{})))
+		}
+	}
+	sortedKeys := slices.Clone(wantKeys)
+	slices.Sort(sortedKeys)
+	for _, workers := range determinismWorkers {
+		opts := Options{Workers: workers}
+		rep, seeds, err := OptimizePinAccess(d, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pc := &countingPanelCache{}
+		cachedRep, cachedSeeds, err := OptimizePinAccess(d, Options{Workers: workers, PanelCache: pc})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runRep, runSeeds, arts, _, err := optimizePanels(context.Background(), d, opts, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, wantSeeds := reportFingerprint(rep), seedHashes(seeds)
+		for name, got := range map[string]struct {
+			rep   *PinOptReport
+			seeds []PanelSeed
+		}{"with a panel cache": {cachedRep, cachedSeeds}, "Run's pin-opt stage": {runRep, runSeeds}} {
+			if !reflect.DeepEqual(reportFingerprint(got.rep), want) || !slices.Equal(seedHashes(got.seeds), wantSeeds) {
+				t.Errorf("workers=%d: %s differs from OptimizePinAccess without one", workers, name)
+			}
+		}
+		slices.Sort(pc.gets)
+		if !slices.Equal(pc.gets, sortedKeys) {
+			t.Errorf("workers=%d: the panel cache saw %d lookups, want one per non-empty panel (%d) under PanelKeyFor's key",
+				workers, len(pc.gets), len(sortedKeys))
+		}
+		var runKeys []string
+		for _, art := range arts.Panels {
+			runKeys = append(runKeys, art.Key)
+		}
+		if !slices.Equal(runKeys, wantKeys) {
+			t.Errorf("workers=%d: Run's artifacts carry keys %v, want %v", workers, runKeys, wantKeys)
+		}
+	}
 }
 
 // TestRunDeterministicAcrossWorkers runs the full CPR flow (optimization

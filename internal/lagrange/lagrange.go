@@ -32,6 +32,7 @@ import (
 	"sync"
 
 	"cpr/internal/assign"
+	"cpr/internal/pinaccess"
 )
 
 // Config tunes the LR solver. Zero values take the paper's defaults.
@@ -249,8 +250,8 @@ func (ws *workspace) solve(m *assign.Model, cfg Config) Result {
 // index, the iteration state, the working solutions, and the scratch of
 // refine and postImprove. Solve takes one from workspacePool. Every
 // slice is resized and overwritten or cleared before it is read, and a
-// workspace back in the pool holds nothing of a model: its own maps and
-// slices hold only numbers.
+// workspace back in the pool holds nothing of a model: its own maps,
+// slices and pin numbering hold only numbers.
 type workspace struct {
 	sub subproblem
 	// Solve's iteration state.
@@ -260,7 +261,7 @@ type workspace struct {
 	sols [2]assign.Solution
 	// newSubproblem's pin numbering, union-find parents, group numbers
 	// and group sizes.
-	dense                    map[int]int32
+	dense                    pinaccess.PinNumbering
 	parent, groupOf, ivCount []int32
 	// refine's and postImprove's selection, a conflict set's selected
 	// members, pins per interval and per-set selection counts.
@@ -443,24 +444,25 @@ func (ws *workspace) newSubproblem(m *assign.Model, cfg Config) *subproblem {
 	s.ivPinStart = grow(s.ivPinStart, n+1)
 	s.ivPinStart[0] = 0
 	s.ivPins = s.ivPins[:0]
-	if ws.dense == nil {
-		ws.dense = make(map[int]int32, m.NumPins())
-	}
-	dense := ws.dense
-	clear(dense)
+	// A model does not know its design's pin count, so the numbering is
+	// sized from the largest pin ID the intervals cover.
+	maxPin := -1
 	for i := range ivs {
 		for _, pid := range ivs[i].PinIDs {
-			d, ok := dense[pid]
-			if !ok {
-				d = int32(len(dense))
-				dense[pid] = d
-			}
-			s.ivPins = append(s.ivPins, d)
+			maxPin = max(maxPin, pid)
+		}
+	}
+	dense := &ws.dense
+	dense.Reset(maxPin + 1)
+	for i := range ivs {
+		for _, pid := range ivs[i].PinIDs {
+			s.ivPins = append(s.ivPins, dense.Add(pid))
 		}
 		s.ivPinStart[i+1] = int32(len(s.ivPins))
 	}
+	numPins := len(dense.Pins)
 
-	ws.parent = grow(ws.parent, len(dense))
+	ws.parent = grow(ws.parent, numPins)
 	parent := ws.parent
 	for p := range parent {
 		parent[p] = int32(p)
@@ -483,7 +485,7 @@ func (ws *workspace) newSubproblem(m *assign.Model, cfg Config) *subproblem {
 
 	// Number the groups by their lowest interval and count their
 	// intervals; then lay the intervals out group by group.
-	ws.groupOf = cleared(ws.groupOf, len(dense)) // root pin -> group + 1
+	ws.groupOf = cleared(ws.groupOf, numPins) // root pin -> group + 1
 	groupOf := ws.groupOf
 	s.ivGroup = grow(s.ivGroup, n) // interval -> group, -1 if pinless
 	counts := ws.ivCount[:0]
@@ -522,7 +524,7 @@ func (ws *workspace) newSubproblem(m *assign.Model, cfg Config) *subproblem {
 			next[g]++
 		}
 	}
-	s.stamp = cleared(s.stamp, len(dense))
+	s.stamp = cleared(s.stamp, numPins)
 	s.gen = 0
 	nsets := len(m.Conflicts.Sets)
 	s.memberOf = m.Conflicts.MemberOf

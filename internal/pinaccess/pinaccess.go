@@ -25,7 +25,10 @@
 // merge's scratch, and a candidate tests only the same-net pins on its
 // track, listed once per (pin, track). Interval IDs are assigned by a
 // serial merge that replays the candidates in canonical (pin, track)
-// order, one cursor per track, deduplicating on (net, track, span): a
+// order, one cursor per track. It drops a candidate that repeats an
+// earlier one's (net, track, span) without hashing: a candidate of pin p
+// repeats one exactly when it covers a requested same-net pin below p,
+// which enumerated the same span first (see GenerateWithOptions). A
 // candidate covers exactly the same-net pins inside its span, so a
 // duplicate can only contribute its minimum-interval mark. The produced
 // Set is therefore byte-identical for every worker count, including the
@@ -165,18 +168,22 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	}
 	s.Intervals = make([]Interval, 0, numCands)
 	pinArena := make([]int, 0, numCovered)
-	// Deduplicate on (net, track, span). A candidate covers exactly the
-	// same-net pins on its track inside its span, so equal keys cover
-	// equal pins and only the minimum-interval mark can merge.
-	if sc.seen == nil {
-		sc.seen = make(map[dedupKey]int, numCands)
+	// A candidate of pin pid repeats an earlier (net, track, span) exactly
+	// when it covers a requested same-net pin below pid, which enumerated
+	// the same span first, so the merge needs no map. The proof (DESIGN.md
+	// §4b) holds for regular pins and for a minimum interval only if it
+	// covers no other pin; otherwise a backward scan settles the case.
+	requested := &sc.pins
+	requested.Reset(len(d.Pins))
+	allRegular := true
+	for _, pid := range s.PinIDs {
+		requested.Add(pid)
+		allRegular = allRegular && regular(d, idx, pid)
 	}
-	seen := sc.seen
-	clear(seen)
 	prev := -1
 	for _, pid := range s.PinIDs {
 		if pid == prev {
-			continue // a duplicate request replays only dedup hits
+			continue // the shards enumerated each pin once
 		}
 		prev = pid
 		pin := &d.Pins[pid]
@@ -185,34 +192,38 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 			cands := sh.cands[sh.start[sh.cursor]:sh.start[sh.cursor+1]]
 			sh.cursor++
 			for _, c := range cands {
-				k := dedupKey{pin.NetID, t, c.span.Lo, c.span.Hi}
-				if id, ok := seen[k]; ok {
-					if iv := &s.Intervals[id]; c.minFor >= 0 && iv.MinForPin < 0 {
-						iv.MinForPin = c.minFor
+				covered := sh.covered[c.lo:c.hi]
+				if coversEarlier(requested, covered, pid) {
+					if allRegular && c.minFor < 0 {
+						continue // a duplicate with no mark to merge
 					}
-					continue
+					if id := s.find(pin.NetID, t, c.span); id >= 0 {
+						if iv := &s.Intervals[id]; c.minFor >= 0 && iv.MinForPin < 0 {
+							iv.MinForPin = c.minFor
+						}
+						continue
+					}
 				}
-				id := len(s.Intervals)
 				lo := len(pinArena)
-				pinArena = append(pinArena, sh.covered[c.lo:c.hi]...)
+				pinArena = append(pinArena, covered...)
 				s.Intervals = append(s.Intervals, Interval{
-					ID:        id,
+					ID:        len(s.Intervals),
 					NetID:     pin.NetID,
 					Track:     t,
 					Span:      c.span,
 					PinIDs:    pinArena[lo:len(pinArena):len(pinArena)],
 					MinForPin: c.minFor,
 				})
-				seen[k] = id
 			}
 		}
 	}
-	s.ByPin = sc.indexByPin(s.Intervals, len(s.PinIDs))
+	s.ByPin = sc.indexByPin(s.Intervals, len(d.Pins))
 
 	// Every requested pin must have at least one interval (its minimum);
 	// otherwise the panel is unroutable and Theorem 1 is violated.
+	// indexByPin left the covered pins numbered in sc.pins.
 	for _, pid := range s.PinIDs {
-		if len(s.ByPin[pid]) == 0 {
+		if !sc.pins.Has(pid) {
 			return nil, fmt.Errorf("pinaccess: pin %q has no access interval (fully blocked)",
 				d.Pins[pid].Name)
 		}
@@ -220,30 +231,58 @@ func GenerateWithOptions(d *design.Design, idx *design.TrackIndex, pinIDs []int,
 	return s, nil
 }
 
+// regular reports whether pin pid's x span is non-empty and lies inside
+// the grid and its net's box, as design.Validate ensures for every pin:
+// then its maximum span is its free span clipped to the box, and the
+// merge's duplicate rule holds for its candidates.
+func regular(d *design.Design, idx *design.TrackIndex, pid int) bool {
+	pin := &d.Pins[pid]
+	x := pin.Shape.XSpan()
+	return !x.Empty() && x.Lo >= 0 && x.Hi < d.Width &&
+		idx.NetBBox(pin.NetID).XSpan().ContainsInterval(x)
+}
+
+// coversEarlier reports whether covered, ascending, holds a requested pin
+// below pid.
+func coversEarlier(requested *PinNumbering, covered []int, pid int) bool {
+	for _, q := range covered {
+		if q >= pid {
+			return false
+		}
+		if requested.Has(q) {
+			return true
+		}
+	}
+	return false
+}
+
+// find returns the ID of the interval of net on track with the given
+// span, or -1. The merge calls it only for the rare candidate its
+// duplicate rule cannot settle.
+func (s *Set) find(net, track int, span geom.Interval) int {
+	for id := len(s.Intervals) - 1; id >= 0; id-- {
+		if iv := &s.Intervals[id]; iv.Span == span && iv.Track == track && iv.NetID == net {
+			return id
+		}
+	}
+	return -1
+}
+
 // indexByPin builds S_j: for every covered pin, the IDs of the intervals
-// covering it, ascending. The lists are capacity-clipped windows of one
-// arena, filled in ascending interval order; the map and the arena are
-// the only storage that outlives the call.
+// covering it, ascending. The pins, whose IDs lie below numPins, are
+// numbered in order of first appearance in sc.pins; the lists are
+// capacity-clipped windows of one arena, laid out in that order and
+// filled in ascending interval order. The map and the arena are the only
+// storage that outlives the call.
 func (sc *scratch) indexByPin(ivs []Interval, numPins int) map[int][]int {
-	total := 0
-	for i := range ivs {
-		total += len(ivs[i].PinIDs)
-	}
-	if sc.dense == nil {
-		sc.dense = make(map[int]int32, numPins)
-	}
-	dense := sc.dense // pin -> index into pins and ends
-	clear(dense)
-	pins := sc.pins[:0]
-	ends := sc.ends[:0]
-	entries := slices.Grow(sc.entries[:0], total) // each covering's dense pin index, in interval order
+	nb := &sc.pins
+	nb.Reset(numPins)
+	ends := sc.ends[:0] // pin number -> covering count, then window bounds
+	entries := sc.entries[:0]
 	for i := range ivs {
 		for _, pid := range ivs[i].PinIDs {
-			k, ok := dense[pid]
-			if !ok {
-				k = int32(len(pins))
-				dense[pid] = k
-				pins = append(pins, pid)
+			k := nb.Add(pid)
+			if int(k) == len(ends) {
 				ends = append(ends, 0)
 			}
 			ends[k]++
@@ -256,7 +295,7 @@ func (sc *scratch) indexByPin(ivs []Interval, numPins int) map[int][]int {
 		ends[k] = off
 		off += n
 	}
-	arena := make([]int, total)
+	arena := make([]int, len(entries))
 	e := 0
 	for i := range ivs {
 		for range ivs[i].PinIDs {
@@ -266,14 +305,52 @@ func (sc *scratch) indexByPin(ivs []Interval, numPins int) map[int][]int {
 			e++
 		}
 	}
-	sc.pins, sc.ends, sc.entries = pins, ends, entries
-	byPin := make(map[int][]int, len(pins))
+	sc.ends, sc.entries = ends, entries
+	byPin := make(map[int][]int, len(nb.Pins))
 	lo := 0
-	for k, pid := range pins {
+	for k, pid := range nb.Pins {
 		byPin[pid] = arena[lo:ends[k]:ends[k]]
 		lo = ends[k]
 	}
 	return byPin
+}
+
+// PinNumbering numbers pin IDs densely, 0, 1, 2, ... in the order Add
+// first sees them, without hashing. It is a sparse set: num[p] is pin
+// p's number only while Pins holds p there, so Reset clears nothing and
+// a reused numbering allocates only for a larger pin ID bound. It holds
+// only integers.
+type PinNumbering struct {
+	// Pins lists the numbered pins: pin Pins[k] has number k.
+	Pins []int
+	num  []int32
+}
+
+// Reset empties the numbering and readies it for pin IDs in [0, n).
+func (nb *PinNumbering) Reset(n int) {
+	nb.Pins = nb.Pins[:0]
+	if n > len(nb.num) {
+		// An eighth more absorbs the small rises of a bound that varies
+		// from call to call, as LR's largest pin ID does from panel to
+		// panel.
+		nb.num = make([]int32, n+n/8)
+	}
+}
+
+// Add returns pin p's number, numbering it first if it has none. p must
+// lie in the range given to Reset.
+func (nb *PinNumbering) Add(p int) int32 {
+	if !nb.Has(p) {
+		nb.num[p] = int32(len(nb.Pins))
+		nb.Pins = append(nb.Pins, p)
+	}
+	return nb.num[p]
+}
+
+// Has reports whether pin p, in the range given to Reset, is numbered.
+func (nb *PinNumbering) Has(p int) bool {
+	k := nb.num[p]
+	return int(k) < len(nb.Pins) && nb.Pins[k] == p
 }
 
 // candidate is one enumerated pin access interval before ID assignment.
@@ -299,20 +376,13 @@ type trackShard struct {
 	lefts, rights, same []int
 }
 
-// dedupKey identifies a deduplicated interval: equal keys cover equal
-// pins (see GenerateWithOptions).
-type dedupKey struct {
-	net, track, lo, hi int
-}
-
 // scratch is everything one generation builds and discards: the track
-// shards, the merge's dedup map and indexByPin's dense numbering. It
-// holds only integers, so the set a generation returns never aliases it.
+// shards, the pin numbering that holds the merge's requested pins and
+// then indexByPin's numbering, and indexByPin's buffers. It holds only
+// integers, so the set a generation returns never aliases it.
 type scratch struct {
 	shards  []trackShard
-	seen    map[dedupKey]int
-	dense   map[int]int32
-	pins    []int
+	pins    PinNumbering
 	ends    []int
 	entries []int32
 }

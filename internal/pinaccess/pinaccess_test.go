@@ -358,11 +358,12 @@ func TestConcurrentGenerationsShareThePool(t *testing.T) {
 	wg.Wait()
 }
 
-// TestDuplicateSpanMergesMinimumMark covers the one merge a dedup hit can
+// TestDuplicateSpanMergesMinimumMark covers the one merge a duplicate can
 // make. Pin q's minimum interval repeats a cut-line span generated
 // earlier for pin p, which needs q to enclose p on the track: overlapping
-// pins, so the design is built without Validate. The kept interval must
-// cover both pins and carry q's minimum mark.
+// pins, so the design is built without Validate. The kept interval, which
+// the merge finds by a backward scan, must cover both pins and carry q's
+// minimum mark.
 func TestDuplicateSpanMergesMinimumMark(t *testing.T) {
 	d := design.New("overlap", 12, 2, tech.Default())
 	a, b := d.AddNet("a"), d.AddNet("b")

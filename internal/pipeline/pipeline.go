@@ -66,7 +66,8 @@ type PanelArtifact struct {
 	// Panel is the panel index the artifact was produced for.
 	Panel int
 	// Key is the content address of the panel's inputs plus the solver
-	// fingerprint (see PanelKeyFor); empty when the run was uncacheable.
+	// fingerprint (see PanelKeyFor); empty when the run was uncacheable
+	// or read no key.
 	Key string
 	// Intervals is the stage-1 artifact.
 	Intervals *IntervalSet

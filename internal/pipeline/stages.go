@@ -122,12 +122,20 @@ func warmBits(x []bool) string {
 }
 
 // PanelKeyFor returns the content address of panel p's artifacts under
-// the given solver fingerprint, or "" when the config is uncacheable.
+// the given solver config, or "" when the config is uncacheable.
 func PanelKeyFor(d *design.Design, idx *design.TrackIndex, panel int, cfg SolverConfig) string {
 	if !cfg.Cacheable() {
 		return ""
 	}
-	return cache.PanelKey(PanelHash(d, idx, panel), cfg.Fingerprint())
+	return PanelKeyWith(d, idx, panel, cfg.Fingerprint())
+}
+
+// PanelKeyWith returns the content address of panel p's artifacts under
+// fingerprint, the Fingerprint of a cacheable config: PanelKeyFor for a
+// caller that keys many panels under one config and renders its
+// fingerprint once.
+func PanelKeyWith(d *design.Design, idx *design.TrackIndex, panel int, fingerprint string) string {
+	return cache.PanelKey(PanelHash(d, idx, panel), fingerprint)
 }
 
 // GenerateStage runs stage 1 for one panel: track-based interval
@@ -212,10 +220,11 @@ func AssignStage(ctx context.Context, m *ConflictModel, cfg SolverConfig) (*Assi
 
 // SolvePanel runs the three stages over panel p's pins end to end and
 // bundles the result as a PanelArtifact under key, which must be
-// PanelKeyFor(d, idx, panel, cfg): callers compute it first for their
-// cache lookups. When the context carries a telemetry tracer/registry
-// each stage gets a child span and a cpr_stage_seconds observation; with
-// neither present the overhead is a few nil checks.
+// PanelKeyFor(d, idx, panel, cfg) when anything reads the artifact's
+// key: callers compute it first for their cache lookups. When the
+// context carries a telemetry tracer/registry each stage gets a child
+// span and a cpr_stage_seconds observation; with neither present the
+// overhead is a few nil checks.
 //
 //keypurity:entry stage
 func SolvePanel(ctx context.Context, d *design.Design, idx *design.TrackIndex, panel int, key string, cfg SolverConfig, workers int) (*PanelArtifact, error) {

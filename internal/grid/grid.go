@@ -91,21 +91,20 @@ func New(d *design.Design) *Graph {
 	return g
 }
 
-// markForbiddenVias flags via positions whose landing pad would sit next
-// to a blocked cell on the upper via layer (M2 for V1, M3 for V2), in the
-// layer's routing direction — the situation where the mandatory line-end
-// extension cannot be printed.
+// markForbiddenVias flags via positions with a landing pad next to a
+// blocked cell on a wire layer, in that layer's routing direction: the
+// situation where the mandatory line-end extension cannot be printed.
+// Each via has two landings, and the strip ending at each one is
+// extended: V1 lands on M2 (M1 carries no wires), V2 on M2 and on M3.
 func (g *Graph) markForbiddenVias() {
 	for y := 0; y < g.H; y++ {
 		for x := 0; x < g.W; x++ {
-			// V1 lands on M2 (horizontal): check x neighbours.
-			if g.isBlockedAt(x-1, y, tech.M2) || g.isBlockedAt(x+1, y, tech.M2) {
-				g.forbiddenVia[0][y*g.W+x] = true
-			}
-			// V2 lands on M3 (vertical): check y neighbours.
-			if g.isBlockedAt(x, y-1, tech.M3) || g.isBlockedAt(x, y+1, tech.M3) {
-				g.forbiddenVia[1][y*g.W+x] = true
-			}
+			// M2 (horizontal) landings: check x neighbours.
+			m2 := g.isBlockedAt(x-1, y, tech.M2) || g.isBlockedAt(x+1, y, tech.M2)
+			// M3 (vertical) landing: check y neighbours.
+			m3 := g.isBlockedAt(x, y-1, tech.M3) || g.isBlockedAt(x, y+1, tech.M3)
+			g.forbiddenVia[0][y*g.W+x] = m2
+			g.forbiddenVia[1][y*g.W+x] = m2 || m3
 		}
 	}
 }

@@ -143,18 +143,35 @@ func TestHistory(t *testing.T) {
 }
 
 func TestForbiddenViaNearBlockage(t *testing.T) {
-	g := New(testDesign(t))
-	// Blockage on M2 at x [10,11], y [5,6]. V1 at (9,5) has blocked
-	// neighbour (10,5) on M2 -> forbidden.
-	if !g.ForbiddenVia(9, 5, 0) {
-		t.Error("V1 adjacent to M2 blockage should be forbidden")
+	d := testDesign(t)
+	// Beside the M2 blockage at x [10,11], y [5,6], add an M3 blockage
+	// at x 4, y [7,8].
+	d.AddBlockage(tech.M3, geom.MakeRect(4, 7, 4, 8))
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if g.ForbiddenVia(5, 5, 0) {
-		t.Error("V1 far from blockages should be normal cost")
-	}
-	// V2 lands on M3, which has no blockage.
-	if g.ForbiddenVia(9, 5, 1) {
-		t.Error("V2 above an M2 blockage's neighbour should be normal cost")
+	g := New(d)
+	// A via is forbidden when a landing has a blocked neighbour along
+	// its layer's direction: x on M2 (V1's landing and V2's lower one),
+	// y on M3 (V2's upper one).
+	for _, c := range []struct {
+		name       string
+		x, y, zLow int
+		want       bool
+	}{
+		{"V1 beside the M2 blockage", 9, 5, 0, true},
+		{"V2 beside the M2 blockage (its M2 landing)", 9, 5, 1, true},
+		{"V2 below the M3 blockage (its M3 landing)", 4, 6, 1, true},
+		{"V2 above the M3 blockage", 4, 9, 1, true},
+		{"V1 below the M3 blockage: it lands on M2 only", 4, 6, 0, false},
+		{"V2 beside the M3 blockage, across M3's direction", 5, 7, 1, false},
+		{"V2 above the M2 blockage, across M2's direction", 10, 4, 1, false},
+		{"V1 far from blockages", 5, 5, 0, false},
+		{"V2 far from blockages", 5, 5, 1, false},
+	} {
+		if got := g.ForbiddenVia(c.x, c.y, c.zLow); got != c.want {
+			t.Errorf("%s: ForbiddenVia(%d, %d, %d) = %v, want %v", c.name, c.x, c.y, c.zLow, got, c.want)
+		}
 	}
 }
 

@@ -326,6 +326,10 @@ type Router struct {
 	// release/bookkeeping). Read-only once routing starts, so concurrent
 	// region shards may share it.
 	seededNodes [][]grid.NodeID
+
+	// tie ranks the path search's entries of equal key. Production
+	// leaves it zero; tests set it to route under other tie orders.
+	tie tieRank
 }
 
 // New creates a router over a validated design and its grid. The

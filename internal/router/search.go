@@ -2,7 +2,9 @@ package router
 
 import (
 	"fmt"
+	"math"
 
+	"cpr/internal/geom"
 	"cpr/internal/grid"
 	"cpr/internal/tech"
 )
@@ -25,19 +27,24 @@ func (sw searchWindow) local(x, y, z int) int {
 
 func (sw searchWindow) size() int { return sw.w * sw.h * tech.NumLayers }
 
-// heapItem is a search frontier entry (lazy-deletion Dijkstra): a
-// tentative distance and the window-local index it was pushed for.
+// heapItem is a search frontier entry (lazy-deletion A*): its key
+// f = g + h and the window-local slot it was pushed for.
 type heapItem struct {
-	dist float64
+	key  float64
 	node int32
 }
 
-// searchHeap is a binary min-heap of frontier entries ordered by dist.
+// searchHeap is a binary min-heap of frontier entries ordered by key.
 // push and pop make container/heap's up and down sifts comparison for
-// comparison, so entries of equal distance leave in exactly the order
+// comparison, so entries of equal key leave in exactly the order
 // container/heap gives them and the array after every operation equals
-// container/heap's. Routes depend on that tie order byte for byte
-// (TestRoutedBytesGolden in internal/core pins it).
+// container/heap's.
+//
+// Which of several equal entries leaves first is not part of the
+// search's contract. Routed bytes follow the heap's choice
+// (TestRoutedBytesGolden pins them), but routability does not:
+// TestRoutabilityIndependentOfTieOrder routes under FIFO, LIFO and
+// shuffled orders too (tieRank).
 //
 // Both sifts move a hole instead of swapping: the moving entry is held
 // aside and written once, at its final index.
@@ -48,7 +55,7 @@ func (h *searchHeap) push(it heapItem) {
 	j := len(q) - 1
 	for j > 0 {
 		i := (j - 1) / 2 // parent
-		if !(it.dist < q[i].dist) {
+		if !(it.key < q[i].key) {
 			break
 		}
 		q[j] = q[i]
@@ -73,9 +80,9 @@ func (h *searchHeap) pop() heapItem {
 		// depends on the data, so the choice is a flag added to the
 		// index, not a branch mispredicted about half the time.
 		if r := j + 1; r < n {
-			j += b2i(q[r].dist < q[j].dist)
+			j += b2i(q[r].key < q[j].key)
 		}
-		if !(q[j].dist < last.dist) {
+		if !(q[j].key < last.key) {
 			break
 		}
 		q[i] = q[j]
@@ -132,12 +139,22 @@ const blockedDist = -1
 
 // searchSlot is one window node's search state. Its fields sit together
 // because a relaxation reads seen and dist, and a push writes all four.
+// dist is g, the cost of the best path found from a source.
 type searchSlot struct {
 	dist float64
 	seen uint32
 	prev int32 // predecessor slot, -2 for a source
 	at   xyz   // the node's grid coordinates
 }
+
+// tieRank reorders entries of equal key without a second comparison in
+// the heap: push writes a rank, the shard's push count times mul, xor
+// xor, into the key bits under mask, its lowest mantissa bits. Keys that
+// agree above the mask, equal ones included, then leave in rank order.
+// The zero value, the only one production uses, leaves every key whole.
+// A rank compared after the key instead cost about a fifth of the heap's
+// time.
+type tieRank struct{ mask, mul, xor uint64 }
 
 // searchScratch is one shard's reusable search state: scratch reserved
 // once and reused by every search, as VPR's Incremental_reroute_resources
@@ -155,6 +172,12 @@ type searchScratch struct {
 	target []uint32
 	gen    uint32
 	heap   searchHeap
+	// goal is the bounding box of the search's in-window targets and
+	// hWire the wire cost, or 0 when no target lies in the window: h is
+	// hWire times the Manhattan distance from (x, y) to goal.
+	goal  geom.Rect
+	hWire float64
+	tie   tieRank
 	// path holds the last path found; search returns it, valid until
 	// the shard's next search.
 	path []grid.NodeID
@@ -184,15 +207,30 @@ func (sc *searchScratch) begin(size int) {
 	sc.work.Searches++
 }
 
-// push records d as slot li's tentative distance, reached from slot
-// from, unless the slot already holds a distance no greater.
-func (sc *searchScratch) push(li int32, at xyz, d float64, from int32) {
+// h is the A* heuristic at (x, y): the wire cost times the Manhattan
+// distance to the targets' bounding box. It is consistent: a wire step
+// costs at least the wire cost and moves the distance by at most one,
+// and a via leaves (x, y), and with it h, unchanged.
+func (sc *searchScratch) h(x, y int) float64 {
+	b := sc.goal
+	return sc.hWire * float64(max(b.X0-x, 0, x-b.X1)+max(b.Y0-y, 0, y-b.Y1))
+}
+
+// push records g as the tentative distance of slot li, node (x, y, z),
+// reached from slot from, unless the slot already holds a distance no
+// greater, and queues the slot under the key g + h.
+func (sc *searchScratch) push(li int32, x, y, z int, g float64, from int32) {
 	sl := &sc.slots[li]
-	if sl.seen == sc.gen && d >= sl.dist {
+	if sl.seen == sc.gen && g >= sl.dist {
 		return
 	}
-	*sl = searchSlot{dist: d, seen: sc.gen, prev: from, at: at}
-	sc.heap.push(heapItem{dist: d, node: li})
+	*sl = searchSlot{dist: g, seen: sc.gen, prev: from, at: packXYZ(x, y, z)}
+	key := g + sc.h(x, y)
+	if t := sc.tie; t.mask != 0 {
+		rank := (uint64(sc.work.Pushes)*t.mul ^ t.xor) & t.mask
+		key = math.Float64frombits(math.Float64bits(key)&^t.mask | rank)
+	}
+	sc.heap.push(heapItem{key: key, node: li})
 	sc.work.Pushes++
 }
 
@@ -395,12 +433,16 @@ func (nc *nodeCoster) cost(id grid.NodeID, x, y, z int) float64 {
 	return c
 }
 
-// search runs multi-source Dijkstra from the tree nodes to any target
-// node, restricted to the window and to nodes enterable by netID. The
-// node cost combines the technology edge cost with PathFinder history and
-// present congestion penalties. It returns the path from a source to the
-// reached target (inclusive), held in the shard's scratch and valid until
-// its next search, so a search on the shard's warmed scratch allocates
+// search runs multi-source A* from the tree nodes to any target node,
+// restricted to the window and to nodes enterable by netID. The node
+// cost combines the technology edge cost with PathFinder history and
+// present congestion penalties, and the heuristic is the wire cost times
+// the Manhattan distance to the bounding box of the in-window targets.
+// The heuristic is consistent, so the first target popped ends a
+// cheapest path, as under Dijkstra; among paths of equal cost the search
+// may pick another. It returns the path from a source to the reached
+// target (inclusive), held in the shard's scratch and valid until its
+// next search, so a search on the shard's warmed scratch allocates
 // nothing.
 func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	win searchWindow, presFac float64) ([]grid.NodeID, bool) {
@@ -409,12 +451,20 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		return nil, false
 	}
 	g := s.g
+	p := s.engine()
 	sc := &s.scratch
 	sc.begin(win.size())
+	sc.tie = s.tie
+	sc.goal = geom.Rect{X0: 1, X1: 0} // empty
 	for _, t := range targets {
 		if x, y, z := g.Coords(t); win.contains(x, y) {
 			sc.target[win.local(x, y, z)] = sc.gen
+			sc.goal = sc.goal.Union(geom.MakeRect(x, y, x, y))
 		}
+	}
+	sc.hWire = 0
+	if !sc.goal.Empty() {
+		sc.hWire = float64(p.wire)
 	}
 	for _, src := range sources {
 		x, y, z := g.Coords(src)
@@ -424,10 +474,9 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		if !g.Enterable(src, netID) {
 			continue
 		}
-		sc.push(int32(win.local(x, y, z)), packXYZ(x, y, z), 0, -2)
+		sc.push(int32(win.local(x, y, z)), x, y, z, 0, -2)
 	}
 
-	p := s.engine()
 	nc := nodeCoster{g: g, presFac: presFac, margin: p.clearance, cRadius: p.cRadius, cWeight: p.cWeight}
 	base := p.wire
 	// Neighbour slots are offsets from the popped slot: ±1 along x, ±row
@@ -440,7 +489,17 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		item := sc.heap.pop()
 		sc.work.Pops++
 		li := item.node
-		if item.dist > sc.slots[li].dist {
+		sl := &sc.slots[li]
+		x, y, z := sl.at.unpack()
+		// The entry is stale when its slot has since been reached by a
+		// cheaper path: its key, the g it was pushed with plus h, exceeds
+		// the slot's g plus h (h is fixed per slot). Keys are
+		// non-negative, so their bits order as they do. The comparison
+		// skips the bits a tie rank replaced; a stale entry that it lets
+		// through is expanded from the slot's g again, which is only
+		// wasted work.
+		d := sl.dist
+		if m := sc.tie.mask; math.Float64bits(item.key)&^m > math.Float64bits(d+sc.h(x, y))&^m {
 			sc.work.StalePops++
 			continue
 		}
@@ -448,27 +507,26 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 			goal = li
 			break
 		}
-		x, y, z := sc.slots[li].at.unpack()
 		switch z {
 		case tech.M1:
-			s.relax(&nc, netID, item, li+plane, x, y, tech.M2, p.viaCost(g, x, y, 0))
+			s.relax(&nc, netID, li, d, li+plane, x, y, tech.M2, p.viaCost(g, x, y, 0))
 		case tech.M2:
 			if x > win.x0 {
-				s.relax(&nc, netID, item, li-1, x-1, y, tech.M2, base)
+				s.relax(&nc, netID, li, d, li-1, x-1, y, tech.M2, base)
 			}
 			if x < xLast {
-				s.relax(&nc, netID, item, li+1, x+1, y, tech.M2, base)
+				s.relax(&nc, netID, li, d, li+1, x+1, y, tech.M2, base)
 			}
-			s.relax(&nc, netID, item, li-plane, x, y, tech.M1, p.viaCost(g, x, y, 0))
-			s.relax(&nc, netID, item, li+plane, x, y, tech.M3, p.viaCost(g, x, y, 1))
+			s.relax(&nc, netID, li, d, li-plane, x, y, tech.M1, p.viaCost(g, x, y, 0))
+			s.relax(&nc, netID, li, d, li+plane, x, y, tech.M3, p.viaCost(g, x, y, 1))
 		case tech.M3:
 			if y > win.y0 {
-				s.relax(&nc, netID, item, li-row, x, y-1, tech.M3, base)
+				s.relax(&nc, netID, li, d, li-row, x, y-1, tech.M3, base)
 			}
 			if y < yLast {
-				s.relax(&nc, netID, item, li+row, x, y+1, tech.M3, base)
+				s.relax(&nc, netID, li, d, li+row, x, y+1, tech.M3, base)
 			}
-			s.relax(&nc, netID, item, li-plane, x, y, tech.M2, p.viaCost(g, x, y, 1))
+			s.relax(&nc, netID, li, d, li-plane, x, y, tech.M2, p.viaCost(g, x, y, 1))
 		}
 	}
 	if goal < 0 {
@@ -512,21 +570,21 @@ func (s *shard) fitScratch(margin int) {
 }
 
 // relax offers the neighbour (nx, ny, nz) in window slot li of the
-// popped entry from, at the given edge cost.
+// popped slot from, whose distance is d, at the given edge cost.
 //
 // An offer that cannot win stops at the neighbour's slot, before the
 // enterability test and the cost. Every edge cost is at least 1
 // (tech.Validate) and every node cost at least 0 (Config.Validate), and
 // adding a non-negative term never rounds below the other operand, so
-// the offer is at least from.dist. A slot already holding a distance no
-// greater would make push reject it. A node that cannot be entered is
-// stamped with blockedDist once per search: ownership, blockages and the
-// avoid set do not change while a search runs, so the first check turns
-// away every later offer to it.
-func (s *shard) relax(nc *nodeCoster, netID int, from heapItem, li int32, nx, ny, nz, edgeCost int) {
+// the offer is at least d. A slot already holding a distance no greater
+// would make push reject it. A node that cannot be entered is stamped
+// with blockedDist once per search: ownership, blockages and the avoid
+// set do not change while a search runs, so the first check turns away
+// every later offer to it.
+func (s *shard) relax(nc *nodeCoster, netID int, from int32, d float64, li int32, nx, ny, nz, edgeCost int) {
 	sc := &s.scratch
 	sl := &sc.slots[li]
-	if sl.seen == sc.gen && sl.dist <= from.dist {
+	if sl.seen == sc.gen && sl.dist <= d {
 		return
 	}
 	g := nc.g
@@ -535,6 +593,6 @@ func (s *shard) relax(nc *nodeCoster, netID int, from heapItem, li int32, nx, ny
 		sl.seen, sl.dist = sc.gen, blockedDist
 		return
 	}
-	nd := from.dist + float64(edgeCost) + nc.cost(nid, nx, ny, nz)
-	sc.push(li, packXYZ(nx, ny, nz), nd, from.node)
+	nd := d + float64(edgeCost) + nc.cost(nid, nx, ny, nz)
+	sc.push(li, nx, ny, nz, nd, from)
 }

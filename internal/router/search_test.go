@@ -16,7 +16,7 @@ import (
 type refHeap []heapItem
 
 func (q refHeap) Len() int           { return len(q) }
-func (q refHeap) Less(i, j int) bool { return q[i].dist < q[j].dist }
+func (q refHeap) Less(i, j int) bool { return q[i].key < q[j].key }
 func (q refHeap) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *refHeap) Push(x any)        { *q = append(*q, x.(heapItem)) }
 func (q *refHeap) Pop() any {
@@ -28,16 +28,16 @@ func (q *refHeap) Pop() any {
 
 // diffHeaps replays ops on the typed heap and on container/heap, then
 // drains both. An even byte (or any byte on an empty heap) pushes an
-// entry whose distance is one of eight values, so ties are the common
-// case; an odd byte pops. Both heaps must hold the same array after
-// every operation and pop the same (dist, node) sequence.
+// entry whose key is one of eight values, so ties are the common case;
+// an odd byte pops. Both heaps must hold the same array after every
+// operation and pop the same (key, node) sequence.
 func diffHeaps(t *testing.T, ops []byte) {
 	t.Helper()
 	var typed searchHeap
 	var ref refHeap
 	for i, op := range ops {
 		if op&1 == 0 || len(typed) == 0 {
-			it := heapItem{dist: float64(op>>1&7) / 2, node: int32(i)}
+			it := heapItem{key: float64(op>>1&7) / 2, node: int32(i)}
 			typed.push(it)
 			heap.Push(&ref, it)
 		} else if got, want := typed.pop(), heap.Pop(&ref).(heapItem); got != want {
@@ -57,8 +57,9 @@ func diffHeaps(t *testing.T, ops []byte) {
 	}
 }
 
-// TestSearchHeapMatchesContainerHeap is the tie-order contract of the
-// search heap over random interleavings of pushes and pops.
+// TestSearchHeapMatchesContainerHeap holds the search heap to
+// container/heap, equal keys included, over random interleavings of
+// pushes and pops.
 func TestSearchHeapMatchesContainerHeap(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 200; trial++ {

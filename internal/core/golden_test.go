@@ -32,23 +32,23 @@ var goldenSpecs = []synth.Spec{
 // Regenerate it only for a change that is meant to move routes, and say
 // so in the change description.
 var goldenRouteHashes = map[string]string{
-	"golden-a/sadp/cpr":        "7d81164d5fb239ef4c6c15a9f0fc84afa7b81d60b6d356702429c43ae3bb2c0a",
-	"golden-a/sadp/no-pinopt":  "f4ce065c8c06982f4abb20f43bb8148d417a42ffec81dba78c477490be751932",
-	"golden-a/sadp/sequential": "e17aef82519f512443ff49495ab90d735bc47f7583687ebac40ce806a31b098c",
-	"golden-a/lele/cpr":        "d7fef5d3c455346db6a1059d14767160accb4178f9f89f5b4a6343be4711af1b",
+	"golden-a/sadp/cpr":        "fc2baa6c273890fe0ef4803f61175edc63de25601a7299d789c5186801191821",
+	"golden-a/sadp/no-pinopt":  "42bf0f33362acf5657a35c05cb839654d875cf5d185ae8ea7233e401f0e266c6",
+	"golden-a/sadp/sequential": "7e6aa21f24ef753f686d0c932723b979da7279999899fe511d05975204ec09c6",
+	"golden-a/lele/cpr":        "bd0de2c7531dc309665a2af384dee02d14123d2714e4da85438bf066a112ba35",
 	"golden-a/lele/no-pinopt":  "fdddeee87f03499f2eac2b441c79b89c323aec8d39df96994602520c023a74b6",
-	"golden-a/lele/sequential": "5568039b7286c26296dc06afc4a7a41c29f0b6bd012f9b7f921eee68d2f03b53",
-	"golden-a/tpl/cpr":         "9c8bcdf33dc48fc6263059758034df620320ef231022709fdcdb20e7d523097f",
-	"golden-a/tpl/no-pinopt":   "c2118ffb37d9e68ea41b23e8600814b19aad04510de1d767fa4594920119ce2d",
-	"golden-a/tpl/sequential":  "728b1187671fada845d69b429acde4022b859bd4aa24e9a7a626da06fc15862b",
-	"golden-b/sadp/cpr":        "b8a2c786186c180b845e3d37a58557667dbb9475be8db5031d9978141f3edefd",
-	"golden-b/sadp/no-pinopt":  "45ff12d8557187e3c69a5a4aa76dd3251121bbfc2803fabea788ec44cbcf90d4",
+	"golden-a/lele/sequential": "b2f7ddc067c4db8ca6fef394d0c78958d8d8b61e613919574e88e75ecbdef34e",
+	"golden-a/tpl/cpr":         "bdb6671a172727fffca97962b92d44372577e0e659d269af6651ee58baabe3fe",
+	"golden-a/tpl/no-pinopt":   "3c5adc802e5db403f391eb470af1e13d568e0c0f0b17daa5e09e1626a32f07cd",
+	"golden-a/tpl/sequential":  "e8c992d8ae908e0cfc3bfb00a50f65f7b738973ad9f357f6c7277b0eee3506d4",
+	"golden-b/sadp/cpr":        "696923221dc0eebd1594847010f6a843e080e16cfa6520ede8077bc4a7310c78",
+	"golden-b/sadp/no-pinopt":  "ac69da609eaf6702a23adccfb97ba7ddcd24efe5e34db7c88601db6a4f1d7896",
 	"golden-b/sadp/sequential": "3f268f1a57716e38d12955a8af7affd5175b9222d164da493bae914470e01ff9",
-	"golden-b/lele/cpr":        "f187b7df943195d8c67ed8913dab5e687e063949748c445e2a2f942b727b6965",
-	"golden-b/lele/no-pinopt":  "995332673c0e98aa1498dd6bf6decd16eae2d73a3f984d724e98761b4ac8b25f",
+	"golden-b/lele/cpr":        "0890fe64dbd53cfbbb501a07a557d8069466d218ca9988f5174d07cd1b2380b5",
+	"golden-b/lele/no-pinopt":  "5a41a34b69f2a961aba941de69875be262836b29eab657a9355873fb088d6aa0",
 	"golden-b/lele/sequential": "f3c5155c9e52333866e778488f54a05b7ced7aad4fc1c6156ed39c89abe77fa2",
-	"golden-b/tpl/cpr":         "852af5cf5a2f001bd6a3b90162c40fbc9c2855b50d2ac08ecc312bd44ffb2d18",
-	"golden-b/tpl/no-pinopt":   "c67dec09b97f871a35ce17ae5646df7b5395b0aaba593d68f0777b4c100fd2bf",
+	"golden-b/tpl/cpr":         "fcfb96fdc3c55fdcb691f5c9dc7d5d4d85aa078420fa894086ae70fb8d76e09c",
+	"golden-b/tpl/no-pinopt":   "c35461050411f5b3137ca70a3adb5cc24bdecc9909273f0884d0675fb83ff334",
 	"golden-b/tpl/sequential":  "4bb23f901fabbe703b93e038d8129d8503b0af2f4d3a7235caf27f9f39d45cbe",
 }
 
@@ -56,27 +56,27 @@ var goldenRouteHashes = map[string]string{
 // Routed bytes cannot tell a search that pops a different sequence but
 // lands on the same path from the recorded one; equal counters show that
 // a search optimization dropped only offers the frontier would have
-// rejected anyway. The values were recorded when the search became A*;
-// they change only with the routes.
+// rejected anyway. The values were recorded when the A* frontier became
+// a radix queue; they change only with the routes.
 var goldenSearchWork = map[string]router.SearchStats{
-	"golden-a/sadp/cpr":        {Searches: 244, Pushes: 63321, Pops: 48057, StalePops: 1662},
-	"golden-a/sadp/no-pinopt":  {Searches: 258, Pushes: 61853, Pops: 43286, StalePops: 1343},
-	"golden-a/sadp/sequential": {Searches: 318, Pushes: 238331, Pops: 225272, StalePops: 5962},
-	"golden-a/lele/cpr":        {Searches: 518, Pushes: 346724, Pops: 279530, StalePops: 6458},
-	"golden-a/lele/no-pinopt":  {Searches: 384, Pushes: 180868, Pops: 130484, StalePops: 3579},
-	"golden-a/lele/sequential": {Searches: 353, Pushes: 247315, Pops: 234362, StalePops: 5658},
-	"golden-a/tpl/cpr":         {Searches: 269, Pushes: 107185, Pops: 85263, StalePops: 2742},
-	"golden-a/tpl/no-pinopt":   {Searches: 340, Pushes: 133966, Pops: 101551, StalePops: 3145},
-	"golden-a/tpl/sequential":  {Searches: 318, Pushes: 238331, Pops: 225272, StalePops: 5962},
-	"golden-b/sadp/cpr":        {Searches: 362, Pushes: 124307, Pops: 85563, StalePops: 1787},
-	"golden-b/sadp/no-pinopt":  {Searches: 353, Pushes: 127239, Pops: 84073, StalePops: 1807},
-	"golden-b/sadp/sequential": {Searches: 307, Pushes: 183944, Pops: 170648, StalePops: 3614},
-	"golden-b/lele/cpr":        {Searches: 583, Pushes: 441789, Pops: 321308, StalePops: 5912},
-	"golden-b/lele/no-pinopt":  {Searches: 541, Pushes: 343848, Pops: 227246, StalePops: 4514},
-	"golden-b/lele/sequential": {Searches: 312, Pushes: 153478, Pops: 141948, StalePops: 2440},
-	"golden-b/tpl/cpr":         {Searches: 335, Pushes: 129687, Pops: 93929, StalePops: 2996},
-	"golden-b/tpl/no-pinopt":   {Searches: 410, Pushes: 239489, Pops: 171727, StalePops: 4182},
-	"golden-b/tpl/sequential":  {Searches: 307, Pushes: 183944, Pops: 170648, StalePops: 3614},
+	"golden-a/sadp/cpr":        {Searches: 258, Pushes: 79787, Pops: 61877, StalePops: 2001},
+	"golden-a/sadp/no-pinopt":  {Searches: 258, Pushes: 64403, Pops: 45767, StalePops: 1805},
+	"golden-a/sadp/sequential": {Searches: 318, Pushes: 241053, Pops: 228343, StalePops: 6177},
+	"golden-a/lele/cpr":        {Searches: 519, Pushes: 354187, Pops: 284186, StalePops: 5389},
+	"golden-a/lele/no-pinopt":  {Searches: 384, Pushes: 183304, Pops: 132603, StalePops: 3557},
+	"golden-a/lele/sequential": {Searches: 353, Pushes: 249981, Pops: 237088, StalePops: 5740},
+	"golden-a/tpl/cpr":         {Searches: 269, Pushes: 107606, Pops: 85818, StalePops: 2618},
+	"golden-a/tpl/no-pinopt":   {Searches: 340, Pushes: 135848, Pops: 103507, StalePops: 3318},
+	"golden-a/tpl/sequential":  {Searches: 318, Pushes: 241053, Pops: 228343, StalePops: 6177},
+	"golden-b/sadp/cpr":        {Searches: 322, Pushes: 101172, Pops: 69605, StalePops: 1797},
+	"golden-b/sadp/no-pinopt":  {Searches: 351, Pushes: 128817, Pops: 85661, StalePops: 2219},
+	"golden-b/sadp/sequential": {Searches: 307, Pushes: 187016, Pops: 173332, StalePops: 4261},
+	"golden-b/lele/cpr":        {Searches: 566, Pushes: 418199, Pops: 303918, StalePops: 6170},
+	"golden-b/lele/no-pinopt":  {Searches: 530, Pushes: 341497, Pops: 226969, StalePops: 4621},
+	"golden-b/lele/sequential": {Searches: 312, Pushes: 155522, Pops: 143614, StalePops: 2384},
+	"golden-b/tpl/cpr":         {Searches: 405, Pushes: 187989, Pops: 136629, StalePops: 3742},
+	"golden-b/tpl/no-pinopt":   {Searches: 336, Pushes: 172130, Pops: 124340, StalePops: 4264},
+	"golden-b/tpl/sequential":  {Searches: 307, Pushes: 187016, Pops: 173332, StalePops: 4261},
 }
 
 // routeDigest hashes the design bytes and, per net, the route identity:
@@ -131,13 +131,13 @@ func TestRoutedBytesGolden(t *testing.T) {
 // route blocks on disk and at peers, so a rewrite of their encoders must
 // keep every byte; the same-binary suites cannot tell.
 var goldenRouteKeyHashes = map[string]string{
-	"golden-a/sadp":       "d80da489fd8fb4e2d6d29a27eb98c62cf355454254738ad74d0f3a1789f1d5bf",
-	"golden-a/lele":       "b48d2c961baf3603dc8d160e9bc405f2920d9dea033afe04c5064921abe3dafb",
-	"golden-a/tpl":        "4b40896b4571756d2b37a899f9ba54b1f94bb274b1f04a26e4c313d6a6ebaa5e",
-	"golden-b/sadp":       "6ff21710719cc7484a41552cfd28adb2dedda078f4b20c69e38b082b1ea9c6a1",
-	"golden-b/lele":       "c8a6222f231b4c2e218911c2ac8d6d80cb1cbc4bc53f994058310bbc9ce406db",
-	"golden-b/tpl":        "94dc341c2c2f4bdc3ff0f5be2b025948d8131aac8d856aa9c51798de4bb226fd",
-	"router-fingerprints": "a7c4aa921518f1bf539b398765a6ed672cb918753550d2d89e380c23678cb740",
+	"golden-a/sadp":       "15c7222e7f15fd4b7a44337d70e29cf18af6793af0f6f52112e23a9ed4e719ad",
+	"golden-a/lele":       "f757cdf7b62370429446d7ff811668ebbdd7b0026bfdefc12d3ee0560dd7e73e",
+	"golden-a/tpl":        "4035f177dd5485b3fe86b5597ef8ebdcee2afa585e1e0e4331900784383fb11d",
+	"golden-b/sadp":       "7259d40dc766a204715158ffdd89a63c7268fe176bb57e29a1d83585d28fee7c",
+	"golden-b/lele":       "e42f351db00ab8b5fe0cf8986eac7d88b8fa8e5e578f9d726a3c47e634917267",
+	"golden-b/tpl":        "eb2e9249b1ac5259be3529bb6e0566046432af5fe15d689022d98fb30d122f8c",
+	"router-fingerprints": "fd6754dedc1ac84fcd46ceaf744638ac1654fb74c43f219593bc5f9faa4743a0",
 }
 
 // TestRouteKeysGolden pins the route keys, net signatures and router

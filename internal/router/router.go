@@ -303,7 +303,9 @@ type Result struct {
 	// StageElapsed breaks routing work into the independent routing,
 	// rip-up negotiation, congestion resolution, and DRC stages, summed
 	// over the regions this run actually computed. With concurrent
-	// regions the sum is CPU-time-like and can exceed Elapsed.
+	// regions the sum is CPU-time-like and can exceed Elapsed. The
+	// sequential baseline has two phases: its first pass fills the
+	// first entry and its retry rounds the second.
 	StageElapsed [4]time.Duration
 }
 
@@ -327,9 +329,9 @@ type Router struct {
 	// region shards may share it.
 	seededNodes [][]grid.NodeID
 
-	// tie ranks the path search's entries of equal key. Production
-	// leaves it zero; tests set it to route under other tie orders.
-	tie tieRank
+	// tie orders the path search's entries of equal key. Production
+	// leaves it zero, arrival order; tests set it to route under others.
+	tie tieOrder
 }
 
 // New creates a router over a validated design and its grid. The

@@ -3,6 +3,7 @@ package router
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"cpr/internal/geom"
 	"cpr/internal/grid"
@@ -27,79 +28,134 @@ func (sw searchWindow) local(x, y, z int) int {
 
 func (sw searchWindow) size() int { return sw.w * sw.h * tech.NumLayers }
 
-// heapItem is a search frontier entry (lazy-deletion A*): its key
+// queueItem is a search frontier entry (lazy-deletion A*): its key
 // f = g + h and the window-local slot it was pushed for.
-type heapItem struct {
+type queueItem struct {
 	key  float64
 	node int32
 }
 
-// searchHeap is a binary min-heap of frontier entries ordered by key.
-// push and pop make container/heap's up and down sifts comparison for
-// comparison, so entries of equal key leave in exactly the order
-// container/heap gives them and the array after every operation equals
-// container/heap's.
+// radixQueue is the search frontier: a monotone priority queue over the
+// bits of its keys, a radix heap (Ahuja, Mehlhorn, Orlin and Tarjan,
+// JACM 1990). A* with a consistent heuristic pops keys in non-decreasing
+// order, and non-negative float64 keys order as their bits, so an entry
+// is filed by how far its key lies above the last popped key: bucket i
+// holds the keys whose bits first differ from last's at bit i−1, and
+// bucket 0 the keys equal to last. A push appends to its bucket. When
+// bucket 0 runs dry, a pop takes the lowest non-empty bucket, makes its
+// least key the new last and files its entries again; each lands in a
+// lower bucket, so an entry moves at most 64 times and pushes and pops
+// cost O(1) amortized, with no sift.
 //
-// Which of several equal entries leaves first is not part of the
-// search's contract. Routed bytes follow the heap's choice
-// (TestRoutedBytesGolden pins them), but routability does not:
-// TestRoutabilityIndependentOfTieOrder routes under FIFO, LIFO and
-// shuffled orders too (tieRank).
-//
-// Both sifts move a hole instead of swapping: the moving entry is held
-// aside and written once, at its final index.
-type searchHeap []heapItem
-
-func (h *searchHeap) push(it heapItem) {
-	q := append(*h, it)
-	j := len(q) - 1
-	for j > 0 {
-		i := (j - 1) / 2 // parent
-		if !(it.key < q[i].key) {
-			break
-		}
-		q[j] = q[i]
-		j = i
-	}
-	q[j] = it
-	*h = q
+// Equal keys leave in arrival order: every bucket holds its entries in
+// arrival order (a refill moves a bucket's entries, in order, into
+// buckets that are empty) and bucket 0 drains from the front. A key
+// below last, which two roundings in relax could in principle produce
+// one ulp under its parent's, is filed at last: it pops with the
+// entries equal to last and is never lost. The entry keeps its own key,
+// which the stale test reads.
+type radixQueue struct {
+	// last is the bits of the key the last pop was filed at, 0 before
+	// the first.
+	last uint64
+	// head is bucket 0's next entry; bucket 0 is drained when head
+	// reaches its length.
+	head int
+	// full has bit i−1 set when bucket i, i ≥ 1, holds an entry.
+	full uint64
+	b    [65][]queueItem
+	// tie orders bucket 0 for tests, with rng the shuffle's xorshift
+	// state; the zero value is arrival order.
+	tie tieOrder
+	rng uint64
 }
 
-func (h *searchHeap) pop() heapItem {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	last := q[n]
-	i := 0
-	for {
-		j := 2*i + 1 // left child
-		if j >= n {
-			break
-		}
-		// Take the right child when it is smaller. Which child wins
-		// depends on the data, so the choice is a flag added to the
-		// index, not a branch mispredicted about half the time.
-		if r := j + 1; r < n {
-			j += b2i(q[r].key < q[j].key)
-		}
-		if !(q[j].key < last.key) {
-			break
-		}
-		q[i] = q[j]
-		i = j
-	}
-	q[i] = last
-	*h = q[:n]
-	return top
+// tieOrder names the order bucket 0's entries, which share one key,
+// leave the queue in: arrival order (the zero value, the only one
+// production uses), reverse arrival order, or a shuffle seeded by
+// shuffle. Tests route under the others to check that routability does
+// not rest on the order.
+type tieOrder struct {
+	reverse bool
+	shuffle uint64
 }
 
-// b2i is 1 for true and 0 for false; the compiler emits a flag set, not
-// a branch.
-func b2i(b bool) int {
-	if b {
-		return 1
+// reset empties the queue.
+func (q *radixQueue) reset() {
+	q.b[0], q.head = q.b[0][:0], 0
+	for m := q.full; m != 0; m &= m - 1 {
+		i := bits.TrailingZeros64(m) + 1
+		q.b[i] = q.b[i][:0]
 	}
-	return 0
+	q.full, q.last = 0, 0
+}
+
+func (q *radixQueue) empty() bool { return q.head == len(q.b[0]) && q.full == 0 }
+
+// push files it by its key: at last when the key is not above it.
+func (q *radixQueue) push(it queueItem) {
+	k := math.Float64bits(it.key)
+	if k <= q.last {
+		q.b[0] = append(q.b[0], it)
+		return
+	}
+	i := bits.Len64(k ^ q.last)
+	q.b[i] = append(q.b[i], it)
+	q.full |= 1 << (i - 1)
+}
+
+// pop removes and returns an entry of least key. The queue must not be
+// empty.
+func (q *radixQueue) pop() queueItem {
+	if q.head == len(q.b[0]) {
+		q.refill()
+	}
+	if q.tie != (tieOrder{}) {
+		return q.popTie()
+	}
+	it := q.b[0][q.head]
+	q.head++
+	return it
+}
+
+// refill moves the lowest non-empty bucket into lower ones, its least
+// key becoming last; bucket 0 is empty, so it fills from the front.
+func (q *radixQueue) refill() {
+	i := bits.TrailingZeros64(q.full) + 1
+	src := q.b[i]
+	m := math.Float64bits(src[0].key)
+	for _, it := range src[1:] {
+		m = min(m, math.Float64bits(it.key))
+	}
+	q.b[0], q.head = q.b[0][:0], 0
+	q.b[i] = src[:0]
+	q.full &^= 1 << (i - 1)
+	q.last = m
+	for _, it := range src {
+		q.push(it)
+	}
+}
+
+// popTie pops bucket 0 by the tie order: its last entry, or a seeded
+// random one swapped to the front.
+func (q *radixQueue) popTie() queueItem {
+	b := q.b[0]
+	if q.tie.reverse {
+		it := b[len(b)-1]
+		q.b[0] = b[:len(b)-1]
+		return it
+	}
+	if q.rng == 0 {
+		q.rng = q.tie.shuffle
+	}
+	q.rng ^= q.rng << 13 // xorshift64
+	q.rng ^= q.rng >> 7
+	q.rng ^= q.rng << 17
+	j := q.head + int(q.rng%uint64(len(b)-q.head))
+	b[q.head], b[j] = b[j], b[q.head]
+	it := b[q.head]
+	q.head++
+	return it
 }
 
 // SearchStats counts the path search's deterministic work: searches run,
@@ -147,15 +203,6 @@ type searchSlot struct {
 	at   xyz   // the node's grid coordinates
 }
 
-// tieRank reorders entries of equal key without a second comparison in
-// the heap: push writes a rank, the shard's push count times mul, xor
-// xor, into the key bits under mask, its lowest mantissa bits. Keys that
-// agree above the mask, equal ones included, then leave in rank order.
-// The zero value, the only one production uses, leaves every key whole.
-// A rank compared after the key instead cost about a fifth of the heap's
-// time.
-type tieRank struct{ mask, mul, xor uint64 }
-
 // searchScratch is one shard's reusable search state: scratch reserved
 // once and reused by every search, as VPR's Incremental_reroute_resources
 // does. Slots are window-local node indices. A slot's dist, prev and at
@@ -171,13 +218,12 @@ type searchScratch struct {
 	slots  []searchSlot
 	target []uint32
 	gen    uint32
-	heap   searchHeap
+	queue  radixQueue
 	// goal is the bounding box of the search's in-window targets and
 	// hWire the wire cost, or 0 when no target lies in the window: h is
 	// hWire times the Manhattan distance from (x, y) to goal.
 	goal  geom.Rect
 	hWire float64
-	tie   tieRank
 	// path holds the last path found; search returns it, valid until
 	// the shard's next search.
 	path []grid.NodeID
@@ -203,7 +249,7 @@ func (sc *searchScratch) begin(size int) {
 		clear(sc.target)
 		sc.gen = 1
 	}
-	sc.heap = sc.heap[:0]
+	sc.queue.reset()
 	sc.work.Searches++
 }
 
@@ -225,12 +271,7 @@ func (sc *searchScratch) push(li int32, x, y, z int, g float64, from int32) {
 		return
 	}
 	*sl = searchSlot{dist: g, seen: sc.gen, prev: from, at: packXYZ(x, y, z)}
-	key := g + sc.h(x, y)
-	if t := sc.tie; t.mask != 0 {
-		rank := (uint64(sc.work.Pushes)*t.mul ^ t.xor) & t.mask
-		key = math.Float64frombits(math.Float64bits(key)&^t.mask | rank)
-	}
-	sc.heap.push(heapItem{key: key, node: li})
+	sc.queue.push(queueItem{key: g + sc.h(x, y), node: li})
 	sc.work.Pushes++
 }
 
@@ -454,7 +495,7 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	p := s.engine()
 	sc := &s.scratch
 	sc.begin(win.size())
-	sc.tie = s.tie
+	sc.queue.tie = s.tie
 	sc.goal = geom.Rect{X0: 1, X1: 0} // empty
 	for _, t := range targets {
 		if x, y, z := g.Coords(t); win.contains(x, y) {
@@ -485,21 +526,18 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	row, plane := int32(win.w), int32(win.w*win.h)
 	xLast, yLast := win.x0+win.w-1, win.y0+win.h-1
 	goal := int32(-1)
-	for len(sc.heap) > 0 {
-		item := sc.heap.pop()
+	for !sc.queue.empty() {
+		item := sc.queue.pop()
 		sc.work.Pops++
 		li := item.node
 		sl := &sc.slots[li]
 		x, y, z := sl.at.unpack()
 		// The entry is stale when its slot has since been reached by a
 		// cheaper path: its key, the g it was pushed with plus h, exceeds
-		// the slot's g plus h (h is fixed per slot). Keys are
-		// non-negative, so their bits order as they do. The comparison
-		// skips the bits a tie rank replaced; a stale entry that it lets
-		// through is expanded from the slot's g again, which is only
-		// wasted work.
+		// the slot's g plus h (h is fixed per slot). The key is the one
+		// pushed, also when the queue filed it at a higher one.
 		d := sl.dist
-		if m := sc.tie.mask; math.Float64bits(item.key)&^m > math.Float64bits(d+sc.h(x, y))&^m {
+		if item.key > d+sc.h(x, y) {
 			sc.work.StalePops++
 			continue
 		}

@@ -1,9 +1,10 @@
 package router
 
 import (
-	"container/heap"
+	"math"
 	"math/rand"
 	"slices"
+	"sort"
 	"testing"
 
 	"cpr/internal/design"
@@ -12,69 +13,172 @@ import (
 	"cpr/internal/tech"
 )
 
-// refHeap is the container/heap adapter the typed heap must mirror.
-type refHeap []heapItem
-
-func (q refHeap) Len() int           { return len(q) }
-func (q refHeap) Less(i, j int) bool { return q[i].key < q[j].key }
-func (q refHeap) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *refHeap) Push(x any)        { *q = append(*q, x.(heapItem)) }
-func (q *refHeap) Pop() any {
-	old := *q
-	it := old[len(old)-1]
-	*q = old[:len(old)-1]
-	return it
+// refQueue is the reference frontier: entries kept stably sorted by the
+// key the queue files them at, the pushed key or the last popped one if
+// that is higher. A pop takes the front entry; the tie orders take
+// another entry of the front run of equal filed keys.
+type refQueue struct {
+	es   []refEntry
+	last uint64
 }
 
-// diffHeaps replays ops on the typed heap and on container/heap, then
-// drains both. An even byte (or any byte on an empty heap) pushes an
-// entry whose key is one of eight values, so ties are the common case;
-// an odd byte pops. Both heaps must hold the same array after every
-// operation and pop the same (key, node) sequence.
-func diffHeaps(t *testing.T, ops []byte) {
+type refEntry struct {
+	it queueItem
+	at uint64 // bits of the filed key
+}
+
+func (q *refQueue) push(it queueItem) {
+	at := max(math.Float64bits(it.key), q.last)
+	i := sort.Search(len(q.es), func(i int) bool { return q.es[i].at > at })
+	q.es = slices.Insert(q.es, i, refEntry{it, at})
+}
+
+// run is the length of the front run of entries filed at one key.
+func (q *refQueue) run() int {
+	n := 1
+	for n < len(q.es) && q.es[n].at == q.es[0].at {
+		n++
+	}
+	return n
+}
+
+func (q *refQueue) take(i int) queueItem {
+	e := q.es[i]
+	q.es = slices.Delete(q.es, i, i+1)
+	q.last = e.at
+	return e.it
+}
+
+// diffQueues replays ops on the radix queue, ordered by order, and on
+// the reference, then drains both. An even byte (or any byte on an
+// empty queue) pushes, an odd byte pops. A push's key is the last
+// popped key plus a step of 0–7 units, so equal keys are common, at one
+// of four scales (half a unit up to 2^40 units) so that refills cross
+// many buckets; one push in eight goes one ulp below the last pop
+// instead. Under arrival order the two pop the same entries; under
+// reverse arrival the queue pops the last of the front run, and under a
+// shuffle any entry of it.
+func diffQueues(t *testing.T, ops []byte, order tieOrder) {
 	t.Helper()
-	var typed searchHeap
-	var ref refHeap
+	q := radixQueue{tie: order}
+	var ref refQueue
 	for i, op := range ops {
-		if op&1 == 0 || len(typed) == 0 {
-			it := heapItem{key: float64(op>>1&7) / 2, node: int32(i)}
-			typed.push(it)
-			heap.Push(&ref, it)
-		} else if got, want := typed.pop(), heap.Pop(&ref).(heapItem); got != want {
-			t.Fatalf("op %d: pop = %+v, container/heap pops %+v", i, got, want)
+		if op&1 == 0 || len(ref.es) == 0 {
+			last := math.Float64frombits(ref.last)
+			key := last + float64(op>>1&7)*[4]float64{0.5, 1, 97.25, 1 << 40}[op>>4&3]
+			if op>>6 == 3 && last > 0 {
+				key = math.Nextafter(last, 0)
+			}
+			it := queueItem{key: key, node: int32(i)}
+			q.push(it)
+			ref.push(it)
+		} else {
+			got := q.pop()
+			if !q.popped(t, &ref, got) {
+				t.Fatalf("op %d: pop = %+v, front run of the reference %+v", i, got, ref.es[:ref.run()])
+			}
 		}
-		if !slices.Equal(typed, []heapItem(ref)) {
-			t.Fatalf("op %d: heap arrays diverge:\ntyped %v\nref   %v", i, typed, ref)
+		if q.empty() != (len(ref.es) == 0) {
+			t.Fatalf("op %d: empty() = %v with %d entries queued", i, q.empty(), len(ref.es))
 		}
 	}
-	for len(ref) > 0 {
-		if got, want := typed.pop(), heap.Pop(&ref).(heapItem); got != want {
-			t.Fatalf("drain: pop = %+v, container/heap pops %+v", got, want)
+	for len(ref.es) > 0 {
+		if got := q.pop(); !q.popped(t, &ref, got) {
+			t.Fatalf("drain: pop = %+v, front run of the reference %+v", got, ref.es[:ref.run()])
 		}
 	}
-	if len(typed) != 0 {
-		t.Fatalf("typed heap holds %d entries after container/heap drained", len(typed))
+	if !q.empty() {
+		t.Fatal("queue not empty after the reference drained")
 	}
 }
 
-// TestSearchHeapMatchesContainerHeap holds the search heap to
-// container/heap, equal keys included, over random interleavings of
-// pushes and pops.
-func TestSearchHeapMatchesContainerHeap(t *testing.T) {
+// popped takes got out of ref if the queue's tie order allows ref to
+// pop it next, and reports whether it did.
+func (q *radixQueue) popped(t *testing.T, ref *refQueue, got queueItem) bool {
+	t.Helper()
+	n := ref.run()
+	switch {
+	case q.tie.reverse:
+		return ref.es[n-1].it == got && ref.take(n-1) == got
+	case q.tie.shuffle != 0:
+		for i, e := range ref.es[:n] {
+			if e.it == got {
+				ref.take(i)
+				return true
+			}
+		}
+		return false
+	}
+	return ref.es[0].it == got && ref.take(0) == got
+}
+
+var testTieOrders = []tieOrder{{}, {reverse: true}, {shuffle: 0x9e3779b97f4a7c15}}
+
+// TestRadixQueueMatchesStableSort holds the search queue to a stably
+// sorted reference over random interleavings of pushes and pops, under
+// every tie order.
+func TestRadixQueueMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		ops := make([]byte, 1+rng.Intn(600))
 		rng.Read(ops)
-		diffHeaps(t, ops)
+		for _, order := range testTieOrders {
+			diffQueues(t, ops, order)
+		}
 	}
 }
 
-func FuzzSearchHeap(f *testing.F) {
+// TestRadixQueueClampAndReset pushes a key below the last popped one
+// while greater keys wait in other buckets: it pops next, with its own
+// key, and nothing is lost. A reset drops the entries a search left
+// behind (a search stops at its first target) and files from 0 again.
+func TestRadixQueueClampAndReset(t *testing.T) {
+	var q radixQueue
+	for i, key := range []float64{3, 1, 2} {
+		q.push(queueItem{key: key, node: int32(i)})
+	}
+	var got []queueItem
+	pop := func() { got = append(got, q.pop()) }
+	pop()
+	pop()
+	low := queueItem{key: math.Nextafter(2, 0), node: 9}
+	q.push(low)
+	for !q.empty() {
+		pop()
+	}
+	want := []queueItem{{1, 1}, {2, 2}, low, {3, 0}}
+	if !slices.Equal(got, want) {
+		t.Fatalf("pops %v, want %v", got, want)
+	}
+	// Leave 5 queued, reset, and file 6 into the bucket 5 was left in.
+	q = radixQueue{}
+	q.push(queueItem{key: 1, node: 1})
+	q.push(queueItem{key: 5, node: 2})
+	q.pop()
+	q.reset()
+	if !q.empty() || q.last != 0 {
+		t.Fatalf("reset queue: empty %v, last %x", q.empty(), q.last)
+	}
+	got = got[:0]
+	q.push(queueItem{key: 1, node: 3})
+	q.push(queueItem{key: 6, node: 4})
+	for !q.empty() {
+		pop()
+	}
+	if want := []queueItem{{1, 3}, {6, 4}}; !slices.Equal(got, want) {
+		t.Fatalf("after reset: pops %v, want %v", got, want)
+	}
+}
+
+func FuzzRadixQueue(f *testing.F) {
 	f.Add([]byte{0, 2, 4, 6, 1, 1, 1, 1})
 	f.Add([]byte{14, 14, 14, 14, 0, 0, 0, 1, 14, 1, 1, 0, 1})
 	f.Add([]byte{6, 4, 2, 0, 6, 4, 2, 0, 1, 3, 5, 7, 9})
+	f.Add([]byte{0x32, 0x12, 0x02, 1, 0xc2, 0x22, 0xc0, 1, 1, 1, 1})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		diffHeaps(t, ops)
+		for _, order := range testTieOrders {
+			diffQueues(t, ops, order)
+		}
 	})
 }
 

@@ -224,6 +224,7 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 	ripCount := make(map[int]int)
 	margin := cfg.WindowMargin
 	for round := 0; round <= cfg.RetryRounds && len(pending) > 0; round++ {
+		t0 := now()
 		var deferred []int
 		for _, netID := range pending {
 			if tryRoute(netID, margin) {
@@ -257,6 +258,9 @@ func (r *Router) RunSequential(cfg SequentialConfig) *Result {
 		// Deferred nets retry with doubling windows (escalating detour
 		// search — the runtime cost the paper attributes to [12]).
 		margin *= 2
+		// The first pass is the independent-routing stage's time, the
+		// retry rounds (rip-up and reroute) negotiation's.
+		res.StageElapsed[min(round, 1)] += since(t0)
 	}
 	for _, netID := range pending {
 		res.Routes[netID].Routed = false

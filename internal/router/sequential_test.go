@@ -2,6 +2,7 @@ package router
 
 import (
 	"testing"
+	"time"
 
 	"cpr/internal/design"
 	"cpr/internal/geom"
@@ -80,19 +81,7 @@ func TestSequentialDefersAndRetries(t *testing.T) {
 	// Narrow corridor: one net commits through it; the other is deferred
 	// and eventually fails or detours. Either way the run terminates with
 	// consistent accounting.
-	d := design.New("seqdefer", 20, 10, tech.Default())
-	n0 := d.AddNet("a")
-	n1 := d.AddNet("b")
-	d.AddPin("a0", n0, geom.MakeRect(1, 2, 1, 2))
-	d.AddPin("a1", n0, geom.MakeRect(18, 2, 18, 2))
-	d.AddPin("b0", n1, geom.MakeRect(1, 6, 1, 6))
-	d.AddPin("b1", n1, geom.MakeRect(18, 6, 18, 6))
-	d.AddBlockage(tech.M2, geom.MakeRect(10, 0, 10, 3))
-	d.AddBlockage(tech.M2, geom.MakeRect(10, 5, 10, 9))
-	d.AddBlockage(tech.M3, geom.MakeRect(9, 0, 11, 9))
-	if err := d.Validate(); err != nil {
-		t.Fatal(err)
-	}
+	d := corridorDesign(t)
 	g := grid.New(d)
 	res := New(d, g, Config{}).RunSequential(SequentialConfig{})
 	if res.RoutedNets < 1 {
@@ -109,6 +98,46 @@ func TestSequentialDefersAndRetries(t *testing.T) {
 	}
 	if res.RoutedNets+unrouted != 2 {
 		t.Error("net accounting inconsistent")
+	}
+}
+
+// corridorDesign has two nets that both need the one M2 cell crossing
+// a blocked column, so the sequential router defers one of them.
+func corridorDesign(t *testing.T) *design.Design {
+	t.Helper()
+	d := design.New("seqdefer", 20, 10, tech.Default())
+	n0 := d.AddNet("a")
+	n1 := d.AddNet("b")
+	d.AddPin("a0", n0, geom.MakeRect(1, 2, 1, 2))
+	d.AddPin("a1", n0, geom.MakeRect(18, 2, 18, 2))
+	d.AddPin("b0", n1, geom.MakeRect(1, 6, 1, 6))
+	d.AddPin("b1", n1, geom.MakeRect(18, 6, 18, 6))
+	d.AddBlockage(tech.M2, geom.MakeRect(10, 0, 10, 3))
+	d.AddBlockage(tech.M2, geom.MakeRect(10, 5, 10, 9))
+	d.AddBlockage(tech.M3, geom.MakeRect(9, 0, 11, 9))
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// TestSequentialReportsStageTimes checks the sequential run's time
+// split: the first pass and the retry rounds (the corridor design defers
+// a net, so both run) are non-zero, sum to no more than Elapsed, and
+// leave the congestion and DRC entries zero; ZeroTimes clears them.
+func TestSequentialReportsStageTimes(t *testing.T) {
+	d := corridorDesign(t)
+	res := New(d, grid.New(d), Config{}).RunSequential(SequentialConfig{})
+	st := res.StageElapsed
+	if st[0] <= 0 || st[1] <= 0 || st[2] != 0 || st[3] != 0 {
+		t.Fatalf("stage times %v, want first pass and retries > 0, the rest 0", st)
+	}
+	if sum := st[0] + st[1]; sum > res.Elapsed {
+		t.Fatalf("stage times sum to %v, more than the run's %v", sum, res.Elapsed)
+	}
+	res.ZeroTimes()
+	if res.StageElapsed != ([4]time.Duration{}) || res.Elapsed != 0 {
+		t.Fatalf("after ZeroTimes: stage times %v, elapsed %v", res.StageElapsed, res.Elapsed)
 	}
 }
 

@@ -49,7 +49,7 @@ func renderProgress(ev telemetry.Event) {
 			ev.Data["iter"], ev.Data["violations"], ev.Data["best_violations"],
 			ev.Data["profit"], ev.Data["dual"])
 	case "negotiate_round":
-		fmt.Fprintf(os.Stderr, "progress: route region=%v iter=%v overused=%v ripups=%v\n",
-			ev.Data["region"], ev.Data["iter"], ev.Data["overused"], ev.Data["ripups"])
+		fmt.Fprintf(os.Stderr, "progress: route region=%v iter=%v overused=%v ripups=%v pops=%v\n",
+			ev.Data["region"], ev.Data["iter"], ev.Data["overused"], ev.Data["ripups"], ev.Data["pops"])
 	}
 }

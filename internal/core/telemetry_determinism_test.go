@@ -133,16 +133,26 @@ func TestEventStreamObservationalByteIdentical(t *testing.T) {
 			}
 			if observed {
 				var iters, spans int
+				var roundPops int64
 				for _, ev := range bus.Snapshot() {
 					switch ev.Type {
 					case "lr_iteration":
 						iters++
 					case "span_end":
 						spans++
+					case "negotiate_round":
+						// Each round reports its own search work.
+						_, ok1 := ev.Data["searches"].(int64)
+						pops, ok2 := ev.Data["pops"].(int64)
+						if !ok1 || !ok2 {
+							t.Fatalf("workers=%d: negotiate_round event %v lacks its searches and pops", workers, ev.Data)
+						}
+						roundPops += pops
 					}
 				}
-				if iters == 0 || spans == 0 {
-					t.Fatalf("workers=%d: recorder saw %d lr_iteration / %d span_end events, want both > 0", workers, iters, spans)
+				if iters == 0 || spans == 0 || roundPops == 0 {
+					t.Fatalf("workers=%d: recorder saw %d lr_iteration / %d span_end events and %d pops in negotiation rounds, want all > 0",
+						workers, iters, spans, roundPops)
 				}
 			}
 			dump := dumpRunResult(t, d, res)

@@ -55,7 +55,7 @@ type RouteArtifact struct {
 func RouterFingerprint(cfg router.Config) string {
 	c := cfg.Normalized()
 	b := make([]byte, 0, 128)
-	b = append(b, "route-v3 order="...)
+	b = append(b, "route-v4 order="...)
 	b = append(b, c.Order.String()...)
 	b = append(b, " iters="...)
 	b = strconv.AppendInt(b, int64(c.MaxNegotiationIters), 10)

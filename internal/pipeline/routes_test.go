@@ -25,7 +25,7 @@ import (
 // byte references.
 func formatRouterFingerprint(cfg router.Config) string {
 	c := cfg.Normalized()
-	return fmt.Sprintf("route-v3 order=%s iters=%d pres=%s,%s hist=%s win=%d,%d,%d stall=%d skipdrc=%t",
+	return fmt.Sprintf("route-v4 order=%s iters=%d pres=%s,%s hist=%s win=%d,%d,%d stall=%d skipdrc=%t",
 		c.Order, c.MaxNegotiationIters,
 		formatFloat(c.PresentCostBase), formatFloat(c.PresentCostGrowth),
 		formatFloat(c.HistoryIncrement),

@@ -82,8 +82,12 @@ type lineEndBuffers struct {
 	// the members with a count. count adds one violation of a net.
 	vio       []int
 	violating []int
-	count     func(net int)
-	tried     []bool
+	// count looks nets up in nets, the members of the region the pass
+	// counts: the closure outlives a region when its buffers pass to the
+	// next.
+	count func(net int)
+	nets  []int
+	tried []bool
 	// dropped lists the nets stage 4 unrouted, in drop order.
 	dropped []int
 }
@@ -242,9 +246,10 @@ func (s *shard) countViolations() {
 		b.vio[i] = 0
 	}
 	b.violating = b.violating[:0]
+	b.nets = s.region.Nets
 	if b.count == nil {
 		b.count = func(net int) {
-			i, _ := slices.BinarySearch(s.region.Nets, net)
+			i, _ := slices.BinarySearch(b.nets, net)
 			if b.vio[i] == 0 {
 				b.violating = append(b.violating, i)
 			}

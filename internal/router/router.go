@@ -29,6 +29,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"cpr/internal/assign"
@@ -494,14 +495,16 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 		workers = r.cfg.Workers
 	}
 	outcomes := make([]shardOutcome, len(computed))
+	var pool scratchPool
 	parallel.ForEach(parallel.Resolve(workers), len(computed), func(slot int) {
 		rg := computed[slot]
 		sh := &shard{
-			Router:  r,
-			region:  rg,
-			box:     rectWindow(rg.Bounds()),
-			routes:  res.Routes,
-			seedOcc: !opts.SkipSpliceSeeding,
+			Router:       r,
+			region:       rg,
+			box:          rectWindow(rg.Bounds()),
+			routes:       res.Routes,
+			seedOcc:      !opts.SkipSpliceSeeding,
+			shardScratch: pool.get(),
 		}
 		if len(opts.Warm) > 0 {
 			for _, netID := range rg.Nets {
@@ -514,6 +517,7 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 			}
 		}
 		outcomes[slot] = sh.run(ctx)
+		pool.put(sh.shardScratch)
 	})
 	for slot, oc := range outcomes {
 		res.RegionSummaries[computed[slot].ID] = oc.summary
@@ -566,8 +570,8 @@ func (r *Router) RunPlan(ctx context.Context, plan *Plan, opts RunOpts) *Result 
 // different regions share the grid but have provably disjoint read/write
 // footprints, so they run concurrently without synchronization.
 //
-// A shard reserves its scratch once and reuses it for every net and
-// round, so routing a net allocates only the route it returns.
+// A shard reuses its scratch for every net and round, so routing a net
+// allocates only the route it returns.
 type shard struct {
 	*Router
 	region *Region
@@ -578,6 +582,24 @@ type shard struct {
 	// routes is the run's global route table; the shard reads and writes
 	// only its member indices.
 	routes []*NetRoute
+	// warm maps member net IDs to deep-copied previous routes to
+	// warm-start from.
+	warm map[int]*NetRoute
+	// seedOcc replays warm routes' occupancy (false only under the
+	// RunOpts.SkipSpliceSeeding fault injection).
+	seedOcc bool
+	// scratchMargin is the margin the search scratch is sized for in
+	// this region (fitScratch).
+	scratchMargin int
+	*shardScratch
+}
+
+// shardScratch is the part of a shard that outlives its region: the
+// rule engine's resolution, the search scratch, both node sets and the
+// stage buffers. Its arrays only grow, and each user resets what it
+// reads, so a region sees nothing of the last one's state. RunPlan
+// passes a finished region's scratch to the next region (scratchPool).
+type shardScratch struct {
 	// avoid holds temporarily forbidden nodes during DRC-aware reroutes
 	// (other nets' extended line-end clearance zones); empty outside
 	// them. Also carries the sequential baseline's clearance zones.
@@ -586,23 +608,47 @@ type shard struct {
 	// cells, trimSeeds' route, and the nodes a count or a congestion
 	// drop has visited.
 	nodes nodeSet
-	// warm maps member net IDs to deep-copied previous routes to
-	// warm-start from.
-	warm map[int]*NetRoute
-	// seedOcc replays warm routes' occupancy (false only under the
-	// RunOpts.SkipSpliceSeeding fault injection).
-	seedOcc bool
 	// rulesOf is the rule engine and its parameters (see engine).
 	rulesOf shardRules
-	// scratch is the shard's reusable path search state and work
-	// counters, sized for windows of scratchMargin (fitScratch).
-	scratch       searchScratch
-	scratchMargin int
+	// scratch is the path search state and its work counters.
+	scratch searchScratch
 	// build holds routeNet's buffers; cong and drc hold stage 3's and
 	// stage 4's.
 	build routeBuffers
 	cong  congestionBuffers
 	drc   lineEndBuffers
+}
+
+// scratchPool is RunPlan's free list of shard scratch. A region's shard
+// takes an entry when it starts and returns it when it ends, so no more
+// entries exist than regions run at once, at most the worker count, and
+// each grows to the widest region it serves instead of every region
+// growing its own.
+type scratchPool struct {
+	mu   sync.Mutex
+	free []*shardScratch
+}
+
+func (p *scratchPool) get() *shardScratch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := len(p.free)
+	if n == 0 {
+		return new(shardScratch)
+	}
+	sc := p.free[n-1]
+	p.free = p.free[:n-1]
+	// Handed out as a new scratch reads: work counted from zero, and a
+	// test tie shuffle from its seed.
+	sc.scratch.work = SearchStats{}
+	sc.scratch.queue.rng = 0
+	return sc
+}
+
+func (p *scratchPool) put(sc *shardScratch) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.free = append(p.free, sc)
 }
 
 // routeBuffers are the buffers routeNet builds a route in; it copies
@@ -629,7 +675,7 @@ func (r *Router) wholeShard(routes []*NetRoute) *shard {
 		rg.Nets[i] = i
 		rg.Rects[i] = all
 	}
-	return &shard{Router: r, region: rg, box: rectWindow(all), routes: routes, seedOcc: true}
+	return &shard{Router: r, region: rg, box: rectWindow(all), routes: routes, seedOcc: true, shardScratch: new(shardScratch)}
 }
 
 // run executes the four routing stages region-locally. Its output is
@@ -711,6 +757,7 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 			}
 		}
 		oc.summary.NegotiationIters = iter
+		roundStart := s.scratch.work
 		_, iterSpan := telemetry.StartSpan(negCtx, "negotiate_round")
 		iterSpan.SetAttr("iter", iter)
 		iterSpan.SetAttr("overused", over)
@@ -746,20 +793,24 @@ func (s *shard) run(ctx context.Context) shardOutcome {
 			s.routes[netID] = newRoute
 			s.occupy(newRoute, &s.nodes)
 		}
+		round := s.scratch.work.since(roundStart)
 		iterSpan.SetAttr("ripups", ripups)
+		iterSpan.SetAttr("searches", round.Searches)
+		iterSpan.SetAttr("pops", round.Pops)
 		iterSpan.End()
 		em.Emit("negotiate_round", map[string]any{
 			"region": s.region.ID, "iter": iter, "overused": over, "ripups": ripups,
+			"searches": round.Searches, "pops": round.Pops,
 		})
 		reg.Counter("cpr_router_ripups_total", "Nets ripped up and rerouted during negotiation.").Add(float64(ripups))
 		presFac *= s.cfg.PresentCostGrowth
 	}
 	negSpan.SetAttr("rounds", oc.summary.NegotiationIters)
-	negWork := s.scratch.work
-	negSpan.SetAttr("searches", negWork.Searches-searchBefore.Searches)
-	negSpan.SetAttr("pushes", negWork.Pushes-searchBefore.Pushes)
-	negSpan.SetAttr("pops", negWork.Pops-searchBefore.Pops)
-	negSpan.SetAttr("stale_pops", negWork.StalePops-searchBefore.StalePops)
+	negWork := s.scratch.work.since(searchBefore)
+	negSpan.SetAttr("searches", negWork.Searches)
+	negSpan.SetAttr("pushes", negWork.Pushes)
+	negSpan.SetAttr("pops", negWork.Pops)
+	negSpan.SetAttr("stale_pops", negWork.StalePops)
 	negSpan.End()
 	oc.stage[1] = since(t0)
 	t0 = now()

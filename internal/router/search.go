@@ -176,6 +176,17 @@ func (a *SearchStats) add(b SearchStats) {
 	a.StalePops += b.StalePops
 }
 
+// since is the work a running count a holds beyond its earlier reading
+// start.
+func (a SearchStats) since(start SearchStats) SearchStats {
+	return SearchStats{
+		Searches:  a.Searches - start.Searches,
+		Pushes:    a.Pushes - start.Pushes,
+		Pops:      a.Pops - start.Pops,
+		StalePops: a.StalePops - start.StalePops,
+	}
+}
+
 // xyz packs a node's grid coordinates into one word: x in bits 0–30,
 // y in bits 31–61 and z in the top two bits (grid extents stay far below
 // 2^31). The search stores it per slot, so expanding a popped slot needs
@@ -204,45 +215,51 @@ type searchSlot struct {
 }
 
 // searchScratch is one shard's reusable search state: scratch reserved
-// once and reused by every search, as VPR's Incremental_reroute_resources
-// does. Slots are window-local node indices. A slot's dist, prev and at
-// hold data only while its seen stamp equals gen, and a slot is a target
-// only while target[slot] equals gen, so starting a search clears
-// nothing: it bumps gen. routeNet sizes the arrays for the widest window
-// its margin allows (shard.fitScratch), so a stage's searches never
-// regrow them.
+// once and reused by every search, and by the next region's shard
+// (scratchPool), as VPR's Incremental_reroute_resources does. Slots are
+// window-local node indices. A slot's dist, prev and at hold data only
+// while its seen stamp equals gen, and a slot is a target only while
+// target[slot] equals gen, so starting a search clears nothing: it bumps
+// gen. routeNet sizes the arrays for the widest window its margin allows
+// (shard.fitScratch), so a stage's searches never regrow them.
 //
-// Scratch belongs to one shard, never to the Router: regions search
-// concurrently on one Router.
+// Scratch belongs to one shard at a time, never to the Router: regions
+// search concurrently on one Router.
 type searchScratch struct {
 	slots  []searchSlot
 	target []uint32
 	gen    uint32
 	queue  radixQueue
-	// goal is the bounding box of the search's in-window targets and
-	// hWire the wire cost, or 0 when no target lies in the window: h is
-	// hWire times the Manhattan distance from (x, y) to goal.
-	goal  geom.Rect
-	hWire float64
+	// The heuristic's terms (h): goal is the bounding box of the
+	// search's in-window targets and hWire the wire cost, or 0 when no
+	// target lies in the window. hApproach and hTarget are h at an
+	// approach and at a target, −A and −(A + T) when the search prices
+	// the pin approach (priceApproach) and 0 when it does not. plane is
+	// the window's slots per layer.
+	goal               geom.Rect
+	hWire              float64
+	hApproach, hTarget float64
+	plane              int32
 	// path holds the last path found; search returns it, valid until
 	// the shard's next search.
 	path []grid.NodeID
 	work SearchStats
 }
 
-// reserve sizes the slot arrays for windows of up to n slots.
+// reserve sizes the slot arrays for windows of up to n slots; arrays
+// already that large are kept, stamps and all.
 func (sc *searchScratch) reserve(n int) {
-	sc.slots = make([]searchSlot, n)
-	sc.target = make([]uint32, n)
+	if n > len(sc.slots) {
+		sc.slots = make([]searchSlot, n)
+		sc.target = make([]uint32, n)
+	}
 }
 
-// begin readies the scratch for a search over size slots, sizing the
+// begin readies the scratch for a search over size slots, growing the
 // arrays to it if they are smaller (a search routeNet did not size them
 // for).
 func (sc *searchScratch) begin(size int) {
-	if size > len(sc.slots) {
-		sc.reserve(size)
-	}
+	sc.reserve(size)
 	sc.gen++
 	if sc.gen == 0 { // wrapped: old stamps could alias the new generation
 		clear(sc.slots)
@@ -253,25 +270,47 @@ func (sc *searchScratch) begin(size int) {
 	sc.work.Searches++
 }
 
-// h is the A* heuristic at (x, y): the wire cost times the Manhattan
-// distance to the targets' bounding box. It is consistent: a wire step
-// costs at least the wire cost and moves the distance by at most one,
-// and a via leaves (x, y), and with it h, unchanged.
-func (sc *searchScratch) h(x, y int) float64 {
+// h is the A* heuristic at slot li, node (x, y, z), less the constant
+// A + T (priceApproach): −(A + T) at a target, −A at an approach (the M2
+// node above an M1 target), and the wire cost times the Manhattan
+// distance to the targets' bounding box elsewhere. Targets and
+// approaches lie in the box, so only a node at distance 0 reads the
+// target stamps. When the search does not price the approach, A and T
+// are 0 and h is the wire cost times the distance everywhere.
+func (sc *searchScratch) h(li int32, x, y, z int) float64 {
 	b := sc.goal
-	return sc.hWire * float64(max(b.X0-x, 0, x-b.X1)+max(b.Y0-y, 0, y-b.Y1))
+	dist := max(b.X0-x, 0, x-b.X1) + max(b.Y0-y, 0, y-b.Y1)
+	if dist == 0 {
+		if sc.target[li] == sc.gen {
+			return sc.hTarget
+		}
+		if z == tech.M2 && sc.target[li-sc.plane] == sc.gen {
+			return sc.hApproach
+		}
+	}
+	return sc.hWire * float64(dist)
+}
+
+// key is the frontier key of slot li, node (x, y, z), at distance g:
+// g + h, or 0 where that is negative. No key falls under 0 in exact
+// arithmetic (a source on a target returns before any push, and a
+// search with a source on an approach prices only T), so the clamp only
+// catches a key rounded an ulp under 0, whose float bits would not
+// order. push and the stale test both read it.
+func (sc *searchScratch) key(li int32, x, y, z int, g float64) float64 {
+	return max(g+sc.h(li, x, y, z), 0)
 }
 
 // push records g as the tentative distance of slot li, node (x, y, z),
 // reached from slot from, unless the slot already holds a distance no
-// greater, and queues the slot under the key g + h.
+// greater, and queues the slot under its key.
 func (sc *searchScratch) push(li int32, x, y, z int, g float64, from int32) {
 	sl := &sc.slots[li]
 	if sl.seen == sc.gen && g >= sl.dist {
 		return
 	}
 	*sl = searchSlot{dist: g, seen: sc.gen, prev: from, at: packXYZ(x, y, z)}
-	sc.queue.push(queueItem{key: g + sc.h(x, y), node: li})
+	sc.queue.push(queueItem{key: sc.key(li, x, y, z, g), node: li})
 	sc.work.Pushes++
 }
 
@@ -477,14 +516,16 @@ func (nc *nodeCoster) cost(id grid.NodeID, x, y, z int) float64 {
 // search runs multi-source A* from the tree nodes to any target node,
 // restricted to the window and to nodes enterable by netID. The node
 // cost combines the technology edge cost with PathFinder history and
-// present congestion penalties, and the heuristic is the wire cost times
-// the Manhattan distance to the bounding box of the in-window targets.
-// The heuristic is consistent, so the first target popped ends a
-// cheapest path, as under Dijkstra; among paths of equal cost the search
-// may pick another. It returns the path from a source to the reached
-// target (inclusive), held in the shard's scratch and valid until its
-// next search, so a search on the shard's warmed scratch allocates
-// nothing.
+// present congestion penalties. The heuristic (searchScratch.h) is the
+// wire cost times the Manhattan distance to the bounding box of the
+// in-window targets, plus, when every in-window target is an M1 cell,
+// the cheapest finish through a pin approach (priceApproach). It is
+// consistent, so the first target popped ends a cheapest path, as under
+// Dijkstra; among paths of equal cost the search may pick another. A
+// source on a target is a path of cost 0 and returns at once. It
+// returns the path from a source to the reached target (inclusive), held
+// in the shard's scratch and valid until its next search, so a search on
+// the shard's warmed scratch allocates nothing.
 func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	win searchWindow, presFac float64) ([]grid.NodeID, bool) {
 
@@ -497,15 +538,22 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	sc.begin(win.size())
 	sc.queue.tie = s.tie
 	sc.goal = geom.Rect{X0: 1, X1: 0} // empty
+	allM1 := true
 	for _, t := range targets {
 		if x, y, z := g.Coords(t); win.contains(x, y) {
 			sc.target[win.local(x, y, z)] = sc.gen
 			sc.goal = sc.goal.Union(geom.MakeRect(x, y, x, y))
+			allM1 = allM1 && z == tech.M1
 		}
 	}
-	sc.hWire = 0
+	nc := nodeCoster{g: g, presFac: presFac, margin: p.clearance, cRadius: p.cRadius, cWeight: p.cWeight}
+	sc.hWire, sc.hApproach, sc.hTarget = 0, 0, 0
+	sc.plane = int32(win.w * win.h)
 	if !sc.goal.Empty() {
 		sc.hWire = float64(p.wire)
+		if allM1 {
+			s.priceApproach(&nc, netID, sources, targets, win)
+		}
 	}
 	for _, src := range sources {
 		x, y, z := g.Coords(src)
@@ -515,15 +563,21 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		if !g.Enterable(src, netID) {
 			continue
 		}
-		sc.push(int32(win.local(x, y, z)), x, y, z, 0, -2)
+		li := int32(win.local(x, y, z))
+		if sc.target[li] == sc.gen {
+			// A path of cost 0; of the sources on targets, the queue
+			// would have popped this first one first.
+			sc.path = append(sc.path[:0], src)
+			return sc.path, true
+		}
+		sc.push(li, x, y, z, 0, -2)
 	}
 
-	nc := nodeCoster{g: g, presFac: presFac, margin: p.clearance, cRadius: p.cRadius, cWeight: p.cWeight}
 	base := p.wire
 	// Neighbour slots are offsets from the popped slot: ±1 along x, ±row
 	// along y and ±plane across layers. A via neighbour shares the popped
 	// node's (x, y), so only wire steps can leave the window.
-	row, plane := int32(win.w), int32(win.w*win.h)
+	row, plane := int32(win.w), sc.plane
 	xLast, yLast := win.x0+win.w-1, win.y0+win.h-1
 	goal := int32(-1)
 	for !sc.queue.empty() {
@@ -533,11 +587,11 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 		sl := &sc.slots[li]
 		x, y, z := sl.at.unpack()
 		// The entry is stale when its slot has since been reached by a
-		// cheaper path: its key, the g it was pushed with plus h, exceeds
-		// the slot's g plus h (h is fixed per slot). The key is the one
-		// pushed, also when the queue filed it at a higher one.
+		// cheaper path: its key exceeds the key of the slot's g (h is
+		// fixed per slot). The key is the one pushed, also when the
+		// queue filed it at a higher one.
 		d := sl.dist
-		if item.key > d+sc.h(x, y) {
+		if item.key > sc.key(li, x, y, z, d) {
 			sc.work.StalePops++
 			continue
 		}
@@ -588,12 +642,64 @@ func (s *shard) search(netID int, sources, targets []grid.NodeID,
 	return path, true
 }
 
+// priceApproach sets the heuristic's approach terms for a search whose
+// in-window targets are all M1 cells, as every routeNet search's pin
+// cells are. A path reaches an M1 target t only through its approach
+// a(t), the M2 node above it, and then down t's V1 via. A is the least
+// node cost of an approach the net may enter and the avoid set does not
+// hold; T is the least V1 via cost plus node cost of a target whose
+// approach the net may enter, avoided or not, since a source there is
+// popped and steps down to its target. The heuristic is then 0 at a
+// target, T at an approach and wire × distance + A + T elsewhere. It is
+// consistent only with the two minima taken apart: a joint
+// min(A_t + T_t) can exceed what a path pays through an approach of
+// small A and large T beside one of large A and small T (DESIGN §4f has
+// the argument edge class by edge class). When no approach can be
+// entered, A and T stay 0.
+//
+// Keys leave out the constant A + T (searchScratch.h): the same order in
+// exact arithmetic, and every node but a target or an approach keeps the
+// key it had without the approach term, bit for bit, so rounding cannot
+// merge two keys that were apart. That keeps every key at least 0 only
+// while every source's h is at least A + T. A source on an approach has
+// h = T, so its key, and the key of the target it steps down to, would
+// fall under 0, where the queue files them all at 0 in arrival order
+// rather than by cost: a search with such a source prices only T
+// (A = 0), which keeps h consistent.
+func (s *shard) priceApproach(nc *nodeCoster, netID int, sources, targets []grid.NodeID, win searchWindow) {
+	g, p, sc := s.g, s.engine(), &s.scratch
+	a, t := math.Inf(1), math.Inf(1)
+	for _, id := range targets {
+		x, y, _ := g.Coords(id)
+		aid := g.ID(x, y, tech.M2)
+		if !win.contains(x, y) || !g.Enterable(aid, netID) {
+			continue
+		}
+		t = min(t, float64(p.viaCost(g, x, y, 0))+nc.cost(id, x, y, tech.M1))
+		if !s.avoid.has(x, y, tech.M2) {
+			a = min(a, nc.cost(aid, x, y, tech.M2))
+		}
+	}
+	if math.IsInf(a, 1) {
+		return
+	}
+	for _, src := range sources {
+		if x, y, z := g.Coords(src); z == tech.M2 && win.contains(x, y) &&
+			sc.target[win.local(x, y, tech.M1)] == sc.gen {
+			a = 0
+			break
+		}
+	}
+	sc.hApproach, sc.hTarget = -a, -(a + t)
+}
+
 // fitScratch sizes the search scratch for every member net's window at
 // the given margin, before routeNet searches with it. The first call
 // sizes it for the widest margin stages 1 and 2 use, so negotiation never
 // resizes it; only the DRC stage's wider reroute windows and the
-// sequential baseline's widening retries resize it, once per margin. The
-// region's bounds contain every such window but can be much larger.
+// sequential baseline's widening retries grow it, once per margin, and
+// scratch a previous region grew large enough is kept. The region's
+// bounds contain every such window but can be much larger.
 func (s *shard) fitScratch(margin int) {
 	if margin <= s.scratchMargin {
 		return

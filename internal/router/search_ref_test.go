@@ -414,10 +414,47 @@ func (c *searchCase) congest() {
 		c.g.AddHistory(grid.NodeID(c.rng.Intn(n)), c.cost(2))
 	}
 	for i := c.rng.Intn(1 + n/4); i > 0; i-- {
-		if id := grid.NodeID(c.rng.Intn(n)); c.rng.Intn(2) == 0 {
-			c.g.Occupy(id)
-		} else {
-			c.g.OccupyVirtual(id)
+		c.occupy(grid.NodeID(c.rng.Intn(n)))
+	}
+}
+
+// occupy adds one net's metal or clearance occupancy to a node.
+func (c *searchCase) occupy(id grid.NodeID) {
+	if c.rng.Intn(2) == 0 {
+		c.g.Occupy(id)
+	} else {
+		c.g.OccupyVirtual(id)
+	}
+}
+
+// loadApproaches piles cost where late negotiation rounds found it: on
+// the approach of each M1 target (the M2 node above it) and on the
+// approach's clearance neighbours along its track, which its node cost
+// prices. Targets get history too, and an approach is now and then
+// seeded for the net itself, as a reserved pin-access interval is.
+func (c *searchCase) loadApproaches(netID int, targets []grid.NodeID) {
+	g := c.g
+	margin := c.r.clearanceMargin()
+	for _, t := range targets {
+		x, y, z := g.Coords(t)
+		if z != tech.M1 {
+			continue
+		}
+		a := g.ID(x, y, tech.M2)
+		if c.rng.Intn(3) == 0 && g.Owner(a) < 0 && !g.Blocked(a) {
+			g.SetOwner(a, netID)
+		}
+		g.AddHistory(a, c.cost(4))
+		g.AddHistory(t, c.cost(2))
+		for k := c.rng.Intn(3); k > 0; k-- {
+			c.occupy(a)
+		}
+		for m := 1; m <= margin; m++ {
+			for _, nx := range []int{x - m, x + m} {
+				if nx >= 0 && nx < g.W && c.rng.Intn(2) == 0 {
+					c.occupy(g.ID(nx, y, tech.M2))
+				}
+			}
 		}
 	}
 }
@@ -471,6 +508,63 @@ func (s *refShard) pathCost(t *testing.T, netID int, sources, targets, path []gr
 	return cost
 }
 
+// searchDraw is one random search on a routing state.
+type searchDraw struct {
+	netID            int
+	win              searchWindow
+	sources, targets []grid.NodeID
+	presFac          float64
+	// avoid is the avoid set as a map, nil when the search has none.
+	avoid map[grid.NodeID]bool
+}
+
+// draw picks a random search on the state: a net, a window, sources on
+// one of its pins plus random window nodes, targets on one of its pins
+// (now and then with random nodes of any layer, which turn the approach
+// term off unless all are M1), a present factor, zero or not, and for
+// half the searches an avoid set, filled into s's. A third of the draws load the
+// targets' approaches (loadApproaches). It reports false when the net
+// has no pins.
+func (c *searchCase) draw(s *shard) (searchDraw, bool) {
+	d, r, rng := c.d, c.r, c.rng
+	sd := searchDraw{netID: rng.Intn(len(d.Nets))}
+	pins := d.Nets[sd.netID].PinIDs
+	if len(pins) == 0 {
+		return sd, false
+	}
+	sd.win = r.window(sd.netID, rng.Intn(6))
+	sd.sources = append(r.appendPinCells(nil, pins[rng.Intn(len(pins))]), c.randomCells(sd.win, 4)...)
+	sd.targets = r.appendPinCells(nil, pins[rng.Intn(len(pins))])
+	if rng.Intn(4) == 0 {
+		sd.targets = append(sd.targets, c.randomCells(sd.win, 3)...)
+	}
+	if rng.Intn(2) == 0 {
+		sd.presFac = 0.25 + c.cost(3)
+	}
+
+	// The avoid set: on for half the searches, as the DRC stage and the
+	// sequential baseline use it. The live set is sized to a box around
+	// the window, as a region's bounds are.
+	s.avoid.clear()
+	if rng.Intn(2) == 0 {
+		win := sd.win
+		box := rectWindow(r.clampRect(geom.Rect{
+			X0: win.x0, Y0: win.y0, X1: win.x0 + win.w - 1, Y1: win.y0 + win.h - 1,
+		}.Expand(rng.Intn(3))))
+		s.avoid.reset(box)
+		sd.avoid = make(map[grid.NodeID]bool)
+		for k := rng.Intn(1 + win.size()/3); k > 0; k-- {
+			x, y, z := rng.Intn(d.Width), rng.Intn(d.Height), tech.M2+rng.Intn(2)
+			s.avoid.add(x, y, z)
+			sd.avoid[c.g.ID(x, y, z)] = true
+		}
+	}
+	if rng.Intn(3) == 0 {
+		c.loadApproaches(sd.netID, sd.targets)
+	}
+	return sd, true
+}
+
 // diffSearches runs searches on the live shard and the reference side by
 // side on one routing state, changing the avoid set, the congestion and
 // the present-cost factor between them, and fails on the first search
@@ -483,44 +577,15 @@ func diffSearches(t *testing.T, seed int64) {
 	if !ok {
 		return
 	}
-	d, g, r, rng := c.d, c.g, c.r, c.rng
-	s := r.wholeShard(make([]*NetRoute, len(d.Nets)))
-	ref := &refShard{Router: r}
+	s := c.r.wholeShard(make([]*NetRoute, len(c.d.Nets)))
+	ref := &refShard{Router: c.r}
 	for i := 0; i < 12; i++ {
-		netID := rng.Intn(len(d.Nets))
-		pins := d.Nets[netID].PinIDs
-		if len(pins) == 0 {
+		sd, ok := c.draw(s)
+		if !ok {
 			continue
 		}
-		win := r.window(netID, rng.Intn(6))
-		sources := append(r.appendPinCells(nil, pins[rng.Intn(len(pins))]), c.randomCells(win, 4)...)
-		targets := r.appendPinCells(nil, pins[rng.Intn(len(pins))])
-		if rng.Intn(4) == 0 {
-			targets = append(targets, c.randomCells(win, 3)...)
-		}
-		presFac := 0.0
-		if rng.Intn(2) == 0 {
-			presFac = 0.25 + c.cost(3)
-		}
-
-		// The avoid set: on for half the searches, as the DRC stage and
-		// the sequential baseline use it. The live set is sized to a box
-		// around the window, as a region's bounds are.
-		ref.avoid = nil
-		s.avoid.clear()
-		if rng.Intn(2) == 0 {
-			box := rectWindow(r.clampRect(geom.Rect{
-				X0: win.x0, Y0: win.y0, X1: win.x0 + win.w - 1, Y1: win.y0 + win.h - 1,
-			}.Expand(rng.Intn(3))))
-			s.avoid.reset(box)
-			ref.avoid = make(map[grid.NodeID]bool)
-			for k := rng.Intn(1 + win.size()/3); k > 0; k-- {
-				x, y, z := rng.Intn(d.Width), rng.Intn(d.Height), tech.M2+rng.Intn(2)
-				s.avoid.add(x, y, z)
-				ref.avoid[g.ID(x, y, z)] = true
-			}
-		}
-
+		netID, sources, targets, win, presFac := sd.netID, sd.sources, sd.targets, sd.win, sd.presFac
+		ref.avoid = sd.avoid
 		path, ok := s.search(netID, sources, targets, win, presFac)
 		refPath, refOK := ref.search(netID, sources, targets, win, presFac)
 		if ok != refOK {
@@ -535,7 +600,7 @@ func diffSearches(t *testing.T, seed int64) {
 					seed, i, netID, presFac, ref.avoid != nil, path, cost, refPath, refCost)
 			}
 		}
-		if rng.Intn(3) == 0 {
+		if c.rng.Intn(3) == 0 {
 			c.congest()
 		}
 	}
@@ -553,8 +618,63 @@ func TestSearchMatchesReference(t *testing.T) {
 	}
 }
 
+// TestSearchApproachSources holds the search to the reference where the
+// sources sit on targets' approaches, as a route tree that crossed a
+// pin's cells on M2 does. The two targets' approaches cost alike, so A
+// is theirs; the target pushed first is the dearer one, which a search
+// that filed both targets' keys under 0 at 0 would return. Some source
+// lists put a target among the sources: a path of cost 0, which must
+// win under every tie order over a target reached from an approach at
+// key 0.
+func TestSearchApproachSources(t *testing.T) {
+	tc := *tech.Default()
+	d := design.New("approach", 8, 3, &tc)
+	net := d.AddNet("n")
+	d.AddPin("p", net, geom.MakeRect(2, 1, 3, 1))
+	d.AddPin("q", net, geom.MakeRect(6, 1, 6, 1))
+	if err := d.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	g := grid.New(d)
+	r := New(d, g, Config{})
+	c1, c2 := g.ID(2, 1, tech.M1), g.ID(3, 1, tech.M1)
+	a1, a2, q := g.ID(2, 1, tech.M2), g.ID(3, 1, tech.M2), g.ID(6, 1, tech.M2)
+	g.AddHistory(a1, 5)
+	g.AddHistory(a2, 5)
+	g.AddHistory(c1, 3)
+	targets := []grid.NodeID{c1, c2}
+	win := r.window(net, 2)
+	ref := &refShard{Router: r}
+	orders := testTieOrders
+	for seed := uint64(1); seed <= 8; seed++ {
+		orders = append(orders, tieOrder{shuffle: seed * 0x9e3779b97f4a7c15})
+	}
+	for _, order := range orders {
+		r.tie = order
+		for _, sources := range [][]grid.NodeID{{a1, a2}, {q, a1, a2}, {a2, a1}, {a1, a2, c1}, {a1, c2, a2}} {
+			for _, presFac := range []float64{0, 1.5} {
+				s := r.wholeShard(make([]*NetRoute, len(d.Nets)))
+				path, ok := s.search(net, sources, targets, win, presFac)
+				refPath, refOK := ref.search(net, sources, targets, win, presFac)
+				if !ok || !refOK {
+					t.Fatalf("tie %+v sources %v: found %v, reference %v", order, sources, ok, refOK)
+				}
+				cost := ref.pathCost(t, net, sources, targets, path, win, presFac)
+				refCost := ref.pathCost(t, net, sources, targets, refPath, win, presFac)
+				if math.Abs(cost-refCost) > 1e-9*max(1, refCost) {
+					t.Fatalf("tie %+v sources %v presFac %v: path %v costs %v, reference %v costs %v",
+						order, sources, presFac, path, cost, refPath, refCost)
+				}
+			}
+		}
+	}
+}
+
+// FuzzSearchMatchesReference's seeds 9 and 74 search loaded approaches
+// (loadApproaches), where a search that prices an approach wrongly
+// returns a dearer path than the reference.
 func FuzzSearchMatchesReference(f *testing.F) {
-	for _, seed := range []int64{1, 7, 42, 1001, -3} {
+	for _, seed := range []int64{1, 7, 42, 1001, -3, 9, 74} {
 		f.Add(seed)
 	}
 	f.Fuzz(diffSearches)

@@ -726,7 +726,7 @@ func (c *stageCase) newRouter() *Router {
 
 // regionShard is a cold shard of rg, as RunPlan builds it.
 func regionShard(r *Router, rg *Region, routes []*NetRoute) *shard {
-	return &shard{Router: r, region: rg, box: rectWindow(rg.Bounds()), routes: routes, seedOcc: true}
+	return &shard{Router: r, region: rg, box: rectWindow(rg.Bounds()), routes: routes, seedOcc: true, shardScratch: new(shardScratch)}
 }
 
 // diffGrids fails on the first node whose owner, occupancy or history
